@@ -29,8 +29,6 @@ from .intlinalg import (
     is_unimodular,
     kernel_rank,
     smith_normal_form,
-    solve_rational,
-    to_int_matrix,
     zeros_int,
 )
 from .ktheory import (
@@ -61,7 +59,6 @@ from .symbolic import (
     is_admissible,
     mt_compare,
     parse_word,
-    shift,
 )
 
 __version__ = "0.1.0"
@@ -105,10 +102,7 @@ __all__ = [
     "mt_compare",
     "numeric_itinerary",
     "parse_word",
-    "shift",
     "smith_normal_form",
-    "solve_rational",
-    "to_int_matrix",
     "transition_matrix",
     "zeros_int",
 ]

@@ -9,6 +9,7 @@ itinerary, the solver recovers it from actual orbits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,8 +67,8 @@ def numeric_itinerary(
         raise DomainError("starting point must lie in [0, 1]")
     if depth < 1:
         raise DomainError("depth must be positive")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("tolerance must be positive and finite")
     out = []
     x = x0
     for _ in range(depth):
@@ -130,8 +131,8 @@ def find_superstable_mu(
     n = w.n
     if n < 2:
         raise DomainError("superstable search requires period >= 2")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("tolerance must be positive and finite")
     if not 0.0 < grid_step <= 0.5:
         raise DomainError("grid step must lie in (0, 0.5]")
     if not is_admissible(w):

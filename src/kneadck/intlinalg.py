@@ -4,14 +4,13 @@ Matrices are dense numpy arrays with ``dtype=object`` holding Python ints,
 so no intermediate result can overflow regardless of size.  Provides the
 Smith normal form with its unimodular transforms, cokernels and kernel
 ranks of square matrices (the raw material of the K-group computations),
-fraction-free determinants, exact rational solving, and strong connectivity
-of 0-1 matrices.
+fraction-free determinants, and strong connectivity of 0-1 matrices.
+All arithmetic stays in the integers; nothing here uses fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -215,6 +214,11 @@ class AbelianGroup:
             return cls(0, ())
         return cls(0, (a,))
 
+    @classmethod
+    def from_diagonal(cls, diag) -> "AbelianGroup":
+        """The cokernel of a square matrix, read off its Smith diagonal."""
+        return cls(sum(1 for d in diag if d == 0), tuple(d for d in diag if d >= 2))
+
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -235,10 +239,7 @@ def cokernel(M) -> AbelianGroup:
     r, c = A.shape
     if r != c:
         raise ValueError("cokernel requires a square matrix")
-    diag = smith_normal_form(A).diagonal
-    free_rank = sum(1 for d in diag if d == 0)
-    torsion = tuple(d for d in diag if d >= 2)
-    return AbelianGroup(free_rank, torsion)
+    return AbelianGroup.from_diagonal(smith_normal_form(A).diagonal)
 
 
 def kernel_rank(M) -> int:
@@ -266,45 +267,3 @@ def is_irreducible(A) -> bool:
     for k in range(r):
         reach |= np.outer(reach[:, k], reach[k, :])
     return bool(reach.all())
-
-
-def solve_rational(A, B) -> np.ndarray:
-    """Exact solution X of A X = B over the rationals (A square, invertible)."""
-    A = as_int_matrix(A)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("solve_rational requires a square matrix")
-    B = np.array(B, dtype=object)
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ValueError("right-hand side has incompatible shape")
-
-    W = np.empty((n, n + B.shape[1]), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            W[i, j] = Fraction(int(A[i, j]))
-        for j in range(B.shape[1]):
-            W[i, n + j] = Fraction(int(B[i, j]))
-
-    for k in range(n):
-        p = next((i for i in range(k, n) if W[i, k] != 0), None)
-        if p is None:
-            raise ValueError("matrix is singular over the rationals")
-        if p != k:
-            W[[k, p], :] = W[[p, k], :]
-        W[k, :] = W[k, :] / W[k, k]
-        for i in range(n):
-            if i != k and W[i, k] != 0:
-                W[i, :] -= W[i, k] * W[k, :]
-    return W[:, n:]
-
-
-def to_int_matrix(F) -> np.ndarray:
-    """Convert a Fraction matrix known to be integral; raises otherwise."""
-    out = np.empty(F.shape, dtype=object)
-    for i in range(F.shape[0]):
-        for j in range(F.shape[1]):
-            f = Fraction(F[i, j])
-            if f.denominator != 1:
-                raise ValueError(f"non-integer entry {f} at {(i, j)}")
-            out[i, j] = int(f)
-    return out

@@ -9,7 +9,9 @@ interval-boundary difference, their product eta, the signed diagonal pieces,
 the transition matrix, and the unimodular transforms that relate the two
 chain-level descriptions.
 
-Everything here is exact integer (or exact rational) arithmetic; no floats.
+Everything here is exact integer arithmetic; no floats and no fractions.
+The inverses the construction needs are written down in closed form and
+each is confirmed by an exact matrix product.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intlinalg import (
-    as_int_matrix,
-    eye_int,
-    is_unimodular,
-    solve_rational,
-    to_int_matrix,
-    zeros_int,
-)
+from .intlinalg import as_int_matrix, eye_int, zeros_int
 from .symbolic import (
     DomainError,
     KneadingWord,
@@ -110,9 +105,10 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
 class TheoremMatrices:
     """The full matrix family of one kneading word.
 
-    Shapes: ``omega``, ``pi``, ``gamma``, ``theta``, ``Y``, ``thetaprime``
-    are n x n; ``phi`` and ``eta`` are (n-1) x n; ``inc`` is n x (n-1);
-    ``A``, ``alpha``, ``beta``, ``X``, ``Aprime`` are (n-1) x (n-1).
+    Shapes: ``omega``, ``pi``, ``gamma``, ``theta``, ``Y``, ``Yinv``,
+    ``thetaprime`` are n x n; ``phi`` and ``eta`` are (n-1) x n; ``inc``
+    and ``R`` (the right inverse of ``eta``) are n x (n-1); ``A``,
+    ``alpha``, ``beta``, ``X``, ``Xinv``, ``Aprime`` are (n-1) x (n-1).
     """
 
     omega: np.ndarray
@@ -129,16 +125,25 @@ class TheoremMatrices:
     X: np.ndarray
     Aprime: np.ndarray
     thetaprime: np.ndarray
+    Xinv: np.ndarray
+    Yinv: np.ndarray
+    R: np.ndarray
 
 
 def build_matrices(m: OrbitModel) -> TheoremMatrices:
     """Assemble every matrix of the construction from the ordered orbit.
 
-    ``alpha`` is obtained by solving an exact rational system and must come
-    out integral; ``X`` (the top square block of the transpose of ``eta``)
-    must be unimodular; and the transpose of ``eta`` must factor as
-    ``Y @ inc @ X``.  Failure of any of these is a bug, not bad input, and
-    raises :class:`ConstructionError`.
+    The transpose of ``eta`` must factor as ``Y @ inc @ X``, where ``X`` is
+    its top square block: the signed incidence matrix of the path of
+    spatial ranks with the turning point removed.  The inverse of ``X`` is
+    therefore a pair of running sums, one on each side of the turning
+    point, and ``Y`` is inverted by flipping the sign of its last row.
+    Together they give an integer right inverse ``R`` of ``eta`` and with
+    it ``alpha = eta @ omega @ R``.  Two exact products confirm the route:
+    ``X @ Xinv == I``, which also proves ``X`` unimodular, and
+    ``alpha @ eta == eta @ omega``, which pins ``alpha`` down uniquely
+    because ``eta`` has full row rank.  Failure of any of these is a bug,
+    not bad input, and raises :class:`ConstructionError`.
     """
     n = m.n
     eps = m.word.values()
@@ -175,16 +180,11 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     for k in range(n - 1):
         beta[k, k] = 1 if k < m.nL else -1
 
-    # alpha = (eta omega eta^T) (eta eta^T)^{-1}, solved exactly over Q.
-    S = eta @ eta.T
-    B = eta @ omega @ eta.T
-    alpha = to_int_matrix(solve_rational(S, B.T).T)
-
-    A = beta @ alpha
-
     Y = eye_int(n)
+    Yinv = eye_int(n)
     for j in range(n - 1):
         Y[n - 1, j] = -1
+        Yinv[n - 1, j] = 1
 
     inc = zeros_int(n, n - 1)
     for k in range(n - 1):
@@ -192,13 +192,31 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
 
     etaT = eta.T.copy()
     X = as_int_matrix(etaT[: n - 1, :])
-    if not is_unimodular(X):
-        raise ConstructionError("top block of eta-transpose is not unimodular")
     if not np.array_equal(etaT, Y @ inc @ X):
         raise ConstructionError("eta-transpose does not factor as Y inc X")
 
-    Xinv = to_int_matrix(solve_rational(X, eye_int(n - 1)))
-    Yinv = to_int_matrix(solve_rational(Y, eye_int(n)))
+    # Interval k joins spatial ranks k+1 and k+2.  Left of the turning point
+    # (rank c) it is undone by the points at or below its left end, right of
+    # it by the points above its right end.
+    c = m.nL + 1
+    p = [m.position(j + 1) for j in range(n - 1)]
+    Xinv = zeros_int(n - 1, n - 1)
+    for k in range(n - 1):
+        for j in range(n - 1):
+            if k <= c - 2 and p[j] <= k + 1:
+                Xinv[k, j] = -1
+            elif k >= c - 1 and p[j] >= k + 2:
+                Xinv[k, j] = 1
+    if not np.array_equal(X @ Xinv, eye_int(n - 1)):
+        raise ConstructionError("top block of eta-transpose fails X Xinv = I")
+
+    R = Yinv.T @ inc @ Xinv.T
+    eta_omega = eta @ omega
+    alpha = eta_omega @ R
+    if not np.array_equal(alpha @ eta, eta_omega):
+        raise ConstructionError("alpha fails alpha eta = eta omega")
+
+    A = beta @ alpha
     Aprime = X @ A.T @ Xinv
     thetaprime = Yinv @ theta.T @ Y
 
@@ -217,6 +235,9 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
         X=X,
         Aprime=Aprime,
         thetaprime=thetaprime,
+        Xinv=Xinv,
+        Yinv=Yinv,
+        R=R,
     )
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -160,11 +159,6 @@ def parse_word(text: str) -> KneadingWord:
     return KneadingWord(symbols)
 
 
-def shift(seq: SymbolSeq, i: int) -> SymbolSeq:
-    """The sequence with its first ``i`` symbols dropped."""
-    return seq.shift(i)
-
-
 @dataclass(frozen=True)
 class ThetaPrefix:
     """Prefix of the invariant coordinate: entry k is the product of the
@@ -181,9 +175,6 @@ class ThetaPrefix:
             if seen_zero and e != 0:
                 raise ValueError("nonzero entry after a zero")
             seen_zero = seen_zero or e == 0
-
-
-SymbolsLike = "SymbolSeq | Sequence[Symbol]"
 
 
 def invariant_coordinate(seq, depth: int) -> ThetaPrefix:

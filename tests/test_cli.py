@@ -213,6 +213,13 @@ class TestFindMuCommand:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12"])
+    def test_bad_tolerance(self, capsys, tol):
+        code, out, err = run(capsys, ["find-mu", "RLC", f"--tol={tol}"])
+        assert code == 3
+        assert out == ""
+        assert "tolerance" in err
+
 
 class TestAdmissibleCommand:
     def test_yes(self, capsys):
@@ -240,6 +247,13 @@ class TestItineraryCommand:
         )
         assert code == 0
         assert doc["results"]["itinerary"].startswith("RCRC")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tolerance(self, capsys, tol):
+        code, out, err = run(capsys, ["itinerary", "--mu", "3.2", f"--tol={tol}"])
+        assert code == 3
+        assert out == ""
+        assert "tolerance" in err
 
 
 class TestMachineFormat:

@@ -78,6 +78,11 @@ class TestItinerary:
         assert numeric_itinerary(m, 0.5 + 1e-12, 1, tol=1e-9) == (Symbol.C,)
         assert numeric_itinerary(m, 0.5 + 1e-6, 1, tol=1e-9) == (Symbol.R,)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError):
+            numeric_itinerary(QuadMap(3.2), 0.5, 4, tol=tol)
+
     def test_shift_law(self):
         # Away from the turning point the itinerary of f(x) is the shifted
         # itinerary of x.
@@ -131,8 +136,9 @@ class TestSuperstableSolver:
 
     def test_rejects_bad_controls(self):
         w = parse_word("RLC")
-        with pytest.raises(DomainError):
-            find_superstable_mu(w, tol=0.0)
+        for tol in (0.0, -1e-12, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                find_superstable_mu(w, tol=tol)
         with pytest.raises(DomainError):
             find_superstable_mu(w, grid_step=0.0)
         with pytest.raises(DomainError):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +14,6 @@ from kneadck.intlinalg import (
     is_unimodular,
     kernel_rank,
     smith_normal_form,
-    solve_rational,
-    to_int_matrix,
     zeros_int,
 )
 
@@ -213,6 +210,12 @@ class TestAbelianGroup:
         assert AbelianGroup(0, ()).is_trivial
         assert not AbelianGroup(1, ()).is_trivial
 
+    def test_from_diagonal(self):
+        assert AbelianGroup.from_diagonal((1, 1, 3, 0)) == AbelianGroup(1, (3,))
+        assert AbelianGroup.from_diagonal((1, 1)) == AbelianGroup(0, ())
+        assert AbelianGroup.from_diagonal((2, 6, 0, 0)) == AbelianGroup(2, (2, 6))
+        assert AbelianGroup.from_diagonal(()) == AbelianGroup(0, ())
+
 
 class TestCokernelKernel:
     def test_zero_matrix(self):
@@ -276,33 +279,3 @@ class TestIrreducibility:
             is_irreducible([[0, 1, 0], [1, 0, 0]])
         with pytest.raises(ValueError):
             is_irreducible([[-1, 1], [1, 0]])
-
-
-class TestRationalSolve:
-    def test_exact_solution(self):
-        X = solve_rational([[2, 1], [1, 1]], [[1, 0], [0, 1]])
-        assert X[0, 0] == Fraction(1) and X[0, 1] == Fraction(-1)
-        assert X[1, 0] == Fraction(-1) and X[1, 1] == Fraction(2)
-
-    def test_random_systems(self):
-        rng = random.Random(29)
-        solved = 0
-        while solved < 25:
-            n = rng.randint(1, 5)
-            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            if determinant(A) == 0:
-                continue
-            B = as_int_matrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)])
-            X = solve_rational(A, B)
-            assert np.array_equal(as_int_matrix(A) @ X, B)
-            solved += 1
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            solve_rational([[1, 2], [2, 4]], [[1], [1]])
-
-    def test_to_int_matrix(self):
-        X = solve_rational([[2, 0], [0, 2]], [[4, 2], [6, 8]])
-        assert np.array_equal(to_int_matrix(X), as_int_matrix([[2, 1], [3, 4]]))
-        with pytest.raises(ValueError):
-            to_int_matrix(solve_rational([[2]], [[1]]))

@@ -1,13 +1,23 @@
+import random
+
 import numpy as np
 import pytest
 
-from kneadck.intlinalg import as_int_matrix, is_unimodular
-from kneadck.markov import build_matrices, build_orbit, transition_matrix
+from kneadck.intlinalg import as_int_matrix, eye_int, is_unimodular
+from kneadck.markov import (
+    ConstructionError,
+    OrbitModel,
+    build_matrices,
+    build_orbit,
+    transition_matrix,
+)
 from kneadck.symbolic import (
     DomainError,
+    KneadingWord,
     Order,
     Symbol,
     enumerate_admissible,
+    is_admissible,
     mt_compare,
     parse_word,
 )
@@ -22,6 +32,21 @@ def all_words(max_n):
     out = []
     for n in range(2, max_n + 1):
         out.extend(enumerate_admissible(n))
+    return out
+
+
+def random_words(n, count, seed):
+    """Admissible words of period n by rejection sampling: R, uniform L/R, C."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        w = KneadingWord(
+            (Symbol.R,)
+            + tuple(rng.choice((Symbol.L, Symbol.R)) for _ in range(n - 2))
+            + (Symbol.C,)
+        )
+        if is_admissible(w):
+            out.append(w)
     return out
 
 
@@ -198,3 +223,44 @@ class TestMatrixRelations:
         A = transition_matrix(build_orbit(word))
         row_sums = [int(s) for s in A.sum(axis=1)]
         assert any(s != 1 for s in row_sums)
+
+
+class TestIntegerRoute:
+    """The closed-form inverses behind alpha, checked by exact products."""
+
+    @pytest.mark.parametrize(
+        "word",
+        all_words(12) + random_words(16, 3, 1) + random_words(32, 3, 2) + random_words(64, 2, 3),
+        ids=str,
+    )
+    def test_inverses(self, word):
+        n = word.n
+        t = build_matrices(build_orbit(word))
+        assert np.array_equal(t.X @ t.Xinv, eye_int(n - 1))
+        assert np.array_equal(t.Y @ t.Yinv, eye_int(n))
+        assert np.array_equal(t.eta @ t.R, eye_int(n - 1))
+        assert np.array_equal(t.alpha @ t.eta, t.eta @ t.omega)
+
+    @pytest.mark.parametrize("word", all_words(10), ids=str)
+    def test_alpha_matches_rational_oracle(self, word):
+        # alpha is the unique solution of alpha eta = eta omega; sympy
+        # solves its normal equations (eta eta^T) alpha^T = (eta omega eta^T)^T
+        # over the rationals, independently of the integer route.
+        sympy = pytest.importorskip("sympy")
+        t = build_matrices(build_orbit(word))
+        eta = sympy.Matrix(t.eta.tolist())
+        omega = sympy.Matrix(t.omega.tolist())
+        expected = (eta * eta.T).LUsolve((eta * omega * eta.T).T).T
+        assert sympy.Matrix(t.alpha.tolist()) == expected
+
+    def test_turning_point_off_its_rank_is_refused(self):
+        # RLLRRC puts the turning point (orbit point 6) at rank nL + 1 = 3;
+        # moving it to rank 2 leaves a consistent-looking model whose
+        # closed-form inverse of X cannot hold.
+        m = build_orbit(parse_word("RLLRRC"))
+        assert m.rho == (2, 3, 6, 4, 5, 1)
+        bad = OrbitModel(
+            word=m.word, points=m.points, rho=(2, 6, 3, 4, 5, 1), nL=m.nL, nR=m.nR
+        )
+        with pytest.raises(ConstructionError):
+            build_matrices(bad)

@@ -14,7 +14,6 @@ from kneadck.symbolic import (
     is_admissible,
     mt_compare,
     parse_word,
-    shift,
 )
 
 # Known counts of admissible words by period; any ordering bug in the
@@ -75,8 +74,8 @@ class TestSymbolSeq:
 
     def test_shift_rotates(self):
         s = parse_word("RLC").sequence()
-        assert shift(s, 1).prefix(3) == (Symbol.L, Symbol.C, Symbol.R)
-        assert shift(s, 3) == s
+        assert s.shift(1).prefix(3) == (Symbol.L, Symbol.C, Symbol.R)
+        assert s.shift(3) == s
 
     def test_shift_negative(self):
         with pytest.raises(ValueError):
