@@ -28,6 +28,7 @@ from .intlinalg import (
     is_irreducible,
     is_unimodular,
     kernel_rank,
+    smith_diagonal,
     smith_normal_form,
     zeros_int,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "mt_compare",
     "numeric_itinerary",
     "parse_word",
+    "smith_diagonal",
     "smith_normal_form",
     "transition_matrix",
     "zeros_int",

@@ -1,11 +1,17 @@
-"""Exact integer matrix arithmetic on arbitrary-precision entries.
+"""Exact integer matrix arithmetic.
 
-Matrices are dense numpy arrays with ``dtype=object`` holding Python ints,
-so no intermediate result can overflow regardless of size.  Provides the
-Smith normal form with its unimodular transforms, cokernels and kernel
-ranks of square matrices (the raw material of the K-group computations),
-fraction-free determinants, and strong connectivity of 0-1 matrices.
-All arithmetic stays in the integers; nothing here uses fractions.
+Matrices handed in and out are dense numpy arrays with ``dtype=object``
+holding Python ints.  The Smith elimination starts on ``int64`` when every
+entry lies below 2**62 in absolute value.  Before each update it bounds,
+in Python ints, the largest entry the update can produce; if that bound
+could reach 2**62 it converts its working array to ``dtype=object`` and
+carries on with the same code, so results are exact at any size.
+
+Provides the Smith normal form with its unimodular transforms, the Smith
+diagonal alone, cokernels and kernel ranks of square matrices (the raw
+material of the K-group computations), fraction-free determinants, and
+strong connectivity of 0-1 matrices.  All arithmetic stays in the
+integers; nothing here uses fractions.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# int64 elimination is exact while every entry stays below _EXACT.
+_EXACT = 1 << 62
 
 
 def as_int_matrix(data) -> np.ndarray:
@@ -24,14 +33,18 @@ def as_int_matrix(data) -> np.ndarray:
     M = np.array(data, dtype=object)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
-    out = np.empty(M.shape, dtype=object)
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            e = M[i, j]
-            if isinstance(e, (bool, np.bool_)) or not isinstance(e, (int, np.integer)):
-                raise ValueError(f"non-integer entry {e!r} at {(i, j)}")
-            out[i, j] = int(e)
-    return out
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
+        return M
+    entries = M.ravel().tolist()
+    if set(map(type, entries)) <= {int}:
+        return M
+    for k, e in enumerate(entries):
+        if isinstance(e, (bool, np.bool_)) or not isinstance(e, (int, np.integer)):
+            raise ValueError(f"non-integer entry {e!r} at {divmod(k, M.shape[1])}")
+        entries[k] = int(e)
+    out = np.empty(M.size, dtype=object)
+    out[:] = entries
+    return out.reshape(M.shape)
 
 
 def eye_int(n: int) -> np.ndarray:
@@ -60,103 +73,139 @@ class SmithForm:
         return tuple(int(self.D[k, k]) for k in range(min(r, c)))
 
 
-def _min_abs_pivot(D: np.ndarray, t: int):
-    # Smallest |entry| in the working submatrix, ties by lowest (row, col).
-    best = None
-    r, c = D.shape
-    for i in range(t, r):
-        for j in range(t, c):
-            e = D[i, j]
-            if e != 0 and (best is None or abs(e) < best[0]):
-                best = (abs(e), i, j)
-    return None if best is None else (best[1], best[2])
+def _abs_max(x) -> int:
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def _sub_outer(W: np.ndarray, rows, cols, q, v) -> np.ndarray:
+    """``W[rows, cols] -= outer(q, v)``; returns W, widened to Python ints
+    first when an int64 result could reach 2**62."""
+    ix = (rows[:, None], cols)
+    block = W[ix]
+    if W.dtype != object and _abs_max(q) * _abs_max(v) + _abs_max(block) >= _EXACT:
+        W, block, q, v = (x.astype(object) for x in (W, block, q, v))
+    W[ix] = block - np.outer(q, v)
+    return W
+
+
+def _pivot(W: np.ndarray, t: int, r: int, c: int):
+    """Position of the smallest nonzero |entry| of ``W[t:r, t:c]``, ties by
+    lowest (row, col); None when that block is zero."""
+    units = (np.abs(W[t, t:c]) == 1).nonzero()[0]
+    if units.size:
+        # A unit is a minimum, and none can come earlier in row order.
+        return t, t + int(units[0])
+    a = np.abs(W[t:r, t:c])
+    nonzero = a != 0
+    if not nonzero.any():
+        return None
+    a[~nonzero] = a.max() + 1
+    i, j = divmod(int(np.argmin(a)), c - t)
+    return t + i, t + j
+
+
+def _eliminate(M, transforms: bool) -> tuple[np.ndarray, int, int]:
+    """The Smith elimination loop, shared by every SNF entry point.
+
+    Works on ``W = [[M, I_r], [I_c, 0]]`` when ``transforms`` is set, else
+    on ``M`` alone: row operations on the top ``r`` rows carry ``U`` along in
+    the top-right block, column operations on the left ``c`` columns carry
+    ``V`` in the bottom-left block, so one code path serves both.  Returns
+    ``(W, r, c)`` with the Smith form in ``W[:r, :c]``.
+
+    Pivoting picks the nonzero entry of minimal absolute value (ties by
+    lowest row, then column).  Row and column sweeps divide by the pivot;
+    a nonzero remainder is a strictly smaller pivot, so the reduction
+    terminates.  A unit pivot, almost every pivot of ``I - A^T``, leaves no
+    remainder and divides everything: its row sweep is one rank-1
+    Schur-complement update, and the pivot is final.  Before advancing, a
+    non-unit pivot is forced to divide the remaining block by pulling an
+    offending row up, which yields the divisibility chain on the diagonal
+    directly.
+    """
+    A = as_int_matrix(M)
+    r, c = A.shape
+    if transforms:
+        W = np.zeros((r + c, c + r), dtype=object)
+        W[:r, :c] = A
+        W[:r, c:] = eye_int(r)
+        W[r:, :c] = eye_int(c)
+    else:
+        W = A
+    try:
+        small = W.astype(np.int64)
+    except OverflowError:
+        pass
+    else:
+        if not small.size or (small.max() < _EXACT and small.min() > -_EXACT):
+            W = small
+
+    for t in range(min(r, c)):
+        while True:
+            pivot = _pivot(W, t, r, c)
+            if pivot is None:
+                return W, r, c
+            pi, pj = pivot
+            if pi != t:
+                W[[t, pi], :] = W[[pi, t], :]
+            if pj != t:
+                W[:, [t, pj]] = W[:, [pj, t]]
+            if W[t, t] < 0:
+                W[t, :] = -W[t, :]
+            d = int(W[t, t])
+
+            # Row and column sweeps by floor division.  The pivot is the
+            # block's smallest |entry|, so every nonzero it divides gives a
+            # nonzero multiplier.
+            rows = t + 1 + W[t + 1 : r, t].nonzero()[0]
+            if rows.size:
+                cols = t + W[t, t:].nonzero()[0]
+                W = _sub_outer(W, rows, cols, W[rows, t] // d, W[t, cols])
+            cols = t + 1 + W[t, t + 1 : c].nonzero()[0]
+            if cols.size:
+                q = W[t, cols] // d
+                rows = t + 1 + W[t + 1 :, t].nonzero()[0]
+                if rows.size:
+                    W = _sub_outer(W, rows, cols, W[rows, t], q)
+                # Row t's share of the column operations, W[t, cols] - d * q.
+                W[t, cols] %= d
+            if d == 1:
+                # A unit leaves no remainder and divides everything.
+                break
+            if W[t + 1 : r, t].any() or W[t, t + 1 : c].any():
+                # A nonzero remainder is a smaller pivot.
+                continue
+            bad = ((W[t + 1 : r, t + 1 : c] % d).any(axis=1)).nonzero()[0]
+            if not bad.size:
+                break
+            # Pull the offending row up; the column sweep then shrinks the pivot.
+            k = t + 1 + int(bad[0])
+            cols = t + 1 + W[k, t + 1 :].nonzero()[0]
+            W = _sub_outer(W, np.array([t]), cols, np.array([-1]), W[k, cols])
+    return W, r, c
 
 
 def smith_normal_form(M) -> SmithForm:
     """Smith normal form with transforms, deterministic for a given input.
 
-    Pivoting picks the nonzero entry of minimal absolute value (ties by
-    lowest row, then column); division with remainder strictly shrinks the
-    pivot, so the reduction terminates.  Before advancing, the pivot is
-    forced to divide the remaining submatrix, which yields the divisibility
-    chain on the diagonal directly.
+    ``U`` and ``V`` come from the same elimination as :func:`smith_diagonal`,
+    which is the cheaper call when only the diagonal is needed.
     """
-    D = as_int_matrix(M).copy()
-    r, c = D.shape
-    U = eye_int(r)
-    V = eye_int(c)
+    W, r, c = _eliminate(M, transforms=True)
+    W = W.astype(object)
+    return SmithForm(U=W[:r, c:], D=W[:r, :c], V=W[r:, :c])
 
-    t = 0
-    while t < min(r, c):
-        pivot = _min_abs_pivot(D, t)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            D[[t, pi], :] = D[[pi, t], :]
-            U[[t, pi], :] = U[[pi, t], :]
-        if pj != t:
-            D[:, [t, pj]] = D[:, [pj, t]]
-            V[:, [t, pj]] = V[:, [pj, t]]
 
-        while True:
-            if D[t, t] < 0:
-                D[t, :] = -D[t, :]
-                U[t, :] = -U[t, :]
-            d = D[t, t]
-
-            restart = False
-            for i in range(t + 1, r):
-                if D[i, t] != 0:
-                    q = D[i, t] // d
-                    if q != 0:
-                        D[i, :] -= q * D[t, :]
-                        U[i, :] -= q * U[t, :]
-                    if D[i, t] != 0:
-                        # Remainder in (0, d): a strictly smaller pivot.
-                        D[[t, i], :] = D[[i, t], :]
-                        U[[t, i], :] = U[[i, t], :]
-                        restart = True
-                        break
-            if restart:
-                continue
-
-            for j in range(t + 1, c):
-                if D[t, j] != 0:
-                    q = D[t, j] // d
-                    if q != 0:
-                        D[:, j] -= q * D[:, t]
-                        V[:, j] -= q * V[:, t]
-                    if D[t, j] != 0:
-                        D[:, [t, j]] = D[:, [j, t]]
-                        V[:, [t, j]] = V[:, [j, t]]
-                        restart = True
-                        break
-            if restart:
-                continue
-
-            bad = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if D[i, j] % d != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            # Pull the offending row up; the column sweep then shrinks the pivot.
-            D[t, :] += D[bad, :]
-            U[t, :] += U[bad, :]
-
-        t += 1
-
-    return SmithForm(U=U, D=D, V=V)
+def smith_diagonal(M) -> tuple[int, ...]:
+    """The Smith diagonal of M (invariant factors, zeros trailing), without
+    building the unimodular transforms."""
+    W, r, c = _eliminate(M, transforms=False)
+    return tuple(int(d) for d in W.diagonal())
 
 
 def determinant(M) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    D = as_int_matrix(M).copy()
+    D = as_int_matrix(M)
     r, c = D.shape
     if r != c:
         raise ValueError("determinant requires a square matrix")
@@ -239,7 +288,7 @@ def cokernel(M) -> AbelianGroup:
     r, c = A.shape
     if r != c:
         raise ValueError("cokernel requires a square matrix")
-    return AbelianGroup.from_diagonal(smith_normal_form(A).diagonal)
+    return AbelianGroup.from_diagonal(smith_diagonal(A))
 
 
 def kernel_rank(M) -> int:
@@ -247,7 +296,7 @@ def kernel_rank(M) -> int:
     A = as_int_matrix(M)
     if A.shape[0] != A.shape[1]:
         raise ValueError("kernel_rank requires a square matrix")
-    return sum(1 for d in smith_normal_form(A).diagonal if d == 0)
+    return smith_diagonal(A).count(0)
 
 
 def is_irreducible(A) -> bool:
@@ -261,7 +310,7 @@ def is_irreducible(A) -> bool:
     r, c = M.shape
     if r != c:
         raise ValueError("irreducibility requires a square matrix")
-    if any(M[i, j] not in (0, 1) for i in range(r) for j in range(c)):
+    if not ((M == 0) | (M == 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
     reach = M.astype(bool)
     for k in range(r):

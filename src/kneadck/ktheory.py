@@ -15,15 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .intlinalg import (
     AbelianGroup,
     as_int_matrix,
     cokernel,
     eye_int,
     is_irreducible,
-    kernel_rank,
+    smith_diagonal,
 )
 from .markov import build_orbit, transition_matrix
 from .symbolic import DomainError, KneadingWord, is_admissible
@@ -72,10 +70,12 @@ def k_groups(w: KneadingWord) -> KGroupReport:
     a = closed_form_a(w)
     A = transition_matrix(build_orbit(w))
     r = A.shape[0]
-    M = eye_int(r) - A.T
-    K0 = cokernel(M)
-    K1 = AbelianGroup(kernel_rank(M), ())
-    BF = cokernel(eye_int(r) - A)
+    # One Smith diagonal of I - A^T gives K0 and K1; BF = coker(I - A) is
+    # K0 again, since a square matrix and its transpose share a Smith form.
+    diag = smith_diagonal(eye_int(r) - A.T)
+    K0 = AbelianGroup.from_diagonal(diag)
+    K1 = AbelianGroup(diag.count(0), ())
+    BF = K0
     irreducible = is_irreducible(A)
 
     if admissible:
@@ -107,6 +107,6 @@ def bf_group(A) -> AbelianGroup:
     r, c = M.shape
     if r != c:
         raise ValueError("matrix must be square")
-    if any(M[i, j] not in (0, 1) for i in range(r) for j in range(c)):
+    if not ((M == 0) | (M == 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
     return cokernel(eye_int(r) - M)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import kneadck.cli
 from kneadck.cli import main
 
 
@@ -186,6 +187,22 @@ class TestVerifyCommand:
             "  strongly connected at a=0: RC, RLLRLRRC, RLLRRRLC" in lines
         )
         assert lines[-1] == "result: PASS"
+
+    def test_failing_checks_name_their_witness(self, capsys, monkeypatch):
+        # A Smith diagonal of all zeros breaks the SNF checks of RLC (a = 1).
+        monkeypatch.setattr(kneadck.cli, "smith_diagonal", lambda M: (0,) * M.shape[0])
+        code, out, _ = run(capsys, ["verify", "3"])
+        assert code == 1
+        lines = out.splitlines()
+        for line in (
+            "VIOLATION RLC [closed_form_k0]: closed form a=1 predicts K0=0, SNF route gives Z^2",
+            "VIOLATION RLC [k1_rank]: a=1 predicts kernel rank 0, SNF route gives 2",
+            "VIOLATION RLC [snf_multiset]: SNF diagonal [0, 0, 0] vs expected [1, 1, 1]",
+            "VIOLATION RLC [cokernel_bridge]: from A: 0, from theta: Z^3",
+            "  identity_A_eta: 2 ok",
+            "result: FAIL",
+        ):
+            assert line in lines
 
     def test_n_max_too_small(self, capsys):
         code, _, err = run(capsys, ["verify", "1"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kneadck import intlinalg
 from kneadck.intlinalg import (
     AbelianGroup,
     as_int_matrix,
@@ -13,6 +14,7 @@ from kneadck.intlinalg import (
     is_irreducible,
     is_unimodular,
     kernel_rank,
+    smith_diagonal,
     smith_normal_form,
     zeros_int,
 )
@@ -45,6 +47,7 @@ def check_smith_invariants(M):
             if i != j:
                 assert f.D[i, j] == 0
     diag = f.diagonal
+    assert smith_diagonal(M) == diag
     assert all(d >= 0 for d in diag)
     for k in range(len(diag) - 1):
         if diag[k] == 0:
@@ -136,11 +139,75 @@ class TestSmithNormalForm:
             theirs = sympy_snf(sympy.Matrix(M))
             diag = sorted(abs(int(theirs[i, i])) for i in range(n))
             assert ours == diag
+            assert sorted(smith_diagonal(M)) == diag
 
     def test_entries_are_arbitrary_precision(self):
         big = 10**40
         f = smith_normal_form([[big, 1], [1, big]])
         assert f.diagonal == (1, big * big - 1)
+
+    def test_promotes_when_int64_could_overflow(self, monkeypatch):
+        # Entries lie below 2**62, so elimination starts on int64.  The
+        # first update writes 1 - a**2, just inside 2**62; the second would
+        # reach 1 - 2 * a**2, so the working array must move to Python ints
+        # mid-elimination.
+        a = 2**31 - 1
+        M = [[1, a, 0], [a, 1, a], [0, a, 1]]
+        widened = []
+        sub_outer = intlinalg._sub_outer
+
+        def spy(W, *args):
+            out = sub_outer(W, *args)
+            widened.append((W.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(intlinalg, "_sub_outer", spy)
+        assert smith_diagonal(M) == (1, 1, 2 * a * a - 1)
+        assert (np.dtype(np.int64), np.dtype(object)) in widened
+        widened.clear()
+        check_smith_invariants(M)
+        assert (np.dtype(np.int64), np.dtype(object)) in widened
+
+    def test_int64_and_object_paths_agree(self):
+        # Scaling by 2**62 scales the diagonal and forces the Python-int
+        # path from the start.
+        rng = random.Random(29)
+        k = 2**62
+        for _ in range(60):
+            M = as_int_matrix(random_matrix(rng, bound=2**30))
+            assert smith_diagonal(k * M) == tuple(k * d for d in smith_diagonal(M))
+
+    @pytest.mark.parametrize("bits", [62, 63, 64, 70, 130])
+    def test_entries_beyond_int64(self, bits):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(bits)
+        for _ in range(8):
+            n = rng.randint(2, 5)
+            M = [
+                [rng.choice([rng.randint(-(2**bits), 2**bits), rng.randint(-3, 3)])
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            f = check_smith_invariants(M)
+            theirs = sympy_snf(sympy.Matrix(M))
+            assert sorted(f.diagonal) == sorted(abs(int(theirs[i, i])) for i in range(n))
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.integers(-9, 9), st.integers(-(2**66), 2**66)),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=4,
+        ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_mixed_magnitudes(self, rows):
+        check_smith_invariants(rows)
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
@@ -149,6 +216,23 @@ class TestSmithNormalForm:
             as_int_matrix([[True, False]])
         with pytest.raises(ValueError):
             as_int_matrix([1, 2, 3])
+        with pytest.raises(ValueError, match=r"at \(0, 1\)"):
+            as_int_matrix([[1, 2.0]])
+        with pytest.raises(ValueError):
+            as_int_matrix(np.array([[True]]))
+        with pytest.raises(ValueError):
+            as_int_matrix(np.array([[1.0]]))
+        with pytest.raises(ValueError):
+            as_int_matrix(np.arange(3))
+
+    def test_fixed_width_inputs_are_widened(self):
+        for data in (np.array([[2**62, -3]]), np.array([[7, 5]], dtype=np.uint8),
+                     [[np.int8(7), 5]], np.array([[np.int64(7), 5]], dtype=object)):
+            M = as_int_matrix(data)
+            assert M.dtype == object and M.shape == (1, 2)
+            assert all(type(e) is int for e in M.ravel())
+        M = as_int_matrix(np.array([[2**62, -3]]))
+        assert (M * 4)[0, 0] == 2**64
 
 
 class TestDeterminant:
@@ -273,7 +357,7 @@ class TestIrreducibility:
         assert is_irreducible([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 or 1"):
             is_irreducible([[0, 2], [1, 0]])
         with pytest.raises(ValueError):
             is_irreducible([[0, 1, 0], [1, 0, 0]])

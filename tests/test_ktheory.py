@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from kneadck import intlinalg
 from kneadck.intlinalg import AbelianGroup, eye_int, is_irreducible
 from kneadck.ktheory import bf_group, closed_form_a, k_groups
 from kneadck.markov import build_orbit, transition_matrix
@@ -130,10 +133,37 @@ class TestKGroups:
         else:
             assert rep.K1 == TRIVIAL
 
-    @pytest.mark.parametrize("word", all_words(8), ids=str)
+    @pytest.mark.parametrize("word", all_words(12), ids=str)
     def test_bf_equals_k0(self, word):
         rep = k_groups(word)
-        assert rep.BF == rep.K0
+        assert rep.BF == rep.K0 == bf_group(transition_matrix(build_orbit(word)))
+
+    def test_one_snf_per_word(self, monkeypatch):
+        runs = []
+        eliminate = intlinalg._eliminate
+
+        def counting(M, transforms):
+            runs.append(transforms)
+            return eliminate(M, transforms)
+
+        monkeypatch.setattr(intlinalg, "_eliminate", counting)
+        for word in all_words(8):
+            runs.clear()
+            k_groups(word)
+            assert runs == [False], word
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_long_random_words(self, n):
+        # Seeded like the benchmark's long words: an R, uniform L/R, then C,
+        # kept when admissible.
+        rng = random.Random(1)
+        while True:
+            word = parse_word("R" + "".join(rng.choice("LR") for _ in range(n - 2)) + "C")
+            if is_admissible(word):
+                break
+        rep = k_groups(word)
+        assert rep.K0 == AbelianGroup.cyclic(closed_form_a(word))
+        assert rep.K1 == (Z if rep.a_closed_form == 0 else TRIVIAL)
 
 
 class TestBowenFranks:
@@ -154,7 +184,7 @@ class TestBowenFranks:
         assert bf_group([[0, 1], [1, 0]]) == Z
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 or 1"):
             bf_group([[0, 2], [1, 0]])
         with pytest.raises(ValueError):
             bf_group([[0, 1, 1], [1, 0, 0]])
