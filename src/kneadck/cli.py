@@ -183,11 +183,10 @@ def _cmd_enumerate(args):
     results = {"n": args.n, "count": len(words)}
     text = []
     if not args.count_only:
-        results["words"] = [
-            {"word": str(w), "a": closed_form_a(w)} for w in words
-        ]
-        width = max((len(str(w)) for w in words), default=0)
-        text.extend(f"{str(w).ljust(width)}  a={closed_form_a(w)}" for w in words)
+        listing = [{"word": str(w), "a": closed_form_a(w)} for w in words]
+        results["words"] = listing
+        # Every word has length n, so the word column needs no padding.
+        text.extend(f"{e['word']}  a={e['a']}" for e in listing)
     text.append(f"count: {len(words)}")
     return inputs, results, text, 0
 

@@ -24,7 +24,7 @@ from .intlinalg import (
     smith_diagonal,
 )
 from .markov import build_orbit, transition_matrix
-from .symbolic import DomainError, KneadingWord, is_admissible
+from .symbolic import DomainError, KneadingWord
 
 
 class TheoremViolationError(RuntimeError):
@@ -66,9 +66,10 @@ def k_groups(w: KneadingWord) -> KGroupReport:
     """
     if w.n < 2:
         raise DomainError("K-group computation requires period >= 2")
-    admissible = is_admissible(w)
+    model = build_orbit(w)
+    admissible = model.admissible
     a = closed_form_a(w)
-    A = transition_matrix(build_orbit(w))
+    A = transition_matrix(model)
     r = A.shape[0]
     # One Smith diagonal of I - A^T gives K0 and K1; BF = coker(I - A) is
     # K0 again, since a square matrix and its transpose share a Smith form.

@@ -16,22 +16,13 @@ each is confirmed by an exact matrix product.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .intlinalg import as_int_matrix, eye_int, zeros_int
-from .symbolic import (
-    DomainError,
-    KneadingWord,
-    Order,
-    Symbol,
-    SymbolSeq,
-    is_admissible,
-    mt_compare,
-)
+from .symbolic import DomainError, KneadingWord, Symbol, SymbolSeq, shift_keys
 
 
 class ConstructionError(RuntimeError):
@@ -59,6 +50,11 @@ class OrbitModel:
     def n(self) -> int:
         return self.word.n
 
+    @property
+    def admissible(self) -> bool:
+        """True iff the word itself, orbit point 1, is the orbit maximum."""
+        return self.rho[-1] == 1
+
     def position(self, i: int) -> int:
         """Spatial rank (1-based) of orbit point ``i`` (1-based)."""
         return self.rho.index(i) + 1
@@ -67,28 +63,22 @@ class OrbitModel:
 def build_orbit(w: KneadingWord) -> OrbitModel:
     """Sort the orbit points of a kneading word into spatial order.
 
-    Inadmissible words are accepted with a warning: the constructions
-    below remain formally defined, but the K-group theorems only cover
-    admissible input.
+    The points are sorted by their signed-order keys (see
+    :func:`~kneadck.symbolic.shift_keys`).  The word is admissible exactly
+    when it is the largest of them.  Inadmissible words are accepted with
+    a warning: the constructions below remain formally defined, but the
+    K-group theorems only cover admissible input.
     """
     n = w.n
     if n < 2:
         raise DomainError("orbit construction requires period >= 2")
-    if not is_admissible(w):
-        warnings.warn(
-            f"word {w} is not admissible; matrix constructions proceed formally",
-            stacklevel=2,
-        )
     seq = w.sequence()
     points = tuple(seq.shift(i) for i in range(n))
-    depth = 2 * n
-
-    def cmp(i: int, j: int) -> int:
-        return int(mt_compare(points[i - 1], points[j - 1], depth))
-
-    rho = tuple(sorted(range(1, n + 1), key=functools.cmp_to_key(cmp)))
+    keys = shift_keys(w)
+    order = sorted(range(n), key=keys.__getitem__)
+    rho = tuple(i + 1 for i in order)
     for k in range(n - 1):
-        if cmp(rho[k], rho[k + 1]) != Order.LT:
+        if keys[order[k]] >= keys[order[k + 1]]:
             raise ConstructionError(
                 f"orbit points {rho[k]} and {rho[k + 1]} of {w} do not compare strictly"
             )
@@ -98,7 +88,13 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
     # The turning point is the n-th orbit point and splits the partition.
     if rho[nL] != n:
         raise ConstructionError("turning point is not at spatial rank nL+1")
-    return OrbitModel(word=w, points=points, rho=rho, nL=nL, nR=nR)
+    model = OrbitModel(word=w, points=points, rho=rho, nL=nL, nR=nR)
+    if not model.admissible:
+        warnings.warn(
+            f"word {w} is not admissible; matrix constructions proceed formally",
+            stacklevel=2,
+        )
+    return model
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,19 @@ and flip the outcome if the product of the common prefix values is negative
 (the map reverses orientation right of ``c``).  This is the order under
 which itineraries are monotone in the point, so sorting the shifts of a
 kneading word recovers the spatial layout of the critical orbit.
+
+The signed order is the reversed lexicographic order of the invariant
+coordinate ``theta_k = e_0 ... e_k`` (Milnor and Thurston, LNM 1342, 1988).
+So one string key per sequence, :func:`order_key`, replaces pairwise
+comparisons: the shifts of a word are sorted by key, admissibility is a
+handful of string comparisons, and enumeration prunes a prefix as soon as
+one of its shifts exceeds it.  :func:`mt_compare` is the direct pairwise
+comparison, kept as the reference the keys are checked against.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 
@@ -56,6 +63,8 @@ class Symbol(enum.IntEnum):
 
 
 _NUMERIC_TOKENS = {"-1": Symbol.R, "+1": Symbol.L, "1": Symbol.L, "0": Symbol.C}
+
+_LETTER = {Symbol.R: "R", Symbol.C: "C", Symbol.L: "L"}
 
 #: Spatial comparison key: L < C < R on the interval.
 def _spatial_key(s: Symbol) -> int:
@@ -104,7 +113,7 @@ class SymbolSeq:
         return tuple(self[k] for k in range(depth))
 
     def text(self, depth: int) -> str:
-        return "".join(s.name for s in self.prefix(depth))
+        return "".join(map(_LETTER.__getitem__, self.prefix(depth)))
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,7 @@ class KneadingWord:
         return tuple(int(s) for s in self.symbols)
 
     def __str__(self) -> str:
-        return "".join(s.name for s in self.symbols)
+        return "".join(map(_LETTER.__getitem__, self.symbols))
 
     @property
     def numeric(self) -> str:
@@ -215,35 +224,97 @@ def mt_compare(a, b, depth: int) -> Order:
     return Order.EQ
 
 
+#: Key characters of the invariant coordinates +1, 0, -1.  Characters of
+#: ``-theta`` in string order make string order the signed order.
+_KEY_CHAR = {1: "0", 0: "1", -1: "2"}
+_ZERO = _KEY_CHAR[0]
+#: Negates every coordinate of a key.
+_MIRROR = str.maketrans("02", "20")
+
+
+def order_key(seq, depth: int) -> str:
+    """Key of a symbol sequence whose string order is the signed order.
+
+    Character k stands for ``-theta_k``, so ``order_key(a, depth)`` compares
+    with ``order_key(b, depth)`` exactly as ``mt_compare(a, b, depth)`` says.
+    Accepts the same sequences as :func:`mt_compare`.
+    """
+    return "".join(map(_KEY_CHAR.__getitem__, invariant_coordinate(seq, depth).entries))
+
+
+def shift_keys(w: KneadingWord) -> tuple[str, ...]:
+    """Keys, to depth 2n, of the n shifts of ``(w)^inf``; entry i is shift i.
+
+    The final ``C`` makes every coordinate of ``(w)^inf`` from n-1 on 0,
+    so its key is the word's own key padded with zeros.  Shift i has the
+    coordinates ``theta_{i+k} / theta_{i-1}``: the suffix of that key from
+    i, mirrored when ``theta_{i-1} = -1``, padded with zeros again.
+    """
+    n = w.n
+    key = order_key(w.symbols, n) + _ZERO * n
+    mirror = key.translate(_MIRROR)
+    return (key,) + tuple(
+        (key if key[i - 1] == _KEY_CHAR[1] else mirror)[i:] + _ZERO * i for i in range(1, n)
+    )
+
+
 def is_admissible(w: KneadingWord) -> bool:
     """True iff the word is maximal in its shift orbit under the signed order.
 
     Exactly the shift-maximal words arise as kneading sequences of actual
-    quadratic maps; every proper shift of the periodic sequence must not
-    exceed the sequence itself.
+    quadratic maps; no proper shift of the periodic sequence may exceed the
+    sequence itself.  That is n-1 string comparisons of the shifts' keys
+    (:func:`shift_keys`) with the word's.
     """
-    n = w.n
-    if n < 2:
+    if w.n < 2:
         raise DomainError("admissibility is defined for period >= 2")
-    seq = w.sequence()
-    depth = 2 * n
-    return all(mt_compare(seq.shift(i), seq, depth) is not Order.GT for i in range(1, n))
+    word, *shifts = shift_keys(w)
+    return all(k <= word for k in shifts)
 
 
 def enumerate_admissible(n: int) -> list[KneadingWord]:
     """All admissible words of length ``n``, in lexicographic text order.
 
-    Candidates are the words R?...?C with ? over {L, R}: an admissible word
-    must begin with R, since the first critical image is the orbit maximum
-    and any word beginning with L is exceeded by whichever of its shifts
-    starts with R (or C, which also beats L spatially).  Generation over
-    the free positions in L-before-R order is already lexicographic.
+    An admissible word begins with R: the first critical image is the orbit
+    maximum, and a word beginning with L is exceeded by its shift that
+    starts with R (or with C, which also beats L).  The free positions
+    between that R and the final C are filled depth first, L before R, so
+    the words come out in text order.  Along the way the generator keeps
+    the invariant coordinates of the prefix and the shifts whose
+    coordinates so far equal the word's.  A prefix is dropped as soon as
+    one of those tied shifts exceeds it, and a shift leaves the tie once it
+    falls below.  The final C gives each tied shift i the coordinate 0
+    against the word's ``theta_{n-1-i}``, so it exceeds the word exactly
+    when that coordinate is +1.
     """
     if n < 2:
         raise DomainError("enumeration is defined for period >= 2")
+    last = n - 1
     words = []
-    for tail in itertools.product((Symbol.L, Symbol.R), repeat=n - 2):
-        w = KneadingWord((Symbol.R,) + tail + (Symbol.C,))
-        if is_admissible(w):
-            words.append(w)
+    # Frames: (prefix, its invariant coordinates, tied shifts).  R is
+    # pushed before L so that L is popped, and extended, first.
+    stack = [((Symbol.R,), (-1,), ())]
+    while stack:
+        prefix, theta, tied = stack.pop()
+        m = len(prefix)
+        if m == last:
+            if all(theta[last - i] < 0 for i in tied):
+                words.append(KneadingWord(prefix + (Symbol.C,)))
+            continue
+        for s in (Symbol.R, Symbol.L):
+            t = theta[-1] * s
+            still = []
+            for i in tied:
+                # Coordinate m-i of shift i against the word's own; the
+                # smaller coordinate belongs to the larger sequence.
+                c = theta[i - 1] * t
+                if c < theta[m - i]:
+                    break
+                if c == theta[m - i]:
+                    still.append(i)
+            else:
+                # Shift m starts with s against the word's R: tied iff s is R.
+                if s is Symbol.R:
+                    still.append(m)
+                stack.append((prefix + (s,), theta + (t,), still))
     return words

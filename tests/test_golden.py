@@ -25,6 +25,13 @@ VERIFY_10 = {
     "machine": "d0694dfb0bedea12112cef1a2a1db8026d0a87977fef128c18b38f54ccf09466",
 }
 
+# enumerate 14, hashed before enumeration moved from filtering every
+# candidate to pruned generation.
+ENUMERATE_14 = {
+    "text": "d396bccc9a48a66c1fadfb858ce2a4b24e29bef6d7237f92434575eb9ff8b5ae",
+    "machine": "b8d6f09e6a97dbf8b03337101c443d204adca6f8483869719a0593817b81806a",
+}
+
 # matrices W --format machine over every admissible word of the period,
 # concatenated in enumeration order.
 MATRICES_BY_PERIOD = {
@@ -65,6 +72,11 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize("fmt", sorted(VERIFY_10))
 def test_verify_10(fmt):
     assert sha256(output(["verify", "10", "--format", fmt])) == VERIFY_10[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(ENUMERATE_14))
+def test_enumerate_14(fmt):
+    assert sha256(output(["enumerate", "14", "--format", fmt])) == ENUMERATE_14[fmt]
 
 
 @pytest.mark.parametrize("n", sorted(MATRICES_BY_PERIOD))

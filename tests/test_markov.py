@@ -1,4 +1,7 @@
+import functools
+import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +51,25 @@ def random_words(n, count, seed):
         if is_admissible(w):
             out.append(w)
     return out
+
+
+def every_word(n):
+    """All words {L, R}^(n-1) C, admissible or not."""
+    return [
+        KneadingWord(tail + (Symbol.C,))
+        for tail in itertools.product((Symbol.L, Symbol.R), repeat=n - 1)
+    ]
+
+
+def pairwise_rho(w):
+    """Spatial order of the orbit points by a pairwise mt_compare sort."""
+    n = w.n
+    points = [w.sequence().shift(i) for i in range(n)]
+
+    def cmp(i, j):
+        return int(mt_compare(points[i - 1], points[j - 1], 2 * n))
+
+    return tuple(sorted(range(1, n + 1), key=functools.cmp_to_key(cmp)))
 
 
 class TestPeriodSixFixture:
@@ -160,6 +182,27 @@ class TestOrbitModel:
         for rank, orbit in enumerate(m.rho, start=1):
             assert m.position(orbit) == rank
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.filterwarnings("ignore:word .* is not admissible")
+    def test_rho_is_the_pairwise_sort(self, n):
+        for w in every_word(n):
+            assert build_orbit(w).rho == pairwise_rho(w), str(w)
+
+    @pytest.mark.parametrize("word", random_words(64, 3, 7) + random_words(128, 2, 7), ids=str)
+    def test_rho_is_the_pairwise_sort_long(self, word):
+        assert build_orbit(word).rho == pairwise_rho(word)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.filterwarnings("ignore:word .* is not admissible")
+    def test_admissible_flag(self, n):
+        for w in every_word(n):
+            assert build_orbit(w).admissible == is_admissible(w), str(w)
+
+    def test_admissible_word_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_orbit(parse_word("RLLRRC")).admissible
+
     def test_rejects_fixed_point(self):
         with pytest.raises(DomainError):
             build_orbit(parse_word("C"))
@@ -167,6 +210,7 @@ class TestOrbitModel:
     def test_inadmissible_warns_but_constructs(self):
         with pytest.warns(UserWarning, match="not admissible"):
             m = build_orbit(parse_word("LLC"))
+        assert not m.admissible
         A = transition_matrix(m)
         assert A.shape == (2, 2)
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +16,9 @@ from kneadck.symbolic import (
     invariant_coordinate,
     is_admissible,
     mt_compare,
+    order_key,
     parse_word,
+    shift_keys,
 )
 
 # Known counts of admissible words by period; any ordering bug in the
@@ -23,6 +28,49 @@ ADMISSIBLE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 9, 8: 16, 9: 28, 10: 51}
 
 def words(max_n=8):
     return [w for n in range(2, max_n + 1) for w in enumerate_admissible(n)]
+
+
+def every_word(n):
+    """All words {L, R}^(n-1) C, admissible or not, in text order."""
+    return [
+        KneadingWord(tail + (Symbol.C,))
+        for tail in itertools.product((Symbol.L, Symbol.R), repeat=n - 1)
+    ]
+
+
+def reference_admissible(w):
+    """Shift-maximality by direct pairwise comparison, without keys."""
+    seq = w.sequence()
+    return all(
+        mt_compare(seq.shift(i), seq, 2 * w.n) is not Order.GT for i in range(1, w.n)
+    )
+
+
+def brute_force_admissible(n):
+    """Every candidate R{L, R}^(n-2)C through is_admissible, in text order."""
+    candidates = (
+        KneadingWord((Symbol.R,) + tail + (Symbol.C,))
+        for tail in itertools.product((Symbol.L, Symbol.R), repeat=n - 2)
+    )
+    return [w for w in candidates if is_admissible(w)]
+
+
+def mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def a000048(n):
+    """(1/2n) sum over odd d | n of mu(d) 2^(n/d): superstable windows of period n."""
+    total = sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1, 2) if n % d == 0)
+    return total // (2 * n)
 
 
 class TestParsing:
@@ -150,6 +198,41 @@ class TestSignedOrder:
         assert mt_compare(a, b, depth) is expected
 
 
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+symbol_lists = st.lists(st.sampled_from(list(Symbol)), min_size=12, max_size=12)
+
+
+class TestOrderKeys:
+    @given(symbol_lists, symbol_lists, st.integers(1, 12))
+    def test_key_order_is_signed_order(self, a, b, depth):
+        assert _cmp(order_key(a, depth), order_key(b, depth)) == int(mt_compare(a, b, depth))
+
+    def test_key_characters(self):
+        # theta = (-1, -1, -1, 1, -1, 0) for RLLRRC; the key spells -theta.
+        assert order_key(parse_word("RLLRRC").symbols, 6) == "222021"
+
+    def test_depth_must_be_positive(self):
+        with pytest.raises(ValueError):
+            order_key(parse_word("RC").sequence(), 0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shift_keys_are_keys_of_the_shifts(self, n):
+        for w in every_word(n):
+            seq = w.sequence()
+            keys = shift_keys(w)
+            assert len(keys) == n
+            for i in range(n):
+                assert keys[i] == order_key(seq.shift(i), 2 * n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shift_keys_are_distinct(self, n):
+        for w in every_word(n):
+            assert len(set(shift_keys(w))) == n
+
+
 class TestAdmissibility:
     @pytest.mark.parametrize("good", ["RC", "RLC", "RLLC", "RLRC", "RLLRRC"])
     def test_admissible(self, good):
@@ -162,6 +245,27 @@ class TestAdmissibility:
     def test_period_one_rejected(self):
         with pytest.raises(DomainError):
             is_admissible(parse_word("C"))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_keys_agree_with_pairwise_reference(self, n):
+        # L-first and other inadmissible words included.
+        for w in every_word(n):
+            assert is_admissible(w) == reference_admissible(w), str(w)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_keys_agree_with_pairwise_reference_long(self, n):
+        rng = random.Random(n)
+        found = 0
+        for _ in range(300):
+            w = KneadingWord(
+                (Symbol.R,)
+                + tuple(rng.choice((Symbol.L, Symbol.R)) for _ in range(n - 2))
+                + (Symbol.C,)
+            )
+            expected = reference_admissible(w)
+            assert is_admissible(w) == expected, str(w)
+            found += expected
+        assert found > 0
 
     def test_shift_maximality_is_what_is_checked(self):
         w = parse_word("RLLRRC")
@@ -176,6 +280,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,count", sorted(ADMISSIBLE_COUNTS.items()))
     def test_counts(self, n, count):
         assert len(enumerate_admissible(n)) == count
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_count_oracle(self, n):
+        assert len(enumerate_admissible(n)) == a000048(n)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_equals_candidate_filter(self, n):
+        assert enumerate_admissible(n) == brute_force_admissible(n)
 
     def test_contents_small(self):
         assert [str(w) for w in enumerate_admissible(2)] == ["RC"]
