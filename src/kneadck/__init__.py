@@ -15,29 +15,24 @@ from .dynamics import (
     SolverError,
     SuperstableResult,
     find_superstable_mu,
-    iterate,
     numeric_itinerary,
 )
 from .intlinalg import (
     AbelianGroup,
     SmithForm,
-    as_int_matrix,
     cokernel,
-    determinant,
-    eye_int,
     is_irreducible,
-    is_unimodular,
-    kernel_rank,
     smith_diagonal,
     smith_normal_form,
-    zeros_int,
 )
 from .ktheory import (
     KGroupReport,
     TheoremViolationError,
+    VerifyReport,
     bf_group,
     closed_form_a,
     k_groups,
+    verify,
 )
 from .markov import (
     ConstructionError,
@@ -50,15 +45,12 @@ from .markov import (
 from .symbolic import (
     DomainError,
     KneadingWord,
-    Order,
     ParseError,
     Symbol,
     SymbolSeq,
-    ThetaPrefix,
     enumerate_admissible,
     invariant_coordinate,
     is_admissible,
-    mt_compare,
     parse_word,
 )
 
@@ -71,7 +63,6 @@ __all__ = [
     "DomainError",
     "KGroupReport",
     "KneadingWord",
-    "Order",
     "OrbitModel",
     "ParseError",
     "QuadMap",
@@ -82,29 +73,22 @@ __all__ = [
     "SymbolSeq",
     "TheoremMatrices",
     "TheoremViolationError",
-    "ThetaPrefix",
-    "as_int_matrix",
+    "VerifyReport",
     "bf_group",
     "build_matrices",
     "build_orbit",
     "closed_form_a",
     "cokernel",
-    "determinant",
     "enumerate_admissible",
-    "eye_int",
     "find_superstable_mu",
     "invariant_coordinate",
     "is_admissible",
     "is_irreducible",
-    "is_unimodular",
-    "iterate",
     "k_groups",
-    "kernel_rank",
-    "mt_compare",
     "numeric_itinerary",
     "parse_word",
     "smith_diagonal",
     "smith_normal_form",
     "transition_matrix",
-    "zeros_int",
+    "verify",
 ]

@@ -14,23 +14,16 @@ violation, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 import warnings
 
-import numpy as np
-
 from .dynamics import C_TOL, QuadMap, SolverError, find_superstable_mu, numeric_itinerary
-from .intlinalg import (
-    AbelianGroup,
-    cokernel,
-    eye_int,
-    is_irreducible,
-    is_unimodular,
-    smith_diagonal,
-)
-from .ktheory import TheoremViolationError, closed_form_a, k_groups
-from .markov import ConstructionError, build_matrices, build_orbit, transition_matrix
+from .intlinalg import AbelianGroup
+from .ktheory import TheoremViolationError, closed_form_a, k_groups, verify
+from .markov import ConstructionError, build_matrices, build_orbit
 from .symbolic import DomainError, ParseError, enumerate_admissible, is_admissible, parse_word
 
 # Matrix selectors exposed by the matrices subcommand, in display order.
@@ -48,23 +41,6 @@ _MATRIX_NAMES = (
     "X",
     "Aprime",
     "thetaprime",
-)
-
-_VERIFY_CHECKS = (
-    "closed_form_k0",
-    "k1_rank",
-    "identity_A_eta",
-    "identity_beta_eta",
-    "identity_alpha_eta",
-    "identity_theta_factors",
-    "identity_A_factors",
-    "factorization",
-    "block_form",
-    "construction_equivalence",
-    "snf_multiset",
-    "cokernel_bridge",
-    "zero_rows_cols",
-    "not_permutation",
 )
 
 
@@ -102,24 +78,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _require_admissible_or_force(word, force: bool) -> bool:
-    """Returns the admissibility flag, enforcing the --force gate."""
-    admissible = is_admissible(word)
-    if not admissible and not force:
-        raise DomainError(
-            f"word {word} is not admissible; pass --force to compute anyway"
-        )
-    return admissible
-
-
-def _cmd_kgroups(args):
+@contextlib.contextmanager
+def _word_with_force_gate(args, what: str):
+    """Yields ``(word, admissible)`` for ``args.word``, refusing period 1 and,
+    without ``--force``, inadmissible words.  The body runs with the warning
+    of a forced inadmissible word silenced."""
     word = parse_word(args.word)
     if word.n < 2:
-        raise DomainError("K-group computation requires period >= 2")
-    admissible = _require_admissible_or_force(word, args.force)
+        raise DomainError(f"{what} requires period >= 2")
+    admissible = is_admissible(word)
+    if not admissible and not args.force:
+        raise DomainError(f"word {word} is not admissible; pass --force to compute anyway")
     with warnings.catch_warnings():
         if not admissible:
             warnings.simplefilter("ignore")
+        yield word, admissible
+
+
+def _cmd_kgroups(args):
+    with _word_with_force_gate(args, "K-group computation") as (word, _):
         report = k_groups(word)
     inputs = {"word": str(word), "force": bool(args.force)}
     results = {
@@ -146,22 +123,16 @@ def _cmd_kgroups(args):
 
 
 def _cmd_matrices(args):
-    word = parse_word(args.word)
-    if word.n < 2:
-        raise DomainError("matrix construction requires period >= 2")
-    admissible = _require_admissible_or_force(word, args.force)
-    if args.which is None:
-        which = list(_MATRIX_NAMES)
-    else:
-        which = [token.strip() for token in args.which.split(",")]
-        for name in which:
-            if name not in _MATRIX_NAMES:
-                raise ParseError(
-                    f"unknown matrix name {name!r}; choose from {', '.join(_MATRIX_NAMES)}"
-                )
-    with warnings.catch_warnings():
-        if not admissible:
-            warnings.simplefilter("ignore")
+    with _word_with_force_gate(args, "matrix construction") as (word, admissible):
+        if args.which is None:
+            which = list(_MATRIX_NAMES)
+        else:
+            which = [token.strip() for token in args.which.split(",")]
+            for name in which:
+                if name not in _MATRIX_NAMES:
+                    raise ParseError(
+                        f"unknown matrix name {name!r}; choose from {', '.join(_MATRIX_NAMES)}"
+                    )
         mats = build_matrices(build_orbit(word))
     inputs = {"word": str(word), "which": which, "force": bool(args.force)}
     results = {
@@ -191,177 +162,24 @@ def _cmd_enumerate(args):
     return inputs, results, text, 0
 
 
-def _is_permutation_matrix(M) -> bool:
-    r, c = M.shape
-    if r != c:
-        return False
-    for i in range(r):
-        if sum(int(e) for e in M[i, :]) != 1:
-            return False
-    for j in range(c):
-        if sum(int(e) for e in M[:, j]) != 1:
-            return False
-    return all(int(e) in (0, 1) for row in M for e in row)
-
-
 def _cmd_verify(args):
-    n_max = args.n_max
-    if n_max < 2:
-        raise DomainError("verification sweep requires n_max >= 2")
-    counts = {name: 0 for name in _VERIFY_CHECKS}
-    skipped: dict[str, list[str]] = {}
-    violations: list[dict] = []
-    words_checked = 0
-    # a = 0 words split by strong connectivity of A.  Reported verbatim,
-    # not scored: reducibility in the a = 0 regime tracks factorizability
-    # into shorter words, and non-factorizable a = 0 words, which exist
-    # from n = 8 on, have strongly connected matrices.
-    a_zero_reducible: list[str] = []
-    a_zero_irreducible: list[str] = []
-
-    for n in range(2, n_max + 1):
-        for word in enumerate_admissible(n):
-            words_checked += 1
-            a = closed_form_a(word)
-            model = build_orbit(word)
-            t = build_matrices(model)
-            A = transition_matrix(model)
-
-            def record(name: str, ok: bool, detail) -> None:
-                # detail() builds the failure text, only for a failing check.
-                if ok:
-                    counts[name] += 1
-                else:
-                    violations.append(
-                        {"word": str(word), "check": name, "detail": detail()}
-                    )
-
-            # One SNF of I - A^T answers both K-group checks.
-            diag_k0 = smith_diagonal(eye_int(n - 1) - A.T)
-            K0 = AbelianGroup.from_diagonal(diag_k0)
-            expected_K0 = AbelianGroup.cyclic(a)
-            record(
-                "closed_form_k0",
-                K0 == expected_K0,
-                lambda: f"closed form a={a} predicts K0={expected_K0}, SNF route gives {K0}",
-            )
-            kr = diag_k0.count(0)
-            expected_kr = 1 if a == 0 else 0
-            record(
-                "k1_rank",
-                kr == expected_kr,
-                lambda: f"a={a} predicts kernel rank {expected_kr}, SNF route gives {kr}",
-            )
-
-            identity_checks = (
-                ("identity_A_eta", t.A @ t.eta, t.eta @ t.theta),
-                ("identity_beta_eta", t.beta @ t.eta, t.eta @ t.gamma),
-                ("identity_alpha_eta", t.alpha @ t.eta, t.eta @ t.omega),
-                ("identity_theta_factors", t.theta, t.gamma @ t.omega),
-                ("identity_A_factors", t.A, t.beta @ t.alpha),
-            )
-            for name, lhs, rhs in identity_checks:
-                record(
-                    name,
-                    np.array_equal(lhs, rhs),
-                    lambda: f"lhs {lhs.tolist()} vs rhs {rhs.tolist()}",
-                )
-
-            yix = t.Y @ t.inc @ t.X
-            record(
-                "factorization",
-                np.array_equal(t.eta.T, yix)
-                and is_unimodular(t.X)
-                and is_unimodular(t.Y),
-                lambda: f"eta^T {t.eta.T.tolist()} vs Y inc X {yix.tolist()}",
-            )
-
-            tp = t.thetaprime
-            record(
-                "block_form",
-                all(int(e) == 0 for e in tp[n - 1, :])
-                and np.array_equal(tp[: n - 1, : n - 1], t.Aprime),
-                lambda: f"thetaprime {tp.tolist()} vs top-left block {t.Aprime.tolist()}",
-            )
-
-            record(
-                "construction_equivalence",
-                np.array_equal(A, t.A),
-                lambda: f"covering route {A.tolist()} vs signed route {t.A.tolist()}",
-            )
-
-            # One SNF of I - theta feeds both the multiset and the bridge.
-            diag = smith_diagonal(eye_int(n) - t.theta)
-            expected_diag = sorted([a] + [1] * (n - 1))
-            record(
-                "snf_multiset",
-                sorted(diag) == expected_diag,
-                lambda: f"SNF diagonal {sorted(diag)} vs expected {expected_diag}",
-            )
-
-            bridge_lhs = cokernel(eye_int(n - 1) - t.A)
-            bridge_rhs = AbelianGroup.from_diagonal(diag)
-            record(
-                "cokernel_bridge",
-                bridge_lhs == bridge_rhs,
-                lambda: f"from A: {bridge_lhs}, from theta: {bridge_rhs}",
-            )
-
-            record(
-                "zero_rows_cols",
-                all(any(int(e) != 0 for e in A[i, :]) for i in range(n - 1))
-                and all(any(int(e) != 0 for e in A[:, j]) for j in range(n - 1)),
-                lambda: f"A has a zero row or column: {A.tolist()}",
-            )
-
-            # For n >= 3 the two intervals adjacent to the turning point
-            # map onto spans sharing the top interval, so A cannot be a
-            # permutation matrix; the single-interval partition (n = 2)
-            # forces A = [[1]] and is skipped with a report.
-            if n == 2:
-                skipped.setdefault("not_permutation", []).append(str(word))
-            else:
-                record(
-                    "not_permutation",
-                    not _is_permutation_matrix(A),
-                    lambda: f"A is a permutation matrix: {A.tolist()}",
-                )
-
-            if a == 0:
-                if is_irreducible(A):
-                    a_zero_irreducible.append(str(word))
-                else:
-                    a_zero_reducible.append(str(word))
-
-    ok = not violations
-    inputs = {"n_max": n_max}
-    results = {
-        "n_max": n_max,
-        "words_checked": words_checked,
-        "checks": counts,
-        "skipped": {name: words for name, words in sorted(skipped.items())},
-        "a_zero": {
-            "reducible": a_zero_reducible,
-            "irreducible": a_zero_irreducible,
-        },
-        "violations": violations,
-        "ok": ok,
-    }
-    text = [f"words checked: {words_checked} (n = 2..{n_max})"]
-    for name in _VERIFY_CHECKS:
-        text.append(f"  {name}: {counts[name]} ok")
-    for name, words in sorted(skipped.items()):
+    report = verify(args.n_max)
+    results = dataclasses.asdict(report)
+    a_zero = report.a_zero
+    text = [f"words checked: {report.words_checked} (n = 2..{report.n_max})"]
+    text.extend(f"  {name}: {count} ok" for name, count in report.checks.items())
+    for name, words in report.skipped.items():
         text.append(f"  {name}: skipped for single-interval words: {', '.join(words)}")
     text.append(
-        f"a=0 words: {len(a_zero_reducible)} reducible, "
-        f"{len(a_zero_irreducible)} with strongly connected A"
+        f"a=0 words: {len(a_zero['reducible'])} reducible, "
+        f"{len(a_zero['irreducible'])} with strongly connected A"
     )
-    if a_zero_irreducible:
-        text.append(f"  strongly connected at a=0: {', '.join(a_zero_irreducible)}")
-    for v in violations:
+    if a_zero["irreducible"]:
+        text.append(f"  strongly connected at a=0: {', '.join(a_zero['irreducible'])}")
+    for v in report.violations:
         text.append(f"VIOLATION {v['word']} [{v['check']}]: {v['detail']}")
-    text.append(f"result: {'PASS' if ok else 'FAIL'}")
-    return inputs, results, text, 0 if ok else 1
+    text.append(f"result: {'PASS' if report.ok else 'FAIL'}")
+    return {"n_max": report.n_max}, results, text, 0 if report.ok else 1
 
 
 def _cmd_find_mu(args):

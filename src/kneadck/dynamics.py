@@ -22,6 +22,10 @@ from .symbolic import DomainError, KneadingWord, Symbol, is_admissible
 #: orbit points near c carry roughly the square root of full precision.
 C_TOL = 1e-9
 
+#: Finest grid step of the superstable search: 2 * 10**6 points, 16 MB per
+#: float array.  A finer step would allocate gigabytes, or fail in numpy.
+MIN_GRID_STEP = 1e-6
+
 
 class SolverError(RuntimeError):
     """The superstable-parameter search failed."""
@@ -42,26 +46,14 @@ class QuadMap:
         return self.mu * x * (1.0 - x)
 
 
-def iterate(map: QuadMap, x0: float, k: int) -> float:
-    """k-fold application of the map to x0; k = 0 returns x0."""
-    if not 0.0 <= x0 <= 1.0:
-        raise DomainError("starting point must lie in [0, 1]")
-    if k < 0:
-        raise DomainError("iteration count must be nonnegative")
-    x = x0
-    for _ in range(k):
-        x = map.step(x)
-    return x
-
-
 def numeric_itinerary(
     map: QuadMap, x0: float, depth: int, tol: float = C_TOL
 ) -> tuple[Symbol, ...]:
     """Symbols of x0, f(x0), ..., f^(depth-1)(x0) relative to c.
 
     Symbol k is C when |f^k(x0) - c| <= tol, else L left of c, R right.
-    Returns a finite prefix; it is index-compatible with the comparison
-    functions of the symbolic module.
+    Returns a finite prefix; it is index-compatible with the symbol
+    sequences of the symbolic module.
     """
     if not 0.0 <= x0 <= 1.0:
         raise DomainError("starting point must lie in [0, 1]")
@@ -133,8 +125,8 @@ def find_superstable_mu(
         raise DomainError("superstable search requires period >= 2")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError("tolerance must be positive and finite")
-    if not 0.0 < grid_step <= 0.5:
-        raise DomainError("grid step must lie in (0, 0.5]")
+    if not MIN_GRID_STEP <= grid_step <= 0.5:
+        raise DomainError(f"grid step must lie in [{MIN_GRID_STEP:g}, 0.5]")
     if not is_admissible(w):
         raise SolverError(f"word {w} is not admissible; no quadratic map realizes it")
 

@@ -8,10 +8,13 @@ could reach 2**62 it converts its working array to ``dtype=object`` and
 carries on with the same code, so results are exact at any size.
 
 Provides the Smith normal form with its unimodular transforms, the Smith
-diagonal alone, cokernels and kernel ranks of square matrices (the raw
-material of the K-group computations), fraction-free determinants, and
-strong connectivity of 0-1 matrices.  All arithmetic stays in the
-integers; nothing here uses fractions.
+diagonal alone, cokernels of square matrices (the raw material of the
+K-group computations), and strong connectivity of 0-1 matrices.  One
+elimination loop serves every Smith entry point, and the Smith diagonal
+answers every other integer question of the package: a kernel rank is its
+number of zeros, and a square matrix is unimodular exactly when its
+diagonal is all ones.  All arithmetic stays in the integers; nothing here
+uses fractions.
 """
 
 from __future__ import annotations
@@ -203,39 +206,6 @@ def smith_diagonal(M) -> tuple[int, ...]:
     return tuple(int(d) for d in W.diagonal())
 
 
-def determinant(M) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    D = as_int_matrix(M)
-    r, c = D.shape
-    if r != c:
-        raise ValueError("determinant requires a square matrix")
-    n = r
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if D[k, k] == 0:
-            for i in range(k + 1, n):
-                if D[i, k] != 0:
-                    D[[k, i], :] = D[[i, k], :]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                D[i, j] = (D[i, j] * D[k, k] - D[i, k] * D[k, j]) // prev
-            D[i, k] = 0
-        prev = D[k, k]
-    return sign * int(D[n - 1, n - 1])
-
-
-def is_unimodular(M) -> bool:
-    """True iff the square integer matrix has determinant +1 or -1."""
-    return abs(determinant(M)) == 1
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Finitely generated abelian group in canonical invariant-factor form."""
@@ -289,14 +259,6 @@ def cokernel(M) -> AbelianGroup:
     if r != c:
         raise ValueError("cokernel requires a square matrix")
     return AbelianGroup.from_diagonal(smith_diagonal(A))
-
-
-def kernel_rank(M) -> int:
-    """Rank of the integer null space of a square matrix (zeros in the SNF)."""
-    A = as_int_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("kernel_rank requires a square matrix")
-    return smith_diagonal(A).count(0)
 
 
 def is_irreducible(A) -> bool:

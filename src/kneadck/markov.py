@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intlinalg import as_int_matrix, eye_int, zeros_int
-from .symbolic import DomainError, KneadingWord, Symbol, SymbolSeq, shift_keys
+from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
 
 
 class ConstructionError(RuntimeError):
@@ -33,15 +33,14 @@ class ConstructionError(RuntimeError):
 class OrbitModel:
     """The critical orbit in symbolic form.
 
-    ``points[i]`` is the itinerary of the (i+1)-st image of the turning
-    point, i.e. the kneading sequence shifted ``i`` times.  ``rho`` lists
-    the 1-based orbit indices in spatial order (``rho[0]`` is the leftmost
+    Orbit point i (1-based) is the i-th image of the turning point, whose
+    itinerary is the kneading sequence shifted ``i - 1`` times.  ``rho``
+    lists the orbit indices in spatial order (``rho[0]`` is the leftmost
     point).  ``nL`` and ``nR`` count the partition intervals strictly left
     and right of the turning point; ``nL + nR = n - 1``.
     """
 
     word: KneadingWord
-    points: tuple[SymbolSeq, ...]
     rho: tuple[int, ...]
     nL: int
     nR: int
@@ -72,8 +71,6 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
     n = w.n
     if n < 2:
         raise DomainError("orbit construction requires period >= 2")
-    seq = w.sequence()
-    points = tuple(seq.shift(i) for i in range(n))
     keys = shift_keys(w)
     order = sorted(range(n), key=keys.__getitem__)
     rho = tuple(i + 1 for i in order)
@@ -88,7 +85,7 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
     # The turning point is the n-th orbit point and splits the partition.
     if rho[nL] != n:
         raise ConstructionError("turning point is not at spatial rank nL+1")
-    model = OrbitModel(word=w, points=points, rho=rho, nL=nL, nR=nR)
+    model = OrbitModel(word=w, rho=rho, nL=nL, nR=nR)
     if not model.admissible:
         warnings.warn(
             f"word {w} is not admissible; matrix constructions proceed formally",

@@ -19,8 +19,7 @@ coordinate ``theta_k = e_0 ... e_k`` (Milnor and Thurston, LNM 1342, 1988).
 So one string key per sequence, :func:`order_key`, replaces pairwise
 comparisons: the shifts of a word are sorted by key, admissibility is a
 handful of string comparisons, and enumeration prunes a prefix as soon as
-one of its shifts exceeds it.  :func:`mt_compare` is the direct pairwise
-comparison, kept as the reference the keys are checked against.
+one of its shifts exceeds it.
 """
 
 from __future__ import annotations
@@ -66,27 +65,13 @@ _NUMERIC_TOKENS = {"-1": Symbol.R, "+1": Symbol.L, "1": Symbol.L, "0": Symbol.C}
 
 _LETTER = {Symbol.R: "R", Symbol.C: "C", Symbol.L: "L"}
 
-#: Spatial comparison key: L < C < R on the interval.
-def _spatial_key(s: Symbol) -> int:
-    return -int(s)
-
-
-class Order(enum.IntEnum):
-    """Outcome of a signed-order comparison."""
-
-    LT = -1
-    EQ = 0
-    GT = 1
-
-
 @dataclass(frozen=True)
 class SymbolSeq:
-    """An eventually periodic symbol sequence ``preperiod (period)^inf``.
+    """A periodic symbol sequence ``(period)^inf``.
 
     Indexing is total: ``seq[k]`` is defined for every ``k >= 0``.
     """
 
-    preperiod: tuple[Symbol, ...]
     period: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
@@ -96,18 +81,14 @@ class SymbolSeq:
     def __getitem__(self, k: int) -> Symbol:
         if k < 0:
             raise IndexError("symbol index must be nonnegative")
-        if k < len(self.preperiod):
-            return self.preperiod[k]
-        return self.period[(k - len(self.preperiod)) % len(self.period)]
+        return self.period[k % len(self.period)]
 
     def shift(self, i: int = 1) -> "SymbolSeq":
         """Drop the first ``i`` symbols; shifting by the period is a no-op."""
         if i < 0:
             raise ValueError("shift amount must be nonnegative")
-        if i <= len(self.preperiod):
-            return SymbolSeq(self.preperiod[i:], self.period)
-        r = (i - len(self.preperiod)) % len(self.period)
-        return SymbolSeq((), self.period[r:] + self.period[:r])
+        r = i % len(self.period)
+        return SymbolSeq(self.period[r:] + self.period[:r])
 
     def prefix(self, depth: int) -> tuple[Symbol, ...]:
         return tuple(self[k] for k in range(depth))
@@ -140,7 +121,7 @@ class KneadingWord:
 
     def sequence(self) -> SymbolSeq:
         """The purely periodic sequence ``(word)^inf``."""
-        return SymbolSeq((), self.symbols)
+        return SymbolSeq(self.symbols)
 
     def values(self) -> tuple[int, ...]:
         return tuple(int(s) for s in self.symbols)
@@ -168,26 +149,11 @@ def parse_word(text: str) -> KneadingWord:
     return KneadingWord(symbols)
 
 
-@dataclass(frozen=True)
-class ThetaPrefix:
-    """Prefix of the invariant coordinate: entry k is the product of the
-    first k+1 symbol values.  Entries are in {-1, 0, +1} and a 0 is
-    followed only by 0s (the product absorbs it)."""
+def invariant_coordinate(seq, depth: int) -> tuple[int, ...]:
+    """Cumulative products of the symbol values, to the given depth.
 
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        seen_zero = False
-        for e in self.entries:
-            if e not in (-1, 0, 1):
-                raise ValueError(f"invalid invariant-coordinate entry {e}")
-            if seen_zero and e != 0:
-                raise ValueError("nonzero entry after a zero")
-            seen_zero = seen_zero or e == 0
-
-
-def invariant_coordinate(seq, depth: int) -> ThetaPrefix:
-    """Cumulative products of the symbol values, to the given depth."""
+    Entries are in {-1, 0, +1}, and a 0 is followed only by 0s.
+    """
     if depth < 1:
         raise ValueError("depth must be positive")
     entries = []
@@ -195,33 +161,7 @@ def invariant_coordinate(seq, depth: int) -> ThetaPrefix:
     for k in range(depth):
         prod *= int(seq[k])
         entries.append(prod)
-    return ThetaPrefix(tuple(entries))
-
-
-def mt_compare(a, b, depth: int) -> Order:
-    """Signed-order comparison of two symbol sequences.
-
-    Scans for the first index where the sequences disagree; compares those
-    symbols spatially (L < C < R) and flips the verdict when the product of
-    the common prefix values is negative.  A common prefix containing C
-    forces equal invariant coordinates, so the comparison saturates to EQ,
-    as it does when no disagreement occurs within ``depth``.
-
-    Accepts :class:`SymbolSeq` or any integer-indexable sequence of symbols,
-    e.g. the finite prefixes produced by numeric itineraries.
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    sign = 1
-    for k in range(depth):
-        sa, sb = a[k], b[k]
-        if sa != sb:
-            if sign == 0:
-                return Order.EQ
-            spatial = -1 if _spatial_key(sa) < _spatial_key(sb) else 1
-            return Order(spatial * sign)
-        sign *= int(sa)
-    return Order.EQ
+    return tuple(entries)
 
 
 #: Key characters of the invariant coordinates +1, 0, -1.  Characters of
@@ -236,10 +176,12 @@ def order_key(seq, depth: int) -> str:
     """Key of a symbol sequence whose string order is the signed order.
 
     Character k stands for ``-theta_k``, so ``order_key(a, depth)`` compares
-    with ``order_key(b, depth)`` exactly as ``mt_compare(a, b, depth)`` says.
-    Accepts the same sequences as :func:`mt_compare`.
+    with ``order_key(b, depth)`` as ``a`` with ``b`` in the signed order,
+    on their first ``depth`` symbols.  Accepts :class:`SymbolSeq` or any
+    integer-indexable sequence of symbols, e.g. the finite prefixes
+    produced by numeric itineraries.
     """
-    return "".join(map(_KEY_CHAR.__getitem__, invariant_coordinate(seq, depth).entries))
+    return "".join(map(_KEY_CHAR.__getitem__, invariant_coordinate(seq, depth)))
 
 
 def shift_keys(w: KneadingWord) -> tuple[str, ...]:

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-import kneadck.cli
+import kneadck.ktheory
 from kneadck.cli import main
 
 
@@ -188,9 +189,15 @@ class TestVerifyCommand:
         )
         assert lines[-1] == "result: PASS"
 
+    def test_library_report_is_the_machine_results(self, capsys):
+        code, doc, _ = run_machine(capsys, ["verify", "8"])
+        assert code == 0
+        assert dataclasses.asdict(kneadck.ktheory.verify(8)) == doc["results"]
+
     def test_failing_checks_name_their_witness(self, capsys, monkeypatch):
-        # A Smith diagonal of all zeros breaks the SNF checks of RLC (a = 1).
-        monkeypatch.setattr(kneadck.cli, "smith_diagonal", lambda M: (0,) * M.shape[0])
+        # A Smith diagonal of all zeros breaks the SNF checks of RLC (a = 1),
+        # and the unimodularity of X and Y in its factorization check.
+        monkeypatch.setattr(kneadck.ktheory, "smith_diagonal", lambda M: (0,) * M.shape[0])
         code, out, _ = run(capsys, ["verify", "3"])
         assert code == 1
         lines = out.splitlines()
@@ -199,6 +206,8 @@ class TestVerifyCommand:
             "VIOLATION RLC [k1_rank]: a=1 predicts kernel rank 0, SNF route gives 2",
             "VIOLATION RLC [snf_multiset]: SNF diagonal [0, 0, 0] vs expected [1, 1, 1]",
             "VIOLATION RLC [cokernel_bridge]: from A: 0, from theta: Z^3",
+            "VIOLATION RLC [factorization]: eta^T [[0, 1], [-1, 0], [1, -1]] vs "
+            "Y inc X [[0, 1], [-1, 0], [1, -1]], Smith diagonals X [0, 0], Y [0, 0, 0]",
             "  identity_A_eta: 2 ok",
             "result: FAIL",
         ):
@@ -226,9 +235,13 @@ class TestFindMuCommand:
         assert doc["results"]["mu"] == "3.236"
 
     def test_bad_grid_step(self, capsys):
-        code, _, err = run(capsys, ["find-mu", "RC", "--grid-step", "0.7"])
-        assert code == 3
-        assert "error:" in err
+        # Too coarse, a grid of 2e8 points (gigabytes), and one of 2e300
+        # points, which numpy cannot allocate.
+        for step in ("0.7", "1e-8", "1e-300"):
+            code, out, err = run(capsys, ["find-mu", "RC", "--grid-step", step])
+            assert code == 3
+            assert out == ""
+            assert err == "error: grid step must lie in [1e-06, 0.5]\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12"])
     def test_bad_tolerance(self, capsys, tol):

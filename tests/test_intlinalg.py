@@ -9,15 +9,14 @@ from kneadck.intlinalg import (
     AbelianGroup,
     as_int_matrix,
     cokernel,
-    determinant,
     eye_int,
     is_irreducible,
-    is_unimodular,
-    kernel_rank,
     smith_diagonal,
     smith_normal_form,
     zeros_int,
 )
+
+from reference import determinant
 
 # 5x5 transition matrix of the period-6 fixture word, frozen by hand.
 A6 = [
@@ -250,19 +249,73 @@ class TestDeterminant:
             determinant([[1, 2, 3]])
 
 
+def all_ones_diagonal(M):
+    """The unimodularity test of ``verify``: a Smith diagonal of all ones."""
+    return all(d == 1 for d in smith_diagonal(M))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices up to 8 x 8: half with small random entries,
+    half a product of elementary row operations with the first row then
+    scaled by 0, +-1 or +-2, so unimodular matrices are common."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+        return [entries[i * n : (i + 1) * n] for i in range(n)]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, q in draw(st.lists(ops, max_size=12)):
+        if i != j:
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+    scale = draw(st.sampled_from((0, 1, -1, 2, -2)))
+    M[0] = [scale * e for e in M[0]]
+    return M
+
+
 class TestUnimodular:
+    """A square matrix has determinant +-1 exactly when its Smith diagonal
+    is all ones; the reference Bareiss determinant is the other route."""
+
     def test_identity(self):
-        assert is_unimodular(eye_int(4))
+        assert all_ones_diagonal(eye_int(4))
+        assert determinant(eye_int(4)) == 1
 
     def test_diag_2_1(self):
-        assert not is_unimodular([[2, 0], [0, 1]])
+        assert not all_ones_diagonal([[2, 0], [0, 1]])
+        assert determinant([[2, 0], [0, 1]]) == 2
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_last_row_negated_identity(self, n):
         Y = eye_int(n)
         for j in range(n - 1):
             Y[n - 1, j] = -1
-        assert is_unimodular(Y)
+        assert all_ones_diagonal(Y)
+        assert determinant(Y) == 1
+
+    @pytest.mark.parametrize(
+        "M,det",
+        [
+            ([[1, 2], [2, 4]], 0),
+            ([[0, 0, 0], [1, 2, 3], [4, 5, 6]], 0),
+            ([[1, 1], [0, 1]], 1),
+            ([[2, 3], [1, 2]], 1),
+            ([[0, 1], [1, 0]], -1),
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+            ([[1, 0, 0], [5, -1, 0], [7, 3, 1]], -1),
+            ([[2, 1], [0, 1]], 2),
+            ([[1, 1], [1, -1]], -2),
+            ([[3, 1], [1, 1]], 2),
+        ],
+    )
+    def test_explicit_determinants(self, M, det):
+        assert determinant(M) == det
+        assert all_ones_diagonal(M) == (abs(det) == 1)
+
+    @given(square_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_all_ones_iff_unit_determinant(self, M):
+        assert all_ones_diagonal(M) == (abs(determinant(M)) == 1)
 
 
 class TestAbelianGroup:
@@ -304,28 +357,26 @@ class TestAbelianGroup:
 class TestCokernelKernel:
     def test_zero_matrix(self):
         assert cokernel(zeros_int(2, 2)) == AbelianGroup(2, ())
-        assert kernel_rank(zeros_int(2, 2)) == 2
+        assert smith_diagonal(zeros_int(2, 2)).count(0) == 2
 
     def test_unimodular_has_trivial_cokernel(self):
         M = [[0, 1, 0], [1, 1, -1], [0, 0, 1]]
         assert cokernel(M) == AbelianGroup(0, ())
-        assert kernel_rank(M) == 0
+        assert smith_diagonal(M).count(0) == 0
 
     def test_period_six_fixture(self):
         A = as_int_matrix(A6)
         M = eye_int(5) - A.T
         assert cokernel(M) == AbelianGroup(0, (2,))
-        assert kernel_rank(M) == 0
+        assert smith_diagonal(M).count(0) == 0
 
     def test_kernel_rank_one(self):
         A = as_int_matrix([[0, 0, 1], [0, 1, 1], [1, 0, 0]])
-        assert kernel_rank(eye_int(3) - A.T) == 1
+        assert smith_diagonal(eye_int(3) - A.T).count(0) == 1
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
             cokernel(zeros_int(2, 3))
-        with pytest.raises(ValueError):
-            kernel_rank(zeros_int(2, 3))
 
     def test_basis_change_invariance(self):
         # Unimodular changes of basis cannot alter the cokernel.
