@@ -184,16 +184,12 @@ def _cmd_verify(args):
 
 def _cmd_find_mu(args):
     word = parse_word(args.word)
-    result = find_superstable_mu(word, tol=args.tol, grid_step=args.grid_step)
+    result = find_superstable_mu(word)
     qmap = QuadMap(result.mu)
     prefix = numeric_itinerary(qmap, qmap.step(qmap.c), 2 * word.n, tol=C_TOL)
     itinerary = "".join(s.name for s in prefix)
     p = args.precision
-    inputs = {
-        "word": str(word),
-        "tol": _real(args.tol, p),
-        "grid_step": _real(args.grid_step, p),
-    }
+    inputs = {"word": str(word)}
     results = {
         "word": str(word),
         "mu": _real(result.mu, p),
@@ -322,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("find-mu", help="superstable parameter realizing a word")
     sp.add_argument("word")
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--grid-step", type=float, default=1e-4)
     _add_global_flags(sp, suppress=True)
 
     sp = sub.add_parser("admissible", help="test a word for admissibility")

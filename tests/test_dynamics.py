@@ -3,14 +3,23 @@ import random
 
 import pytest
 
+from kneadck.cli import main
 from kneadck.dynamics import (
     C_TOL,
     QuadMap,
     SolverError,
+    _critical_orbit,
     find_superstable_mu,
     numeric_itinerary,
 )
-from kneadck.symbolic import DomainError, Symbol, enumerate_admissible, parse_word
+from kneadck.symbolic import (
+    DomainError,
+    KneadingWord,
+    Symbol,
+    enumerate_admissible,
+    is_admissible,
+    parse_word,
+)
 
 from reference import Order, mt_compare
 
@@ -99,7 +108,7 @@ class TestSuperstableSolver:
         assert abs(res.mu - 3.937536445) < 1e-8
         assert res.residual < 1e-9
 
-    @pytest.mark.parametrize("word", all_words(7), ids=str)
+    @pytest.mark.parametrize("word", all_words(13), ids=str)
     def test_sweep_realizes_every_word(self, word):
         res = find_superstable_mu(word)
         assert res.word_confirmed
@@ -118,15 +127,45 @@ class TestSuperstableSolver:
             find_superstable_mu(parse_word("C"))
 
     def test_rejects_bad_controls(self):
+        # The bisection takes the word alone: no tolerance, no grid step.
         w = parse_word("RLC")
-        for tol in (0.0, -1e-12, float("nan"), float("inf")):
-            with pytest.raises(DomainError):
-                find_superstable_mu(w, tol=tol)
-        # Zero, too coarse, a grid of 2e8 points (gigabytes) and one of
-        # 2e300 points, which numpy cannot allocate.
-        for step in (0.0, 0.7, 1e-8, 1e-300):
-            with pytest.raises(DomainError):
-                find_superstable_mu(w, grid_step=step)
+        for control in ({"tol": 1e-12}, {"grid_step": 1e-4}):
+            with pytest.raises(TypeError):
+                find_superstable_mu(w, **control)
+
+
+class TestCoverage:
+    def test_precision_limit_exits_4(self, capsys):
+        # The parameter of RL^12C lies within 4e-8 of 4, where the critical
+        # orbit cannot be resolved in double precision.
+        assert main(["find-mu", "R" + "L" * 12 + "C"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: double precision cannot resolve RLLLLLLLLLLLLC: mu = "
+        )
+        assert "residual" in captured.err
+
+    @pytest.mark.parametrize("n", range(15, 21))
+    def test_long_words_resolve_or_refuse(self, n):
+        # Either a confirmed parameter or SolverError; never an unconfirmed mu.
+        rng = random.Random(1)
+        tried = 0
+        while tried < 8:
+            middle = tuple(rng.choice((Symbol.L, Symbol.R)) for _ in range(n - 2))
+            word = KneadingWord((Symbol.R, *middle, Symbol.C))
+            if not is_admissible(word):
+                continue
+            tried += 1
+            try:
+                res = find_superstable_mu(word)
+            except SolverError as e:
+                assert "double precision cannot resolve" in str(e)
+                continue
+            assert res.word_confirmed and res.residual < 1e-9, str(word)
+            m = QuadMap(res.mu)
+            itin = numeric_itinerary(m, m.step(m.c), 2 * n, tol=C_TOL)
+            assert itin == word.sequence().prefix(2 * n), str(word)
 
 
 class TestOrderRealization:
@@ -148,3 +187,11 @@ class TestOrderRealization:
                 continue
             assert (cmp is Order.LT) == (x < y), (x, y, ix, iy)
             checked += 1
+
+    def test_kneading_key_is_monotone_in_mu(self):
+        # The premise of the superstable bisection: the key of f(c)'s
+        # itinerary never decreases as mu grows.
+        rng = random.Random(44)
+        for _ in range(500):
+            mu1, mu2 = sorted((rng.uniform(2.0, 3.99), rng.uniform(2.0, 3.99)))
+            assert _critical_orbit(mu1, 10)[0] <= _critical_orbit(mu2, 10)[0], (mu1, mu2)

@@ -14,6 +14,7 @@ four per period, and are pinned here verbatim.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -56,6 +57,21 @@ MATRICES_RANDOM = {
     "RLLLLLRLRRLLRLRLRLRRRRLLRLRRLLLC": "ec785c20a7ac5dccb52fb525cfc2ed3a90fcf6ad02a139c7105bcc1d215db01d",
 }
 
+# find-mu W --format machine, the "results" object of every admissible word
+# with n <= 12 except the ones below, concatenated in enumeration order.
+# Hashed while the parameter was found by a sign-change grid, which refused
+# the excluded words; the bisection on the kneading order resolves them too.
+FIND_MU_12 = "dd9a7fd96e39b763a985ca0887c3fffbf1c2c4d5348a6775e79c0b15a1a71156"
+FIND_MU_GRID_REFUSED = frozenset(
+    """
+    RLLLLLLLLC RLLLLLLLRC RLLLLLLLLLC RLLLLLLLLRC RLLLLLLLRLC RLLLLLLRRLC
+    RLLLLLLLLLLC RLLLLLLLLLRC RLLLLLLLLRLC RLLLLLLLRLLC RLLLLLLLRLRC
+    RLLLLLLLRRLC RLLLLLLLRRRC RLLLLLLRLLRC RLLLLLLRLRLC RLLLLLLRLRRC
+    RLLLLLLRRLLC RLLLLLLRRLRC RLLLLLLRRRLC RLLLLLLRRRRC RLLLLLRLLLLC
+    RLLLLLRRLRLC RLLLLLRRLRRC RLLLRRRLLLRC
+    """.split()
+)
+
 
 def output(argv) -> str:
     buf = io.StringIO()
@@ -91,3 +107,19 @@ def test_matrices_every_word_of_period(n):
 @pytest.mark.parametrize("word", sorted(MATRICES_RANDOM))
 def test_matrices_random_word(word):
     assert sha256(output(["matrices", word, "--format", "machine"])) == MATRICES_RANDOM[word]
+
+
+def test_find_mu_12():
+    words = [
+        str(w)
+        for n in range(2, 13)
+        for w in enumerate_admissible(n)
+        if str(w) not in FIND_MU_GRID_REFUSED
+    ]
+    assert len(words) == 355
+    text = "".join(
+        json.dumps(json.loads(output(["find-mu", w, "--format", "machine"]))["results"], indent=2)
+        + "\n"
+        for w in words
+    )
+    assert sha256(text) == FIND_MU_12
