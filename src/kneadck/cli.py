@@ -5,7 +5,9 @@ Subcommands: ``kgroups``, ``matrices``, ``enumerate``, ``verify``,
 (default) or a machine-readable JSON document with a stable schema:
 ``{"command", "inputs", "results"}``, matrices carried as
 ``{"rows", "cols", "entries"}``, groups as ``{"free_rank", "torsion"}``,
-and reals as decimal strings.
+and reals as decimal strings.  The text of ``kgroups``, ``find-mu`` and
+``itinerary`` is their ``results``, one ``key: value`` line per entry; a
+forced inadmissible word is flagged ``admissible: no``, never warned.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 domain
 violation, 4 solver failure.
@@ -14,11 +16,9 @@ violation, 4 solver failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
-import warnings
 
 from .dynamics import C_TOL, QuadMap, SolverError, find_superstable_mu, numeric_itinerary
 from .intlinalg import AbelianGroup
@@ -67,8 +67,11 @@ def _grid_lines(M) -> list[str]:
     return ["  " + " ".join(s.rjust(width) for s in row) for row in cells]
 
 
-def _yesno(b: bool) -> str:
-    return "yes" if b else "no"
+def _result_lines(results: dict) -> list[str]:
+    return [
+        f"{key}: {('yes' if value else 'no') if isinstance(value, bool) else value}"
+        for key, value in results.items()
+    ]
 
 
 def _positive_int(text: str) -> int:
@@ -78,62 +81,47 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@contextlib.contextmanager
 def _word_with_force_gate(args, what: str):
-    """Yields ``(word, admissible)`` for ``args.word``, refusing period 1 and,
-    without ``--force``, inadmissible words.  The body runs with the warning
-    of a forced inadmissible word silenced."""
+    """``(word, admissible)`` for ``args.word``, refusing period 1 and,
+    without ``--force``, inadmissible words."""
     word = parse_word(args.word)
     if word.n < 2:
         raise DomainError(f"{what} requires period >= 2")
     admissible = is_admissible(word)
     if not admissible and not args.force:
         raise DomainError(f"word {word} is not admissible; pass --force to compute anyway")
-    with warnings.catch_warnings():
-        if not admissible:
-            warnings.simplefilter("ignore")
-        yield word, admissible
+    return word, admissible
 
 
 def _cmd_kgroups(args):
-    with _word_with_force_gate(args, "K-group computation") as (word, _):
-        report = k_groups(word)
+    word, _ = _word_with_force_gate(args, "K-group computation")
+    report = k_groups(word)
     inputs = {"word": str(word), "force": bool(args.force)}
     results = {
         "word": str(word),
         "n": word.n,
         "admissible": report.admissible,
         "a": report.a_closed_form,
-        "K0": _group_payload(report.K0),
-        "K1": _group_payload(report.K1),
-        "BF": _group_payload(report.BF),
+        "K0": report.K0,
+        "K1": report.K1,
+        "BF": report.BF,
         "irreducible": report.irreducible,
     }
-    text = [
-        f"word: {word}",
-        f"n: {word.n}",
-        f"admissible: {_yesno(report.admissible)}",
-        f"a: {report.a_closed_form}",
-        f"K0: {report.K0}",
-        f"K1: {report.K1}",
-        f"BF: {report.BF}",
-        f"irreducible: {_yesno(report.irreducible)}",
-    ]
-    return inputs, results, text, 0
+    return inputs, results, None, 0
 
 
 def _cmd_matrices(args):
-    with _word_with_force_gate(args, "matrix construction") as (word, admissible):
-        if args.which is None:
-            which = list(_MATRIX_NAMES)
-        else:
-            which = [token.strip() for token in args.which.split(",")]
-            for name in which:
-                if name not in _MATRIX_NAMES:
-                    raise ParseError(
-                        f"unknown matrix name {name!r}; choose from {', '.join(_MATRIX_NAMES)}"
-                    )
-        mats = build_matrices(build_orbit(word))
+    word, admissible = _word_with_force_gate(args, "matrix construction")
+    if args.which is None:
+        which = list(_MATRIX_NAMES)
+    else:
+        which = list(dict.fromkeys(token.strip() for token in args.which.split(",")))
+        for name in which:
+            if name not in _MATRIX_NAMES:
+                raise ParseError(
+                    f"unknown matrix name {name!r}; choose from {', '.join(_MATRIX_NAMES)}"
+                )
+    mats = build_matrices(build_orbit(word))
     inputs = {"word": str(word), "which": which, "force": bool(args.force)}
     results = {
         "word": str(word),
@@ -185,26 +173,17 @@ def _cmd_verify(args):
 def _cmd_find_mu(args):
     word = parse_word(args.word)
     result = find_superstable_mu(word)
-    qmap = QuadMap(result.mu)
-    prefix = numeric_itinerary(qmap, qmap.step(qmap.c), 2 * word.n, tol=C_TOL)
-    itinerary = "".join(s.name for s in prefix)
     p = args.precision
     inputs = {"word": str(word)}
+    # find_superstable_mu raises unless its itinerary confirms the word.
     results = {
         "word": str(word),
         "mu": _real(result.mu, p),
         "residual": _real(result.residual, p),
-        "word_confirmed": result.word_confirmed,
-        "itinerary": itinerary,
+        "word_confirmed": True,
+        "itinerary": "".join(s.name for s in result.itinerary),
     }
-    text = [
-        f"word: {word}",
-        f"mu: {_real(result.mu, p)}",
-        f"residual: {_real(result.residual, p)}",
-        f"word_confirmed: {_yesno(result.word_confirmed)}",
-        f"itinerary: {itinerary}",
-    ]
-    return inputs, results, text, 0
+    return inputs, results, None, 0
 
 
 def _cmd_admissible(args):
@@ -220,7 +199,6 @@ def _cmd_itinerary(args):
     qmap = QuadMap(args.mu)
     x0 = qmap.step(qmap.c) if args.x0 is None else args.x0
     symbols = numeric_itinerary(qmap, x0, args.depth, tol=args.tol)
-    itinerary = "".join(s.name for s in symbols)
     p = args.precision
     inputs = {
         "mu": _real(args.mu, p),
@@ -231,16 +209,13 @@ def _cmd_itinerary(args):
     results = {
         "mu": _real(args.mu, p),
         "x0": _real(x0, p),
-        "itinerary": itinerary,
+        "itinerary": "".join(s.name for s in symbols),
     }
-    text = [
-        f"mu: {_real(args.mu, p)}",
-        f"x0: {_real(x0, p)}",
-        f"itinerary: {itinerary}",
-    ]
-    return inputs, results, text, 0
+    return inputs, results, None, 0
 
 
+# Each handler returns (inputs, results, text, exit code); text None means
+# one ``key: value`` line per entry of results.
 _HANDLERS = {
     "kgroups": _cmd_kgroups,
     "matrices": _cmd_matrices,
@@ -354,9 +329,9 @@ def main(argv=None) -> int:
 
     if args.format == "machine":
         doc = {"command": args.command, "inputs": inputs, "results": results}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, default=_group_payload))
     else:
-        print("\n".join(text))
+        print("\n".join(_result_lines(results) if text is None else text))
     return code
 
 

@@ -76,11 +76,12 @@ def numeric_itinerary(
 
 @dataclass(frozen=True)
 class SuperstableResult:
-    """Root of f^n(c) = c realizing a kneading word."""
+    """Root of f^n(c) = c realizing a kneading word of period n, with the
+    ``itinerary`` of f(c), 2n symbols at C-tolerance 1e-9, that confirmed it."""
 
     mu: float
     residual: float
-    word_confirmed: bool
+    itinerary: tuple[Symbol, ...]
 
 
 def _critical_orbit(mu: float, n: int) -> tuple[str, float]:
@@ -126,8 +127,9 @@ def find_superstable_mu(w: KneadingWord) -> SuperstableResult:
 
     residual = abs(x - 0.5)
     m = QuadMap(mu)
-    if numeric_itinerary(m, m.step(m.c), 2 * n, tol=C_TOL) != w.sequence().prefix(2 * n):
+    itinerary = numeric_itinerary(m, m.step(m.c), 2 * n, tol=C_TOL)
+    if itinerary != w.sequence().prefix(2 * n):
         raise SolverError(
             f"double precision cannot resolve {w}: mu = {mu!r} leaves residual {residual:.3g}"
         )
-    return SuperstableResult(mu=mu, residual=residual, word_confirmed=True)
+    return SuperstableResult(mu=mu, residual=residual, itinerary=itinerary)

@@ -16,7 +16,6 @@ each is confirmed by an exact matrix product.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +63,10 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
 
     The points are sorted by their signed-order keys (see
     :func:`~kneadck.symbolic.shift_keys`).  The word is admissible exactly
-    when it is the largest of them.  Inadmissible words are accepted with
-    a warning: the constructions below remain formally defined, but the
-    K-group theorems only cover admissible input.
+    when it is the largest of them.  Inadmissible words are accepted and
+    flagged by ``admissible``, with no warning: the constructions below
+    remain formally defined, but the K-group theorems only cover admissible
+    input.
     """
     n = w.n
     if n < 2:
@@ -85,13 +85,7 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
     # The turning point is the n-th orbit point and splits the partition.
     if rho[nL] != n:
         raise ConstructionError("turning point is not at spatial rank nL+1")
-    model = OrbitModel(word=w, rho=rho, nL=nL, nR=nR)
-    if not model.admissible:
-        warnings.warn(
-            f"word {w} is not admissible; matrix constructions proceed formally",
-            stacklevel=2,
-        )
-    return model
+    return OrbitModel(word=w, rho=rho, nL=nL, nR=nR)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,14 @@ class TestExitCodes:
         assert code == 0
         assert "admissible: no" in out.splitlines()
 
+    @pytest.mark.parametrize("command", ["kgroups", "matrices"])
+    def test_forced_inadmissible_writes_no_stderr(self, capsys, command):
+        # Inadmissibility is reported in the output, not by a warning.
+        code, out, err = run(capsys, [command, "LRC", "--force"])
+        assert code == 0
+        assert out.startswith("word: LRC\n")
+        assert err == ""
+
     def test_solver_error(self, capsys):
         code, _, err = run(capsys, ["find-mu", "LRC"])
         assert code == 4
@@ -121,6 +129,19 @@ class TestMatricesCommand:
             "   1  0",
             "   0 -1",
         ]
+
+    def test_repeated_names_shown_once(self, capsys):
+        code, out, _ = run(capsys, ["matrices", "RLC", "--which", "A,A"])
+        assert code == 0
+        assert out.splitlines() == ["word: RLC", "A =", "  0 1", "  1 1"]
+        code, doc, _ = run_machine(capsys, ["matrices", "RLC", "--which", "A,A"])
+        assert code == 0
+        assert doc["inputs"]["which"] == ["A"]
+        assert list(doc["results"]["matrices"]) == ["A"]
+        # First occurrence decides the order.
+        _, doc, _ = run_machine(capsys, ["matrices", "RLC", "--which", "beta,A,beta"])
+        assert doc["inputs"]["which"] == ["beta", "A"]
+        assert list(doc["results"]["matrices"]) == ["beta", "A"]
 
     def test_period_two_beta(self, capsys):
         code, out, _ = run(capsys, ["matrices", "RC", "--which", "beta"])

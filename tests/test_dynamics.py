@@ -92,16 +92,18 @@ class TestItinerary:
 
 class TestSuperstableSolver:
     def test_period_two(self):
-        res = find_superstable_mu(parse_word("RC"))
+        word = parse_word("RC")
+        res = find_superstable_mu(word)
         assert abs(res.mu - GOLDEN_MU) < 1e-9
         assert res.residual < 1e-9
-        assert res.word_confirmed
+        assert res.itinerary == word.sequence().prefix(4)
 
     def test_period_three(self):
-        res = find_superstable_mu(parse_word("RLC"))
+        word = parse_word("RLC")
+        res = find_superstable_mu(word)
         assert abs(res.mu - 3.8318740553) < 1e-8
         assert res.residual < 1e-9
-        assert res.word_confirmed
+        assert res.itinerary == word.sequence().prefix(6)
 
     def test_period_six(self):
         res = find_superstable_mu(parse_word("RLLRRC"))
@@ -111,7 +113,7 @@ class TestSuperstableSolver:
     @pytest.mark.parametrize("word", all_words(13), ids=str)
     def test_sweep_realizes_every_word(self, word):
         res = find_superstable_mu(word)
-        assert res.word_confirmed
+        assert res.itinerary == word.sequence().prefix(2 * word.n)
         assert res.residual < 1e-9
         m = QuadMap(res.mu)
         depth = 2 * word.n
@@ -162,7 +164,8 @@ class TestCoverage:
             except SolverError as e:
                 assert "double precision cannot resolve" in str(e)
                 continue
-            assert res.word_confirmed and res.residual < 1e-9, str(word)
+            assert res.itinerary == word.sequence().prefix(2 * n), str(word)
+            assert res.residual < 1e-9, str(word)
             m = QuadMap(res.mu)
             itin = numeric_itinerary(m, m.step(m.c), 2 * n, tol=C_TOL)
             assert itin == word.sequence().prefix(2 * n), str(word)

@@ -14,6 +14,7 @@ four per period, and are pinned here verbatim.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
@@ -73,12 +74,70 @@ FIND_MU_GRID_REFUSED = frozenset(
 )
 
 
+# The pins below were hashed while kgroups, find-mu and itinerary still
+# wrote their text line by line beside their results.
+#
+# kgroups W over every admissible word with n <= 10, concatenated in
+# enumeration order.
+KGROUPS_10 = {
+    "text": "71d5b407076a9c3d06c2a85715b96c2c988e55999e547120b8ecce7f44d19031",
+    "machine": "616af4f7757f094c8ac49c751102bf96534a16c4cf2321827ae4dca68e3c785b",
+}
+
+# kgroups W --force and matrices W --force over every word {L,R}^(n-1) C
+# with n <= 7, admissible or not, in text order: the exit code, stdout and
+# stderr of each call.
+FORCED_7 = {
+    ("kgroups", "text"): "7c43b3076823d705c0a82308a03faf59b62737c4cba45cf7d4d7b6a7e81d0085",
+    ("kgroups", "machine"): "051df192d1e559200fca8129d1e0a935da688817cf0fb9d2057e58cbb3ff2d4c",
+    ("matrices", "text"): "2ffca3d45e7c003eb70d9d65a000bc49e25b24b22b509bba73635465334ab0ea",
+    ("matrices", "machine"): "19694a846bb6232b1262a40f8649e00b1b378dcaf3c10f8bf4968e41664cb81e",
+}
+
+# find-mu W text over every admissible word with n <= 10.
+FIND_MU_10_TEXT = "f0a7a41fb22c265c0705c2b8f42093f968e696cc7b90878f101177e810808749"
+
+# itinerary over fixed argument sets, concatenated; one pin per format.
+ITINERARY_ARGS = (
+    ("--mu", "3.2", "--depth", "20"),
+    ("--mu", "3.8318740552833", "--depth", "12"),
+    ("--mu", "4", "--x0", "0.1", "--depth", "30"),
+    ("--mu", "3.5", "--x0", "0.25", "--depth", "8", "--precision", "4"),
+    ("--mu", "2.5", "--depth", "5", "--tol", "1e-3"),
+    ("--mu", "3.9", "--x0", "0.5", "--depth", "16"),
+)
+ITINERARY = {
+    "text": "74e796e687dec38d39bb07179c8c73a363ee644327758a388c32cf54539a67ee",
+    "machine": "9e739ef153e091a6eba6bf9b5c23cd9da15e29e5190152ac6e94ebc9d40df115",
+}
+
+
 def output(argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     assert code == 0, argv
     return buf.getvalue()
+
+
+def streams(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def every_word(max_n):
+    """All words {L, R}^(n-1) C with 2 <= n <= max_n, admissible or not."""
+    return [
+        "".join(tail) + "C"
+        for n in range(2, max_n + 1)
+        for tail in itertools.product("LR", repeat=n - 1)
+    ]
+
+
+def admissible_words(max_n):
+    return [str(w) for n in range(2, max_n + 1) for w in enumerate_admissible(n)]
 
 
 def sha256(text: str) -> str:
@@ -123,3 +182,30 @@ def test_find_mu_12():
         for w in words
     )
     assert sha256(text) == FIND_MU_12
+
+
+@pytest.mark.parametrize("fmt", sorted(KGROUPS_10))
+def test_kgroups_10(fmt):
+    text = "".join(output(["kgroups", w, "--format", fmt]) for w in admissible_words(10))
+    assert sha256(text) == KGROUPS_10[fmt]
+
+
+@pytest.mark.parametrize("command, fmt", sorted(FORCED_7))
+def test_forced_every_word_7(command, fmt):
+    text = "".join(
+        streams([command, w, "--force", "--format", fmt]) for w in every_word(7)
+    )
+    assert sha256(text) == FORCED_7[command, fmt]
+
+
+def test_find_mu_10_text():
+    text = "".join(output(["find-mu", w]) for w in admissible_words(10))
+    assert sha256(text) == FIND_MU_10_TEXT
+
+
+@pytest.mark.parametrize("fmt", sorted(ITINERARY))
+def test_itinerary(fmt):
+    text = "".join(
+        output(["itinerary", *args, "--format", fmt]) for args in ITINERARY_ARGS
+    )
+    assert sha256(text) == ITINERARY[fmt]

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -119,9 +120,10 @@ class TestKGroups:
         assert not rep.irreducible
 
     def test_inadmissible_reported_not_rejected(self):
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = k_groups(parse_word("LLC"))
-        assert not rep.admissible
+        assert rep.admissible is False
 
     @pytest.mark.parametrize("word", all_words(10), ids=str)
     def test_closed_form_matches_snf(self, word):
