@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -75,10 +76,14 @@ def _result_lines(results: dict) -> list[str]:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if value >= 1:
+            return value
+    raise argparse.ArgumentTypeError("must be a positive integer")
 
 
 def _word_with_force_gate(args, what: str):
@@ -252,7 +257,10 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(
         prog="kneadck",
         description=(

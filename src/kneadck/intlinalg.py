@@ -1,11 +1,9 @@
 """Exact integer matrix arithmetic.
 
 Matrices handed in and out are dense numpy arrays with ``dtype=object``
-holding Python ints.  The Smith elimination starts on ``int64`` when every
-entry lies below 2**62 in absolute value.  Before each update it bounds,
-in Python ints, the largest entry the update can produce; if that bound
-could reach 2**62 it converts its working array to ``dtype=object`` and
-carries on with the same code, so results are exact at any size.
+holding Python ints.  The Smith elimination itself runs on rows of Python
+ints (nested lists), so every entry is exact at any size and no entry
+bound has to be tracked.
 
 Provides the Smith normal form with its unimodular transforms, the Smith
 diagonal alone, cokernels of square matrices (the raw material of the
@@ -22,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# int64 elimination is exact while every entry stays below _EXACT.
-_EXACT = 1 << 62
 
 
 def as_int_matrix(data) -> np.ndarray:
@@ -76,115 +71,88 @@ class SmithForm:
         return tuple(int(self.D[k, k]) for k in range(min(r, c)))
 
 
-def _abs_max(x) -> int:
-    return int(np.abs(x).max()) if x.size else 0
-
-
-def _sub_outer(W: np.ndarray, rows, cols, q, v) -> np.ndarray:
-    """``W[rows, cols] -= outer(q, v)``; returns W, widened to Python ints
-    first when an int64 result could reach 2**62."""
-    ix = (rows[:, None], cols)
-    block = W[ix]
-    if W.dtype != object and _abs_max(q) * _abs_max(v) + _abs_max(block) >= _EXACT:
-        W, block, q, v = (x.astype(object) for x in (W, block, q, v))
-    W[ix] = block - np.outer(q, v)
-    return W
-
-
-def _pivot(W: np.ndarray, t: int, r: int, c: int):
-    """Position of the smallest nonzero |entry| of ``W[t:r, t:c]``, ties by
-    lowest (row, col); None when that block is zero."""
-    units = (np.abs(W[t, t:c]) == 1).nonzero()[0]
-    if units.size:
-        # A unit is a minimum, and none can come earlier in row order.
-        return t, t + int(units[0])
-    a = np.abs(W[t:r, t:c])
-    nonzero = a != 0
-    if not nonzero.any():
-        return None
-    a[~nonzero] = a.max() + 1
-    i, j = divmod(int(np.argmin(a)), c - t)
-    return t + i, t + j
-
-
-def _eliminate(M, transforms: bool) -> tuple[np.ndarray, int, int]:
+def _eliminate(M, transforms: bool) -> tuple[list[list[int]], int, int]:
     """The Smith elimination loop, shared by every SNF entry point.
 
-    Works on ``W = [[M, I_r], [I_c, 0]]`` when ``transforms`` is set, else
-    on ``M`` alone: row operations on the top ``r`` rows carry ``U`` along in
-    the top-right block, column operations on the left ``c`` columns carry
-    ``V`` in the bottom-left block, so one code path serves both.  Returns
-    ``(W, r, c)`` with the Smith form in ``W[:r, :c]``.
+    Works on the rows of ``W = [[M, I_r], [I_c, 0]]`` when ``transforms``
+    is set, else on the rows of ``M`` alone, as lists of Python ints: row
+    operations on the top ``r`` rows carry ``U`` along in the top-right
+    block, column operations on the left ``c`` columns carry ``V`` in the
+    bottom-left block, so one code path serves both.  Returns
+    ``(W, r, c)`` with the Smith form in ``W[:r][:c]``.
 
     Pivoting picks the nonzero entry of minimal absolute value (ties by
-    lowest row, then column).  Row and column sweeps divide by the pivot;
-    a nonzero remainder is a strictly smaller pivot, so the reduction
-    terminates.  A unit pivot, almost every pivot of ``I - A^T``, leaves no
-    remainder and divides everything: its row sweep is one rank-1
-    Schur-complement update, and the pivot is final.  Before advancing, a
-    non-unit pivot is forced to divide the remaining block by pulling an
-    offending row up, which yields the divisibility chain on the diagonal
-    directly.
+    lowest row, then column); a unit in row ``t`` is such an entry, and
+    almost every pivot of ``I - A^T`` is one.  The row sweep subtracts
+    multiples of the pivot row, by floor division, from each row with a
+    nonzero entry below the pivot; the column sweep then visits only the
+    rows whose entry survived as a remainder, plus the ``V`` block.  A
+    nonzero remainder is a strictly smaller pivot, so the reduction
+    terminates, and a unit pivot leaves none and is final.  Before
+    advancing, a non-unit pivot is forced to divide the remaining block by
+    pulling an offending row up, which yields the divisibility chain on
+    the diagonal directly.
     """
     A = as_int_matrix(M)
     r, c = A.shape
+    W = A.tolist()
     if transforms:
-        W = np.zeros((r + c, c + r), dtype=object)
-        W[:r, :c] = A
-        W[:r, c:] = eye_int(r)
-        W[r:, :c] = eye_int(c)
-    else:
-        W = A
-    try:
-        small = W.astype(np.int64)
-    except OverflowError:
-        pass
-    else:
-        if not small.size or (small.max() < _EXACT and small.min() > -_EXACT):
-            W = small
+        W = [row + [int(i == k) for k in range(r)] for i, row in enumerate(W)]
+        W += [[int(i == k) for k in range(c)] + [0] * r for i in range(c)]
 
     for t in range(min(r, c)):
         while True:
-            pivot = _pivot(W, t, r, c)
-            if pivot is None:
-                return W, r, c
-            pi, pj = pivot
-            if pi != t:
-                W[[t, pi], :] = W[[pi, t], :]
+            pj = next((j for j in range(t, c) if W[t][j] in (1, -1)), None)
+            if pj is None:
+                block = [
+                    (abs(e), i, j)
+                    for i in range(t, r)
+                    for j, e in enumerate(W[i][t:c], t)
+                    if e
+                ]
+                if not block:
+                    return W, r, c
+                _, pi, pj = min(block)
+                W[t], W[pi] = W[pi], W[t]
             if pj != t:
-                W[:, [t, pj]] = W[:, [pj, t]]
-            if W[t, t] < 0:
-                W[t, :] = -W[t, :]
-            d = int(W[t, t])
+                for row in W:
+                    row[t], row[pj] = row[pj], row[t]
+            row = W[t]
+            if row[t] < 0:
+                row[:] = [-e for e in row]
+            d = row[t]
 
-            # Row and column sweeps by floor division.  The pivot is the
-            # block's smallest |entry|, so every nonzero it divides gives a
-            # nonzero multiplier.
-            rows = t + 1 + W[t + 1 : r, t].nonzero()[0]
-            if rows.size:
-                cols = t + W[t, t:].nonzero()[0]
-                W = _sub_outer(W, rows, cols, W[rows, t] // d, W[t, cols])
-            cols = t + 1 + W[t, t + 1 : c].nonzero()[0]
-            if cols.size:
-                q = W[t, cols] // d
-                rows = t + 1 + W[t + 1 :, t].nonzero()[0]
-                if rows.size:
-                    W = _sub_outer(W, rows, cols, W[rows, t], q)
-                # Row t's share of the column operations, W[t, cols] - d * q.
-                W[t, cols] %= d
+            # Row sweep.  The pivot is the block's smallest |entry|, so every
+            # nonzero it divides gives a nonzero multiplier.
+            pivot_row = [(j, e) for j, e in enumerate(row[t:], t) if e]
+            survivors = []
+            for Wi in W[t + 1 : r]:
+                if Wi[t]:
+                    q = Wi[t] // d
+                    for j, e in pivot_row:
+                        Wi[j] -= q * e
+                    if Wi[t]:
+                        survivors.append(Wi)
+            # Column sweep; row t's share is its remainder mod d.
+            cols = [(j, e // d) for j, e in pivot_row if t < j < c]
+            if cols:
+                for Wi in survivors + [Wi for Wi in W[r:] if Wi[t]]:
+                    e = Wi[t]
+                    for j, q in cols:
+                        Wi[j] -= e * q
+                for j, _ in cols:
+                    row[j] %= d
             if d == 1:
                 # A unit leaves no remainder and divides everything.
                 break
-            if W[t + 1 : r, t].any() or W[t, t + 1 : c].any():
+            if survivors or any(row[t + 1 : c]):
                 # A nonzero remainder is a smaller pivot.
                 continue
-            bad = ((W[t + 1 : r, t + 1 : c] % d).any(axis=1)).nonzero()[0]
-            if not bad.size:
+            bad = next((Wi for Wi in W[t + 1 : r] if any(e % d for e in Wi[t + 1 : c])), None)
+            if bad is None:
                 break
             # Pull the offending row up; the column sweep then shrinks the pivot.
-            k = t + 1 + int(bad[0])
-            cols = t + 1 + W[k, t + 1 :].nonzero()[0]
-            W = _sub_outer(W, np.array([t]), cols, np.array([-1]), W[k, cols])
+            row[t + 1 :] = [a + b for a, b in zip(row[t + 1 :], bad[t + 1 :])]
     return W, r, c
 
 
@@ -194,8 +162,8 @@ def smith_normal_form(M) -> SmithForm:
     ``U`` and ``V`` come from the same elimination as :func:`smith_diagonal`,
     which is the cheaper call when only the diagonal is needed.
     """
-    W, r, c = _eliminate(M, transforms=True)
-    W = W.astype(object)
+    rows, r, c = _eliminate(M, transforms=True)
+    W = np.array(rows, dtype=object).reshape(r + c, c + r)
     return SmithForm(U=W[:r, c:], D=W[:r, :c], V=W[r:, :c])
 
 
@@ -203,7 +171,7 @@ def smith_diagonal(M) -> tuple[int, ...]:
     """The Smith diagonal of M (invariant factors, zeros trailing), without
     building the unimodular transforms."""
     W, r, c = _eliminate(M, transforms=False)
-    return tuple(int(d) for d in W.diagonal())
+    return tuple(W[k][k] for k in range(min(r, c)))
 
 
 @dataclass(frozen=True)

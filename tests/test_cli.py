@@ -48,6 +48,13 @@ class TestExitCodes:
         assert code == 0
         assert "admissible: no" in out.splitlines()
 
+    def test_force_does_not_carry_into_the_next_call(self, capsys):
+        # main shares one parser across calls in a process.
+        assert run(capsys, ["kgroups", "LRC", "--force"])[0] == 0
+        code, _, err = run(capsys, ["kgroups", "LRC"])
+        assert code == 3
+        assert "--force" in err
+
     @pytest.mark.parametrize("command", ["kgroups", "matrices"])
     def test_forced_inadmissible_writes_no_stderr(self, capsys, command):
         # Inadmissibility is reported in the output, not by a warning.
@@ -71,6 +78,16 @@ class TestExitCodes:
             main(["kgroups", "RLC", "--format", "yaml"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--depth", "--precision"])
+    @pytest.mark.parametrize("value", ["abc", "x", "1.5", "0", "-2"])
+    def test_positive_int_flags(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["itinerary", "--mu", "3.2", f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
+        assert "_positive_int" not in err
 
     def test_enumerate_domain_error(self, capsys):
         code, _, err = run(capsys, ["enumerate", "1"])

@@ -94,6 +94,57 @@ FORCED_7 = {
     ("matrices", "machine"): "19694a846bb6232b1262a40f8649e00b1b378dcaf3c10f8bf4968e41664cb81e",
 }
 
+# kgroups W --format machine on the words of the long_words benchmark
+# workload with seed 1 (random admissible words of periods 64 and 128, in
+# its shuffled order).  Hashed while the Smith elimination still ran on
+# int64 and moved to Python ints only when an entry could overflow.
+KGROUPS_LONG = {
+    "RLLLLLRRRRLRRRRLLLRRLLRLRLLRRRRRLLRRLLRRLRRLRLLRRRLLLLRLRRLRLLLC":
+        "a59487fcaea35e3b9e6d15c4137c75308ad9792a681a04ae9abbf2d8c8519730",
+    "RLLLRLRRRRLRLLRLLRRRRLRRLLRRLRRLLRRLRLLRLRLLRRRRRRRLRRRLRLLRLLRC":
+        "b9266bc62c1b288618d57b8b990da10ecb0c57283d59ea9668c3799da805b519",
+    "RLLLLLRRRLLRRRLLRLRLRRLRLLRLRRLLLRRRLRRLLLRLRLRRRRRLRLLLRRLRRRLC":
+        "bb878d370c02f401e827f2d0550190c971e4f6756be5df3ee4f8cf746567a90f",
+    "RLLLLLLLLRLLLRLLRRLRRRLRLLRRRRLLLLRLRLRRLRLLRRLLRLRRRLRRRLRLLLRRRRRLLRRLLRRRLRRLLLRLRRRLRRLLLRRLLLRLRLLRRRRLLLRLRLLLRLRLLLRRRLLC":
+        "46059829ca07c2cabcc04033d0cdeac9b8366ba1d7330a2815fe3cbcf1278e92",
+    "RLLLLLRRLLLLRLRRLRLLLRLLRLLLLRLLRRLRRRRRRRRLLRRRRRRLLRLRLRLRLLLLLRLRRLRRRLLLRLLRRRRLRRRRLRRLLRRLRLLLLRLLLRLLLRRRRRRLRLRRRRRLRRRC":
+        "e384f40fb5bc876663f8751684fd58e039e22c028e06d371ff359ba2fdc506d3",
+    "RLLLLLLRLRLLRRRLRRRLRLRLLRLRLRLRRLRLLLLLRLRRLLLLRLRLLRLRRRRRRRRLRRRLRRLLLRLLLRRLRLLRLLRRRRRRRRLLLRRRRLRRLLLRRRRRLRRRRRRRLRLLRRRC":
+        "2e83391efaad04341fd74aa4ceeb060c34221dbce69964ac268ce83edfed88bd",
+    "RLLLLLRLLRLRLRLRLRRRRLRRRRLRRLLLRRLLLLRLLLLRLRRLLRLLLLRRRRLRLRLC":
+        "ea31f14956d35a8e632a852f7485b17b5a60ee5c746f3e12dac7b7801af2ed9c",
+    "RLLLLLLRRLLLLRRRRRRLRRLRLRLRRLRLLRLRRRLRLRLRRRLLRLRRLRRLRRRRLLLC":
+        "8634175736a73d4bfe415894cb5e3d46e035769c544581ce4acdb865c4709128",
+    "RLLLRRRRLLLRLLRRLLRRRLRRRLLLRLLRRRRLRLLRLLRRLLRRRRLLLRLRLLLRLRRC":
+        "981d47dff7acaba33a12d4b5e740eef7745f0eb0f3878742707cc36f5038b536",
+    "RLLLLLRRRRRRRRLLLRRRLLLRRLLRLLRRRRLLRRLRLLRLRLLRRLRRRLRRLLRRLRRC":
+        "5e0c14a749e76447872d75e1066a66600687e0ac8d3a920b4c50f4dfc15b3782",
+    "RLLLLRLRLLRRRLRRLRRRRLRRRRLLRRRLRLLRRLRRRRLRLLLLRLLRRRLRRLLRRLRC":
+        "943a9c88df7b51f7ae12159ab7d302b90c45db53993d2733c9a86682649d8e4d",
+    "RLLLLLRLRRLLRLLLRLRRLRLRLRLLRRLRRLLRLRLLLLRLRRLRLRLLLRRLLLRRRRRC":
+        "22323e0b65e8c7cf214e2fc3b24891fa09f30165fe8157e2c7b2591f84d4a4c4",
+    "RLLLLLLLLRRRLLRLRRRRLRRRLRRLLLLLRLLLRLLRRRRRLRRLRRLLRLRLLRRLLRLRLLRRLLLRLRRLLRLLLRLRRRLRRLLRLRLRLLRLRRLLLRRLRRRRLRLRLRRRLRLRRRRC":
+        "43156dfdab9a6a9d8d198f69c0d94c4cf8a6003fceb36212abb04558384d9538",
+    "RLLLLLLLLLRLRRLRLLRLRRLRRRRRLRLLLRRLRRRRRRLLRLLRRRRRRLRLLRLRLLLRRRLLLRRRRLLRRRRRLLRLLLRLLLRRLRRRRLLRLLRLLLLRRLLLLLLRRLRLLLLRRLLC":
+        "d855560340b5d684834bf4c1acbc4ab8ed2fffaaff51e4bb3b535a6e3b889740",
+    "RLLLLRRLLLLRRLLRRRLRRRRRRRLRLRRLLRLRLRRLLLLRRLLLRLRLLLRRLLRRLLLC":
+        "ee37014f8c0d08c43fc6356c3d56ada7a71623fdafdd00c5fe51787a8c75e3a1",
+    "RLLLLLLRRRRLRLLLRRRLLLLRRLRRRLRRRLLLRLRLLRRRRLRLRLLRRLLRRRLLLRRC":
+        "ab2f0d9795d70b15c6e4ebf6016bd2bf363503b2d637e4217f1138105dd8520a",
+    "RLLLLRRRRRRLRRRRRRLRLRRRRRLRRRRRLRLLRLRLLLLRLLRRLLRRRRRLRRRLRLRC":
+        "5e736f494c85bb3ac9a56e50731c2ee61c6d4e682f20c55b9d56e79cc317c15d",
+    "RLLLLLLRRLRRRRLLRLLRLLRLRLLRLLLRLRRLLLLRRLRLLRLRRRRLRLRLRRRRLRLC":
+        "e6d25bab9c12e4d04c74476b442151a6a1e5a4da49e17baba4d6401cc1d214b8",
+    "RLLLRRLRRLLLRLRLRRLLLRRRRRRLLRRRRLRRLLRRLLRLLRLLRLLRLRRLLRRRRLRC":
+        "6f5512dfc01f34efec99e3f8f88e1bbef0da3be663911ab7a29360592e20d6eb",
+    "RLLLLLLLRLLLLLLRLLRLLLRRRRLLRRLRRLLLRRRRRLLRLRLRLLRRRRRRRLRLRLRRRLLRRLLRLRLRRLRRRRRRRRLRLLRLRLLRLLRRLRRLLLLRLLRRLLLLRLLLLLRRLLLC":
+        "f470cbcd81f70f73e80053ad089bbd6898fd5fbbb4d1aa16b59c8a6d82963746",
+    "RLLLLLRRRRRRLRRRRLLRRLRLRLLRLLRLRRRRRRLRRRRLLRRRLRLRRLLLRLLRRRRC":
+        "d9dd6415db44fd9c71e9166879c3991daaebcdc7945b63a79665b757c5d538f2",
+    "RLLLLLLRRRRLRLLRLLLLRLRRRLLRRLRRRRLRLRRLLLLRRRLLRRRRRLRLLLRLRRRC":
+        "1e8e428156bc26b180ae506bd5a80ee577ec810eed32d105326f51a684f88ff7",
+}
+
 # find-mu W text over every admissible word with n <= 10.
 FIND_MU_10_TEXT = "f0a7a41fb22c265c0705c2b8f42093f968e696cc7b90878f101177e810808749"
 
@@ -209,3 +260,8 @@ def test_itinerary(fmt):
         output(["itinerary", *args, "--format", fmt]) for args in ITINERARY_ARGS
     )
     assert sha256(text) == ITINERARY[fmt]
+
+
+@pytest.mark.parametrize("word", list(KGROUPS_LONG))
+def test_kgroups_long_word(word):
+    assert sha256(output(["kgroups", word, "--format", "machine"])) == KGROUPS_LONG[word]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kneadck import intlinalg
 from kneadck.intlinalg import (
     AbelianGroup,
     as_int_matrix,
@@ -131,9 +130,18 @@ class TestSmithNormalForm:
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         rng = random.Random(17)
-        for _ in range(25):
-            n = rng.randint(1, 5)
-            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        dense = [
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            for n in (rng.randint(1, 5) for _ in range(25))
+        ]
+        # Mostly zero with small entries, like I - A^T, but with enough
+        # non-unit entries to need remainders and the divisibility pull-up.
+        sparse = [
+            [[rng.choice((-2, -1, 0, 0, 0, 0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+            for n in (rng.randint(2, 10) for _ in range(40))
+        ]
+        for M in dense + sparse:
+            n = len(M)
             ours = sorted(abs(d) for d in smith_normal_form(M).diagonal)
             theirs = sympy_snf(sympy.Matrix(M))
             diag = sorted(abs(int(theirs[i, i])) for i in range(n))
@@ -145,31 +153,17 @@ class TestSmithNormalForm:
         f = smith_normal_form([[big, 1], [1, big]])
         assert f.diagonal == (1, big * big - 1)
 
-    def test_promotes_when_int64_could_overflow(self, monkeypatch):
-        # Entries lie below 2**62, so elimination starts on int64.  The
-        # first update writes 1 - a**2, just inside 2**62; the second would
-        # reach 1 - 2 * a**2, so the working array must move to Python ints
-        # mid-elimination.
+    def test_promotes_when_int64_could_overflow(self):
+        # The first update writes 1 - a**2, just inside 2**62; the second
+        # writes 1 - 2 * a**2, beyond it, and the result must stay exact.
         a = 2**31 - 1
         M = [[1, a, 0], [a, 1, a], [0, a, 1]]
-        widened = []
-        sub_outer = intlinalg._sub_outer
-
-        def spy(W, *args):
-            out = sub_outer(W, *args)
-            widened.append((W.dtype, out.dtype))
-            return out
-
-        monkeypatch.setattr(intlinalg, "_sub_outer", spy)
         assert smith_diagonal(M) == (1, 1, 2 * a * a - 1)
-        assert (np.dtype(np.int64), np.dtype(object)) in widened
-        widened.clear()
         check_smith_invariants(M)
-        assert (np.dtype(np.int64), np.dtype(object)) in widened
 
     def test_int64_and_object_paths_agree(self):
-        # Scaling by 2**62 scales the diagonal and forces the Python-int
-        # path from the start.
+        # Scaling by 2**62 scales the diagonal; the scaled entries and
+        # their products lie far beyond 64-bit arithmetic.
         rng = random.Random(29)
         k = 2**62
         for _ in range(60):
