@@ -1,16 +1,15 @@
 """K-groups and the Bowen-Franks group of a kneading word's transition matrix.
 
-Two independent routes are computed and compared: the closed form
-
-    a = |1 + sum_{l=1}^{n-1} prod_{i=1}^{l} e_i|
-
-over the word's symbol values, predicting K0 = Z_a (with Z_0 = Z, Z_1 = 0)
-and K1 = Z exactly when a = 0; and the Smith-normal-form route, which reads
-K0 as the cokernel and K1 as the kernel of I - A^T over the integers.  For
-admissible words the two must agree, and a disagreement raises
-:class:`TheoremViolationError` rather than being swallowed.  :func:`verify`
-sweeps every admissible word up to a period through both routes and the
-matrix identities of the construction.
+Two independent routes are compared: the closed form
+``a = |1 + theta_1 + ... + theta_{n-1}|``, the kneading determinant at
+t = 1 summed over the invariant coordinates ``theta_k = e_1 ... e_k``,
+predicting K0 = Z_a (with Z_0 = Z, Z_1 = 0) and K1 = Z exactly when a = 0;
+and the Smith-normal-form route, which reads K0 as the cokernel and K1 as
+the kernel of I - A^T over the integers.  Both checks are stated once, in
+:func:`_closed_form_checks`: :func:`k_groups` raises
+:class:`TheoremViolationError` with the first one an admissible word
+fails, and :func:`verify` records both beside the matrix identities of the
+construction for every admissible word up to a period.
 """
 
 from __future__ import annotations
@@ -28,25 +27,7 @@ from .intlinalg import (
     smith_diagonal,
 )
 from .markov import build_matrices, build_orbit, transition_matrix
-from .symbolic import DomainError, KneadingWord, enumerate_admissible
-
-#: The checks :func:`verify` scores on every word, in report order.
-VERIFY_CHECKS = (
-    "closed_form_k0",
-    "k1_rank",
-    "identity_A_eta",
-    "identity_beta_eta",
-    "identity_alpha_eta",
-    "identity_theta_factors",
-    "identity_A_factors",
-    "factorization",
-    "block_form",
-    "construction_equivalence",
-    "snf_multiset",
-    "cokernel_bridge",
-    "zero_rows_cols",
-    "not_permutation",
-)
+from .symbolic import DomainError, KneadingWord, enumerate_admissible, invariant_coordinate
 
 
 class TheoremViolationError(RuntimeError):
@@ -67,15 +48,35 @@ class KGroupReport:
 
 
 def closed_form_a(w: KneadingWord) -> int:
-    """Exact evaluation of a = |1 + sum of partial products of e_1..e_{n-1}|."""
+    """Exact evaluation of a = |1 + theta_1 + ... + theta_{n-1}|."""
     if w.n < 2:
         raise DomainError("closed form requires period >= 2")
-    total = 1
-    prod = 1
-    for v in w.values()[:-1]:
-        prod *= v
-        total += prod
-    return abs(total)
+    return abs(1 + sum(invariant_coordinate(w.symbols, w.n - 1)))
+
+
+def _closed_form_checks(a: int, A):
+    """The Smith diagonal of I - A^T and the closed form's two checks on it.
+
+    Each check is ``(name, passed, detail)``; ``detail()`` builds the
+    failure text, so passing words never format it.
+    """
+    diag = smith_diagonal(eye_int(A.shape[0]) - A.T)
+    K0 = AbelianGroup.from_diagonal(diag)
+    expected_K0 = AbelianGroup.cyclic(a)
+    kr = diag.count(0)
+    expected_kr = 1 if a == 0 else 0
+    return diag, (
+        (
+            "closed_form_k0",
+            K0 == expected_K0,
+            lambda: f"closed form a={a} predicts K0={expected_K0}, SNF route gives {K0}",
+        ),
+        (
+            "k1_rank",
+            kr == expected_kr,
+            lambda: f"a={a} predicts kernel rank {expected_kr}, SNF route gives {kr}",
+        ),
+    )
 
 
 def k_groups(w: KneadingWord) -> KGroupReport:
@@ -92,34 +93,21 @@ def k_groups(w: KneadingWord) -> KGroupReport:
     admissible = model.admissible
     a = closed_form_a(w)
     A = transition_matrix(model)
-    r = A.shape[0]
     # One Smith diagonal of I - A^T gives K0 and K1; BF = coker(I - A) is
     # K0 again, since a square matrix and its transpose share a Smith form.
-    diag = smith_diagonal(eye_int(r) - A.T)
-    K0 = AbelianGroup.from_diagonal(diag)
-    K1 = AbelianGroup(diag.count(0), ())
-    BF = K0
-    irreducible = is_irreducible(A)
-
+    diag, checks = _closed_form_checks(a, A)
     if admissible:
-        if K0 != AbelianGroup.cyclic(a):
-            raise TheoremViolationError(
-                f"{w}: closed form predicts K0 = {AbelianGroup.cyclic(a)}, "
-                f"cokernel route gives {K0}"
-            )
-        expected_k1 = AbelianGroup(1 if a == 0 else 0, ())
-        if K1 != expected_k1:
-            raise TheoremViolationError(
-                f"{w}: a = {a} predicts K1 = {expected_k1}, kernel route gives {K1}"
-            )
-
+        for _, passed, detail in checks:
+            if not passed:
+                raise TheoremViolationError(f"{w}: {detail()}")
+    K0 = AbelianGroup.from_diagonal(diag)
     return KGroupReport(
         word=w,
         a_closed_form=a,
         K0=K0,
-        K1=K1,
-        BF=BF,
-        irreducible=irreducible,
+        K1=AbelianGroup(diag.count(0), ()),
+        BF=K0,
+        irreducible=is_irreducible(A),
         admissible=admissible,
     )
 
@@ -142,7 +130,7 @@ class VerifyReport:
 
     n_max: int
     words_checked: int
-    checks: dict[str, int]  # passing words per check, in VERIFY_CHECKS order
+    checks: dict[str, int]  # passing words per check, in the order verify runs them
     skipped: dict[str, list[str]]  # words a check does not apply to
     a_zero: dict[str, list[str]]  # "reducible" and "irreducible" a = 0 words
     violations: list[dict]  # {"word", "check", "detail"} per failed check
@@ -157,7 +145,7 @@ def verify(n_max: int) -> VerifyReport:
     """
     if n_max < 2:
         raise DomainError("verification sweep requires n_max >= 2")
-    counts = {name: 0 for name in VERIFY_CHECKS}
+    counts: dict[str, int] = {}
     skipped: dict[str, list[str]] = {}
     violations: list[dict] = []
     words_checked = 0
@@ -177,27 +165,14 @@ def verify(n_max: int) -> VerifyReport:
 
             def record(name: str, ok: bool, detail) -> None:
                 # detail() builds the failure text, only for a failing check.
+                counts.setdefault(name, 0)
                 if ok:
                     counts[name] += 1
                 else:
                     violations.append({"word": str(word), "check": name, "detail": detail()})
 
-            # One SNF of I - A^T answers both K-group checks.
-            diag_k0 = smith_diagonal(eye_int(n - 1) - A.T)
-            K0 = AbelianGroup.from_diagonal(diag_k0)
-            expected_K0 = AbelianGroup.cyclic(a)
-            record(
-                "closed_form_k0",
-                K0 == expected_K0,
-                lambda: f"closed form a={a} predicts K0={expected_K0}, SNF route gives {K0}",
-            )
-            kr = diag_k0.count(0)
-            expected_kr = 1 if a == 0 else 0
-            record(
-                "k1_rank",
-                kr == expected_kr,
-                lambda: f"a={a} predicts kernel rank {expected_kr}, SNF route gives {kr}",
-            )
+            for check in _closed_form_checks(a, A)[1]:
+                record(*check)
 
             identity_checks = (
                 ("identity_A_eta", t.A @ t.eta, t.eta @ t.theta),
@@ -266,6 +241,7 @@ def verify(n_max: int) -> VerifyReport:
             # permutation matrix; the single-interval partition (n = 2)
             # forces A = [[1]] and is skipped with a report.
             if n == 2:
+                counts.setdefault("not_permutation", 0)
                 skipped.setdefault("not_permutation", []).append(str(word))
             else:
                 permutation = (

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intlinalg import as_int_matrix, eye_int, zeros_int
+from .intlinalg import eye_int, zeros_int
 from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
 
 
@@ -178,7 +178,7 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
         inc[k, k] = 1
 
     etaT = eta.T.copy()
-    X = as_int_matrix(etaT[: n - 1, :])
+    X = etaT[: n - 1, :]
     if not np.array_equal(etaT, Y @ inc @ X):
         raise ConstructionError("eta-transpose does not factor as Y inc X")
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -326,6 +330,30 @@ class TestItineraryCommand:
         assert code == 3
         assert out == ""
         assert "tolerance" in err
+
+
+class TestProgramEntry:
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [(["kgroups", "RLLRRC", "--format", "machine"], 0), (["kgroups", "LRC"], 3)],
+        ids=["admissible", "gated"],
+    )
+    def test_module_runs_as_a_program(self, capsys, argv, expected_code):
+        # python -m kneadck.cli goes through the module's __main__ guard.
+        src = str(pathlib.Path(kneadck.__file__).parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kneadck.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        code, out, err = run(capsys, argv)
+        assert proc.returncode == code == expected_code
+        assert proc.stdout == out
+        assert proc.stderr == err
 
 
 class TestMachineFormat:

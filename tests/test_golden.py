@@ -22,9 +22,18 @@ import pytest
 from kneadck.cli import main
 from kneadck.symbolic import enumerate_admissible
 
+# verify N per format.  verify 2 is the one sweep that scores no word on
+# not_permutation, so it pins the order of the checks and the zero count;
+# it was hashed while a fixed list still named the checks.
 VERIFY_10 = {
-    "text": "6ec7c307a93b84b30bce78daaa16ea008830b51ca4313ae04a09573c4a01fa9d",
-    "machine": "d0694dfb0bedea12112cef1a2a1db8026d0a87977fef128c18b38f54ccf09466",
+    "text": {
+        10: "6ec7c307a93b84b30bce78daaa16ea008830b51ca4313ae04a09573c4a01fa9d",
+        2: "f64383d989e9c954721baf6eb676e991738c169cc5488c5ff447b0ea7932f58d",
+    },
+    "machine": {
+        10: "d0694dfb0bedea12112cef1a2a1db8026d0a87977fef128c18b38f54ccf09466",
+        2: "7555c5c895a89cdce4ade9415d1460b10f731f9394b724406351d2c270aa8c1c",
+    },
 }
 
 # enumerate 14, hashed before enumeration moved from filtering every
@@ -197,7 +206,8 @@ def sha256(text: str) -> str:
 
 @pytest.mark.parametrize("fmt", sorted(VERIFY_10))
 def test_verify_10(fmt):
-    assert sha256(output(["verify", "10", "--format", fmt])) == VERIFY_10[fmt]
+    for n_max, digest in VERIFY_10[fmt].items():
+        assert sha256(output(["verify", str(n_max), "--format", fmt])) == digest, n_max
 
 
 @pytest.mark.parametrize("fmt", sorted(ENUMERATE_14))

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from kneadck import intlinalg
+from kneadck import intlinalg, ktheory
 from kneadck.intlinalg import AbelianGroup, eye_int, is_irreducible
-from kneadck.ktheory import bf_group, closed_form_a, k_groups
+from kneadck.ktheory import TheoremViolationError, bf_group, closed_form_a, k_groups
 from kneadck.markov import build_orbit, transition_matrix
 from kneadck.symbolic import (
     DomainError,
@@ -124,6 +124,17 @@ class TestKGroups:
             warnings.simplefilter("error")
             rep = k_groups(parse_word("LLC"))
         assert rep.admissible is False
+
+    def test_disagreement_raises_for_admissible_words_only(self, monkeypatch):
+        # A Smith diagonal of all zeros contradicts the closed form on RLC
+        # (a = 1); LRC is inadmissible, so the disagreement is not enforced.
+        monkeypatch.setattr(ktheory, "smith_diagonal", lambda M: (0,) * M.shape[0])
+        with pytest.raises(TheoremViolationError) as exc:
+            k_groups(parse_word("RLC"))
+        assert str(exc.value) == "RLC: closed form a=1 predicts K0=0, SNF route gives Z^2"
+        rep = k_groups(parse_word("LRC"))
+        assert rep.admissible is False
+        assert rep.K0 == rep.K1 == AbelianGroup(2, ())
 
     @pytest.mark.parametrize("word", all_words(10), ids=str)
     def test_closed_form_matches_snf(self, word):
