@@ -29,7 +29,6 @@ from .ktheory import (
     KGroupReport,
     TheoremViolationError,
     VerifyReport,
-    bf_group,
     closed_form_a,
     k_groups,
     verify,
@@ -74,7 +73,6 @@ __all__ = [
     "TheoremMatrices",
     "TheoremViolationError",
     "VerifyReport",
-    "bf_group",
     "build_matrices",
     "build_orbit",
     "closed_form_a",

@@ -1,9 +1,12 @@
 """Exact integer matrix arithmetic.
 
-Matrices handed in and out are dense numpy arrays with ``dtype=object``
-holding Python ints.  The Smith elimination itself runs on rows of Python
-ints (nested lists), so every entry is exact at any size and no entry
-bound has to be tracked.
+The package's own matrices are dense ``np.int64`` arrays from
+:func:`eye_int` and :func:`zeros_int`; :mod:`kneadck.markov` bounds their
+entries so that no product of them can wrap.  The Smith elimination runs
+on rows of Python ints (nested lists) read off the array with ``tolist``,
+so every entry it forms is exact at any size and no entry bound has to be
+tracked there.  Foreign input, such as nested lists, is checked and
+widened to Python ints by :func:`as_int_matrix` first.
 
 Provides the Smith normal form with its unimodular transforms, the Smith
 diagonal alone, cokernels of square matrices (the raw material of the
@@ -45,12 +48,24 @@ def as_int_matrix(data) -> np.ndarray:
     return out.reshape(M.shape)
 
 
+def _int_array(M) -> np.ndarray:
+    """``M`` itself when it is a 2-D numpy integer array, such as the
+    package's own matrices, else ``as_int_matrix(M)``.
+
+    Either way ``tolist`` yields Python ints, so the package's matrices
+    reach the Smith elimination without a copy or a scan of their entries.
+    """
+    if isinstance(M, np.ndarray) and M.dtype.kind in "iu" and M.ndim == 2:
+        return M
+    return as_int_matrix(M)
+
+
 def eye_int(n: int) -> np.ndarray:
-    return np.eye(n, dtype=object)
+    return np.eye(n, dtype=np.int64)
 
 
 def zeros_int(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=object)
+    return np.zeros((rows, cols), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -71,11 +86,11 @@ class SmithForm:
         return tuple(int(self.D[k, k]) for k in range(min(r, c)))
 
 
-def _eliminate(M, transforms: bool) -> tuple[list[list[int]], int, int]:
+def _eliminate(A: np.ndarray, transforms: bool) -> tuple[list[list[int]], int, int]:
     """The Smith elimination loop, shared by every SNF entry point.
 
-    Works on the rows of ``W = [[M, I_r], [I_c, 0]]`` when ``transforms``
-    is set, else on the rows of ``M`` alone, as lists of Python ints: row
+    Works on the rows of ``W = [[A, I_r], [I_c, 0]]`` when ``transforms``
+    is set, else on the rows of ``A`` alone, as lists of Python ints: row
     operations on the top ``r`` rows carry ``U`` along in the top-right
     block, column operations on the left ``c`` columns carry ``V`` in the
     bottom-left block, so one code path serves both.  Returns
@@ -91,9 +106,8 @@ def _eliminate(M, transforms: bool) -> tuple[list[list[int]], int, int]:
     terminates, and a unit pivot leaves none and is final.  Before
     advancing, a non-unit pivot is forced to divide the remaining block by
     pulling an offending row up, which yields the divisibility chain on
-    the diagonal directly.
+    the diagonal directly.  ``A`` comes from :func:`_int_array`.
     """
-    A = as_int_matrix(M)
     r, c = A.shape
     W = A.tolist()
     if transforms:
@@ -162,7 +176,7 @@ def smith_normal_form(M) -> SmithForm:
     ``U`` and ``V`` come from the same elimination as :func:`smith_diagonal`,
     which is the cheaper call when only the diagonal is needed.
     """
-    rows, r, c = _eliminate(M, transforms=True)
+    rows, r, c = _eliminate(_int_array(M), transforms=True)
     W = np.array(rows, dtype=object).reshape(r + c, c + r)
     return SmithForm(U=W[:r, c:], D=W[:r, :c], V=W[r:, :c])
 
@@ -170,7 +184,7 @@ def smith_normal_form(M) -> SmithForm:
 def smith_diagonal(M) -> tuple[int, ...]:
     """The Smith diagonal of M (invariant factors, zeros trailing), without
     building the unimodular transforms."""
-    W, r, c = _eliminate(M, transforms=False)
+    W, r, c = _eliminate(_int_array(M), transforms=False)
     return tuple(W[k][k] for k in range(min(r, c)))
 
 
@@ -222,11 +236,12 @@ class AbelianGroup:
 
 def cokernel(M) -> AbelianGroup:
     """The group Z^r / M Z^r of a square integer matrix, from its SNF."""
-    A = as_int_matrix(M)
+    A = _int_array(M)
     r, c = A.shape
     if r != c:
         raise ValueError("cokernel requires a square matrix")
-    return AbelianGroup.from_diagonal(smith_diagonal(A))
+    W, _, _ = _eliminate(A, transforms=False)
+    return AbelianGroup.from_diagonal([W[k][k] for k in range(r)])
 
 
 def is_irreducible(A) -> bool:
@@ -234,15 +249,34 @@ def is_irreducible(A) -> bool:
 
     Edge i -> j iff ``a_ij = 1``; irreducible iff every vertex reaches every
     vertex by a path of length >= 1 (so ``[[1]]`` is irreducible and
-    ``[[0]]`` is not).
+    ``[[0]]`` is not).  That holds exactly when vertex 0 reaches every
+    vertex, itself included, by such a path both forward and backward, so
+    two graph searches over the nonzeros decide it in O(n + nnz) after one
+    scan of the entries.
     """
-    M = as_int_matrix(A)
+    M = _int_array(A)
     r, c = M.shape
     if r != c:
         raise ValueError("irreducibility requires a square matrix")
     if not ((M == 0) | (M == 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
-    reach = M.astype(bool)
-    for k in range(r):
-        reach |= np.outer(reach[:, k], reach[k, :])
-    return bool(reach.all())
+    succ = [[] for _ in range(r)]
+    pred = [[] for _ in range(r)]
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(M))):
+        succ[i].append(j)
+        pred[j].append(i)
+    return r == 0 or (_reaches_all(succ) and _reaches_all(pred))
+
+
+def _reaches_all(adj: list[list[int]]) -> bool:
+    """True iff vertex 0 reaches every vertex by a path of length >= 1."""
+    seen = [False] * len(adj)
+    stack = list(adj[0])
+    count = 0
+    while stack:
+        v = stack.pop()
+        if not seen[v]:
+            seen[v] = True
+            count += 1
+            stack.extend(adj[v])
+    return count == len(adj)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .intlinalg import (
     AbelianGroup,
-    as_int_matrix,
     cokernel,
     eye_int,
     is_irreducible,
@@ -110,17 +109,6 @@ def k_groups(w: KneadingWord) -> KGroupReport:
         irreducible=is_irreducible(A),
         admissible=admissible,
     )
-
-
-def bf_group(A) -> AbelianGroup:
-    """Cokernel of I - A for any square 0-1 matrix (flow-equivalence invariant)."""
-    M = as_int_matrix(A)
-    r, c = M.shape
-    if r != c:
-        raise ValueError("matrix must be square")
-    if not ((M == 0) | (M == 1)).all():
-        raise ValueError("matrix entries must be 0 or 1")
-    return cokernel(eye_int(r) - M)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ the transition matrix, and the unimodular transforms that relate the two
 chain-level descriptions.
 
 Everything here is exact integer arithmetic; no floats and no fractions.
-The inverses the construction needs are written down in closed form and
-each is confirmed by an exact matrix product.
+The matrices are ``np.int64`` arrays with entries in {-1, 0, 1}, a bound
+checked once per word (see :func:`_check_entry_bound`) under which no
+product of them can wrap.  The inverses the construction needs are
+written down in closed form and each is confirmed by an exact matrix
+product.
 """
 
 from __future__ import annotations
@@ -117,6 +120,23 @@ class TheoremMatrices:
     R: np.ndarray
 
 
+def _check_entry_bound(n: int, mats) -> None:
+    """The int64 overflow guard of the matrix family, run once per word.
+
+    Raises :class:`ConstructionError` unless ``n < 2**31`` and every matrix
+    in ``mats`` has its entries in {-1, 0, 1}.  Every product of the family,
+    here and in :func:`~kneadck.ktheory.verify`, has at most three factors
+    of size at most n, so under the bound a product of two factors is at
+    most n in magnitude and one of three at most n**2 < 2**62: none can
+    wrap.  Checking the finished family suffices.  The first products have
+    factors set entry by entry to -1, 0 or 1, and every later factor is an
+    earlier product, exact by induction, whose value this check bounds.
+    """
+    entries = np.concatenate([M.ravel() for M in mats])
+    if n >= 2**31 or entries.min() < -1 or entries.max() > 1:
+        raise ConstructionError(f"period {n} matrix family leaves the int64 bound")
+
+
 def build_matrices(m: OrbitModel) -> TheoremMatrices:
     """Assemble every matrix of the construction from the ordered orbit.
 
@@ -126,28 +146,26 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     therefore a pair of running sums, one on each side of the turning
     point, and ``Y`` is inverted by flipping the sign of its last row.
     Together they give an integer right inverse ``R`` of ``eta`` and with
-    it ``alpha = eta @ omega @ R``.  Two exact products confirm the route:
-    ``X @ Xinv == I``, which also proves ``X`` unimodular, and
-    ``alpha @ eta == eta @ omega``, which pins ``alpha`` down uniquely
-    because ``eta`` has full row rank.  Failure of any of these is a bug,
-    not bad input, and raises :class:`ConstructionError`.
+    it ``alpha = eta @ omega @ R``.  Every matrix is ``int64`` and passes
+    :func:`_check_entry_bound` before any identity is checked.  Two exact
+    products then confirm the route: ``X @ Xinv == I``, which also proves
+    ``X`` unimodular, and ``alpha @ eta == eta @ omega``, which pins
+    ``alpha`` down uniquely because ``eta`` has full row rank.  Failure of
+    any of these is a bug, not bad input, and raises
+    :class:`ConstructionError`.
     """
     n = m.n
-    eps = m.word.values()
+    eps = np.array(m.word.values(), dtype=np.int64)
 
+    ranks = np.arange(n)
     omega = zeros_int(n, n)
-    for i in range(n - 1):
-        omega[i, i + 1] = 1
-    omega[n - 1, 0] = 1
+    omega[ranks, (ranks + 1) % n] = 1
 
+    rho = np.array(m.rho)
     pi = zeros_int(n, n)
-    for k in range(n):
-        pi[k, m.rho[k] - 1] = 1
+    pi[ranks, rho - 1] = 1
 
-    phi = zeros_int(n - 1, n)
-    for k in range(n - 1):
-        phi[k, k] = -1
-        phi[k, k + 1] = 1
+    phi = np.eye(n - 1, n, 1, dtype=np.int64) - np.eye(n - 1, n, dtype=np.int64)
 
     eta = phi @ pi
 
@@ -155,59 +173,42 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     # two clauses overlap at (n, n) and agree because the final value is 0.
     if eps[-1] != 0:
         raise ConstructionError("final symbol value must be 0")
-    gamma = zeros_int(n, n)
-    for i in range(n):
-        gamma[i, i] = eps[i]
-    for i in range(n - 1):
-        gamma[i, n - 1] = -eps[i]
+    gamma = np.diag(eps)
+    gamma[: n - 1, n - 1] = -eps[: n - 1]
 
     theta = gamma @ omega
 
-    beta = zeros_int(n - 1, n - 1)
-    for k in range(n - 1):
-        beta[k, k] = 1 if k < m.nL else -1
+    beta = eye_int(n - 1)
+    beta[m.nL :] *= -1
 
     Y = eye_int(n)
+    Y[n - 1, : n - 1] = -1
     Yinv = eye_int(n)
-    for j in range(n - 1):
-        Y[n - 1, j] = -1
-        Yinv[n - 1, j] = 1
+    Yinv[n - 1, : n - 1] = 1
 
-    inc = zeros_int(n, n - 1)
-    for k in range(n - 1):
-        inc[k, k] = 1
+    inc = np.eye(n, n - 1, dtype=np.int64)
 
     etaT = eta.T.copy()
     X = etaT[: n - 1, :]
-    if not np.array_equal(etaT, Y @ inc @ X):
-        raise ConstructionError("eta-transpose does not factor as Y inc X")
 
     # Interval k joins spatial ranks k+1 and k+2.  Left of the turning point
     # (rank c) it is undone by the points at or below its left end, right of
     # it by the points above its right end.
     c = m.nL + 1
-    p = [m.position(j + 1) for j in range(n - 1)]
-    Xinv = zeros_int(n - 1, n - 1)
-    for k in range(n - 1):
-        for j in range(n - 1):
-            if k <= c - 2 and p[j] <= k + 1:
-                Xinv[k, j] = -1
-            elif k >= c - 1 and p[j] >= k + 2:
-                Xinv[k, j] = 1
-    if not np.array_equal(X @ Xinv, eye_int(n - 1)):
-        raise ConstructionError("top block of eta-transpose fails X Xinv = I")
+    k = ranks[: n - 1, None]
+    p = np.empty(n, dtype=np.int64)
+    p[rho - 1] = ranks + 1  # p[j] is the spatial rank of orbit point j+1
+    p = p[None, : n - 1]
+    Xinv = ((k >= c - 1) & (p >= k + 2)).astype(np.int64) - ((k <= c - 2) & (p <= k + 1))
 
     R = Yinv.T @ inc @ Xinv.T
     eta_omega = eta @ omega
     alpha = eta_omega @ R
-    if not np.array_equal(alpha @ eta, eta_omega):
-        raise ConstructionError("alpha fails alpha eta = eta omega")
-
     A = beta @ alpha
     Aprime = X @ A.T @ Xinv
     thetaprime = Yinv @ theta.T @ Y
 
-    return TheoremMatrices(
+    t = TheoremMatrices(
         omega=omega,
         pi=pi,
         phi=phi,
@@ -226,6 +227,15 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
         Yinv=Yinv,
         R=R,
     )
+    _check_entry_bound(n, vars(t).values())
+
+    if not np.array_equal(etaT, Y @ inc @ X):
+        raise ConstructionError("eta-transpose does not factor as Y inc X")
+    if not np.array_equal(X @ Xinv, eye_int(n - 1)):
+        raise ConstructionError("top block of eta-transpose fails X Xinv = I")
+    if not np.array_equal(alpha @ eta, eta_omega):
+        raise ConstructionError("alpha fails alpha eta = eta omega")
+    return t
 
 
 def transition_matrix(m: OrbitModel) -> np.ndarray:
@@ -245,7 +255,5 @@ def transition_matrix(m: OrbitModel) -> np.ndarray:
     for k in range(1, n):
         u = pos[m.rho[k - 1] % n + 1]
         v = pos[m.rho[k] % n + 1]
-        lo, hi = min(u, v), max(u, v)
-        for j in range(lo, hi):
-            A[k - 1, j - 1] = 1
+        A[k - 1, min(u, v) - 1 : max(u, v) - 1] = 1
     return A

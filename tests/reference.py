@@ -1,13 +1,16 @@
 """Reference implementations the tests check the package against.
 
 Each one takes a different route from the code under test: the signed
-order by a direct pairwise scan instead of string keys, and the
-determinant by Bareiss elimination instead of the Smith diagonal.
+order by a direct pairwise scan instead of string keys, the determinant
+by Bareiss elimination instead of the Smith diagonal, and strong
+connectivity by a dense transitive closure instead of graph searches.
 """
 
 from __future__ import annotations
 
 import enum
+
+import numpy as np
 
 
 class Order(enum.IntEnum):
@@ -72,3 +75,12 @@ def determinant(M) -> int:
             D[i][k] = 0
         prev = D[k][k]
     return sign * D[n - 1][n - 1]
+
+
+def is_irreducible_dense(A) -> bool:
+    """Strong connectivity of a 0-1 matrix by Warshall's transitive closure:
+    ``reach[i, j]`` ends true iff a path of length >= 1 leads from i to j."""
+    reach = np.array(A, dtype=bool)
+    for k in range(len(reach)):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    return bool(reach.all())

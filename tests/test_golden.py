@@ -36,6 +36,13 @@ VERIFY_10 = {
     },
 }
 
+# verify 12 per format, hashed while the matrix family was still built as
+# dtype=object arrays, before it moved to int64.
+VERIFY_12 = {
+    "text": "f14a6da6aba3da99735ea4cfaba85d7145d209c52111eb44b440df74095a2763",
+    "machine": "b34bf8bbcb18464b313e69ccb23388b7f55c14e924454d09c5b0b8ccd8027670",
+}
+
 # enumerate 14, hashed before enumeration moved from filtering every
 # candidate to pruned generation.
 ENUMERATE_14 = {
@@ -208,6 +215,11 @@ def sha256(text: str) -> str:
 def test_verify_10(fmt):
     for n_max, digest in VERIFY_10[fmt].items():
         assert sha256(output(["verify", str(n_max), "--format", fmt])) == digest, n_max
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_12))
+def test_verify_12(fmt):
+    assert sha256(output(["verify", "12", "--format", fmt])) == VERIFY_12[fmt]
 
 
 @pytest.mark.parametrize("fmt", sorted(ENUMERATE_14))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -14,8 +15,10 @@ from kneadck.intlinalg import (
     smith_normal_form,
     zeros_int,
 )
+from kneadck.markov import build_orbit, transition_matrix
+from kneadck.symbolic import KneadingWord, Symbol
 
-from reference import determinant
+from reference import determinant, is_irreducible_dense
 
 # 5x5 transition matrix of the period-6 fixture word, frozen by hand.
 A6 = [
@@ -408,3 +411,24 @@ class TestIrreducibility:
             is_irreducible([[0, 1, 0], [1, 0, 0]])
         with pytest.raises(ValueError):
             is_irreducible([[-1, 1], [1, 0]])
+
+    def test_empty_matrix(self):
+        assert is_irreducible(zeros_int(0, 0))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_agrees_with_dense_closure_on_every_word(self, n):
+        # Every word {L, R}^(n-1) C, inadmissible (forced) ones included.
+        for tail in itertools.product((Symbol.L, Symbol.R), repeat=n - 1):
+            A = transition_matrix(build_orbit(KneadingWord(tail + (Symbol.C,))))
+            assert is_irreducible(A) == is_irreducible_dense(A), tail
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_agrees_with_dense_closure(self, rows):
+        assert is_irreducible(rows) == is_irreducible_dense(rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -10,6 +11,7 @@ from kneadck.intlinalg import as_int_matrix, eye_int
 from kneadck.markov import (
     ConstructionError,
     OrbitModel,
+    _check_entry_bound,
     build_matrices,
     build_orbit,
     transition_matrix,
@@ -308,3 +310,32 @@ class TestIntegerRoute:
         bad = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL, nR=m.nR)
         with pytest.raises(ConstructionError):
             build_matrices(bad)
+
+
+class TestInt64Family:
+    """The family is exact int64 under the per-word entry bound."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_every_matrix_is_int64_in_unit_range(self, n):
+        # Every word {L, R}^(n-1) C, inadmissible (forced) ones included.
+        for w in every_word(n):
+            m = build_orbit(w)
+            family = dataclasses.asdict(build_matrices(m))
+            family["transition_matrix"] = transition_matrix(m)
+            for name, M in family.items():
+                assert M.dtype == np.int64, (str(w), name)
+                assert set(np.unique(M).tolist()) <= {-1, 0, 1}, (str(w), name)
+
+    def test_guard_refuses_an_entry_beyond_the_bound(self):
+        ok = eye_int(3)
+        _check_entry_bound(3, [ok, -ok])
+        for bad in (2**40, -(2**40), 2, -2):
+            M = eye_int(3)
+            M[1, 2] = bad
+            with pytest.raises(ConstructionError, match="int64 bound"):
+                _check_entry_bound(3, [ok, M])
+
+    def test_guard_refuses_a_period_beyond_the_bound(self):
+        _check_entry_bound(2**31 - 1, [eye_int(2)])
+        with pytest.raises(ConstructionError, match="int64 bound"):
+            _check_entry_bound(2**31, [eye_int(2)])

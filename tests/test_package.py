@@ -20,7 +20,6 @@ PUBLIC = [
     "TheoremMatrices",
     "TheoremViolationError",
     "VerifyReport",
-    "bf_group",
     "build_matrices",
     "build_orbit",
     "closed_form_a",
