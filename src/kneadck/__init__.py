@@ -19,11 +19,9 @@ from .dynamics import (
 )
 from .intlinalg import (
     AbelianGroup,
-    SmithForm,
     cokernel,
     is_irreducible,
     smith_diagonal,
-    smith_normal_form,
 )
 from .ktheory import (
     KGroupReport,
@@ -65,7 +63,6 @@ __all__ = [
     "OrbitModel",
     "ParseError",
     "QuadMap",
-    "SmithForm",
     "SolverError",
     "SuperstableResult",
     "Symbol",
@@ -86,7 +83,6 @@ __all__ = [
     "numeric_itinerary",
     "parse_word",
     "smith_diagonal",
-    "smith_normal_form",
     "transition_matrix",
     "verify",
 ]

@@ -8,14 +8,14 @@ so every entry it forms is exact at any size and no entry bound has to be
 tracked there.  Foreign input, such as nested lists, is checked and
 widened to Python ints by :func:`as_int_matrix` first.
 
-Provides the Smith normal form with its unimodular transforms, the Smith
-diagonal alone, cokernels of square matrices (the raw material of the
-K-group computations), and strong connectivity of 0-1 matrices.  One
-elimination loop serves every Smith entry point, and the Smith diagonal
-answers every other integer question of the package: a kernel rank is its
-number of zeros, and a square matrix is unimodular exactly when its
-diagonal is all ones.  All arithmetic stays in the integers; nothing here
-uses fractions.
+Provides the Smith diagonal (the invariant factors alone, with no
+unimodular change of basis), cokernels of square matrices (the raw
+material of the K-group computations), and strong connectivity of 0-1
+matrices.  One elimination loop, :func:`smith_diagonal`, answers every
+integer question of the package: a cokernel is read off the diagonal, a
+kernel rank is its number of zeros, and a square matrix is unimodular
+exactly when its diagonal is all ones.  All arithmetic stays in the
+integers; nothing here uses fractions.
 """
 
 from __future__ import annotations
@@ -68,51 +68,25 @@ def zeros_int(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Unimodular factorization ``D = U @ M @ V``.
+def smith_diagonal(M) -> tuple[int, ...]:
+    """The Smith diagonal of M: its invariant factors, each dividing the
+    next, zeros trailing.  Deterministic for a given input.
 
-    ``D`` is diagonal with nonnegative entries, each dividing the next,
-    zeros trailing; ``U`` and ``V`` have determinant +-1.
+    Eliminates on the rows of ``M`` as lists of Python ints.  Pivoting
+    picks the nonzero entry of minimal absolute value (ties by lowest row,
+    then column); a unit in row ``t`` is such an entry, and almost every
+    pivot of ``I - A^T`` is one.  The row sweep subtracts multiples of the
+    pivot row, by floor division, from each row with a nonzero entry below
+    the pivot; the column sweep then visits only the rows whose entry
+    survived as a remainder.  A nonzero remainder is a strictly smaller
+    pivot, so the reduction terminates, and a unit pivot leaves none and is
+    final.  Before advancing, a non-unit pivot is forced to divide the
+    remaining block by pulling an offending row up, which yields the
+    divisibility chain on the diagonal directly.
     """
-
-    U: np.ndarray
-    D: np.ndarray
-    V: np.ndarray
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        r, c = self.D.shape
-        return tuple(int(self.D[k, k]) for k in range(min(r, c)))
-
-
-def _eliminate(A: np.ndarray, transforms: bool) -> tuple[list[list[int]], int, int]:
-    """The Smith elimination loop, shared by every SNF entry point.
-
-    Works on the rows of ``W = [[A, I_r], [I_c, 0]]`` when ``transforms``
-    is set, else on the rows of ``A`` alone, as lists of Python ints: row
-    operations on the top ``r`` rows carry ``U`` along in the top-right
-    block, column operations on the left ``c`` columns carry ``V`` in the
-    bottom-left block, so one code path serves both.  Returns
-    ``(W, r, c)`` with the Smith form in ``W[:r][:c]``.
-
-    Pivoting picks the nonzero entry of minimal absolute value (ties by
-    lowest row, then column); a unit in row ``t`` is such an entry, and
-    almost every pivot of ``I - A^T`` is one.  The row sweep subtracts
-    multiples of the pivot row, by floor division, from each row with a
-    nonzero entry below the pivot; the column sweep then visits only the
-    rows whose entry survived as a remainder, plus the ``V`` block.  A
-    nonzero remainder is a strictly smaller pivot, so the reduction
-    terminates, and a unit pivot leaves none and is final.  Before
-    advancing, a non-unit pivot is forced to divide the remaining block by
-    pulling an offending row up, which yields the divisibility chain on
-    the diagonal directly.  ``A`` comes from :func:`_int_array`.
-    """
+    A = _int_array(M)
     r, c = A.shape
     W = A.tolist()
-    if transforms:
-        W = [row + [int(i == k) for k in range(r)] for i, row in enumerate(W)]
-        W += [[int(i == k) for k in range(c)] + [0] * r for i in range(c)]
 
     for t in range(min(r, c)):
         while True:
@@ -121,11 +95,12 @@ def _eliminate(A: np.ndarray, transforms: bool) -> tuple[list[list[int]], int, i
                 block = [
                     (abs(e), i, j)
                     for i in range(t, r)
-                    for j, e in enumerate(W[i][t:c], t)
+                    for j, e in enumerate(W[i][t:], t)
                     if e
                 ]
                 if not block:
-                    return W, r, c
+                    # The rest of the diagonal is zero.
+                    return tuple(W[k][k] for k in range(min(r, c)))
                 _, pi, pj = min(block)
                 W[t], W[pi] = W[pi], W[t]
             if pj != t:
@@ -140,7 +115,7 @@ def _eliminate(A: np.ndarray, transforms: bool) -> tuple[list[list[int]], int, i
             # nonzero it divides gives a nonzero multiplier.
             pivot_row = [(j, e) for j, e in enumerate(row[t:], t) if e]
             survivors = []
-            for Wi in W[t + 1 : r]:
+            for Wi in W[t + 1 :]:
                 if Wi[t]:
                     q = Wi[t] // d
                     for j, e in pivot_row:
@@ -148,9 +123,9 @@ def _eliminate(A: np.ndarray, transforms: bool) -> tuple[list[list[int]], int, i
                     if Wi[t]:
                         survivors.append(Wi)
             # Column sweep; row t's share is its remainder mod d.
-            cols = [(j, e // d) for j, e in pivot_row if t < j < c]
+            cols = [(j, e // d) for j, e in pivot_row if j > t]
             if cols:
-                for Wi in survivors + [Wi for Wi in W[r:] if Wi[t]]:
+                for Wi in survivors:
                     e = Wi[t]
                     for j, q in cols:
                         Wi[j] -= e * q
@@ -159,32 +134,14 @@ def _eliminate(A: np.ndarray, transforms: bool) -> tuple[list[list[int]], int, i
             if d == 1:
                 # A unit leaves no remainder and divides everything.
                 break
-            if survivors or any(row[t + 1 : c]):
+            if survivors or any(row[t + 1 :]):
                 # A nonzero remainder is a smaller pivot.
                 continue
-            bad = next((Wi for Wi in W[t + 1 : r] if any(e % d for e in Wi[t + 1 : c])), None)
+            bad = next((Wi for Wi in W[t + 1 :] if any(e % d for e in Wi[t + 1 :])), None)
             if bad is None:
                 break
             # Pull the offending row up; the column sweep then shrinks the pivot.
             row[t + 1 :] = [a + b for a, b in zip(row[t + 1 :], bad[t + 1 :])]
-    return W, r, c
-
-
-def smith_normal_form(M) -> SmithForm:
-    """Smith normal form with transforms, deterministic for a given input.
-
-    ``U`` and ``V`` come from the same elimination as :func:`smith_diagonal`,
-    which is the cheaper call when only the diagonal is needed.
-    """
-    rows, r, c = _eliminate(_int_array(M), transforms=True)
-    W = np.array(rows, dtype=object).reshape(r + c, c + r)
-    return SmithForm(U=W[:r, c:], D=W[:r, :c], V=W[r:, :c])
-
-
-def smith_diagonal(M) -> tuple[int, ...]:
-    """The Smith diagonal of M (invariant factors, zeros trailing), without
-    building the unimodular transforms."""
-    W, r, c = _eliminate(_int_array(M), transforms=False)
     return tuple(W[k][k] for k in range(min(r, c)))
 
 
@@ -235,13 +192,12 @@ class AbelianGroup:
 
 
 def cokernel(M) -> AbelianGroup:
-    """The group Z^r / M Z^r of a square integer matrix, from its SNF."""
+    """The group Z^r / M Z^r of a square integer matrix, from its Smith
+    diagonal."""
     A = _int_array(M)
-    r, c = A.shape
-    if r != c:
+    if A.shape[0] != A.shape[1]:
         raise ValueError("cokernel requires a square matrix")
-    W, _, _ = _eliminate(A, transforms=False)
-    return AbelianGroup.from_diagonal([W[k][k] for k in range(r)])
+    return AbelianGroup.from_diagonal(smith_diagonal(A))
 
 
 def is_irreducible(A) -> bool:

@@ -6,8 +6,8 @@ order yields the partition of the invariant interval cut at the turning
 point, and from the ordering permutation every matrix of the K-group
 computation is assembled: the cyclic shift, the ordering permutation, the
 interval-boundary difference, their product eta, the signed diagonal pieces,
-the transition matrix, and the unimodular transforms that relate the two
-chain-level descriptions.
+the transition matrix, and the unimodular matrices X and Y that relate the
+two chain-level descriptions.
 
 Everything here is exact integer arithmetic; no floats and no fractions.
 The matrices are ``np.int64`` arrays with entries in {-1, 0, 1}, a bound

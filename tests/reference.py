@@ -2,13 +2,16 @@
 
 Each one takes a different route from the code under test: the signed
 order by a direct pairwise scan instead of string keys, the determinant
-by Bareiss elimination instead of the Smith diagonal, and strong
-connectivity by a dense transitive closure instead of graph searches.
+by Bareiss elimination instead of the Smith diagonal, the Smith form with
+its unimodular transforms by extended-gcd (Bezout) steps instead of the
+minimal-pivot loop of ``smith_diagonal``, and strong connectivity by a
+dense transitive closure instead of graph searches.
 """
 
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,3 +87,100 @@ def is_irreducible_dense(A) -> bool:
     for k in range(len(reach)):
         reach |= np.outer(reach[:, k], reach[k, :])
     return bool(reach.all())
+
+
+@dataclass(frozen=True)
+class SmithForm:
+    """Unimodular factorization ``D = U @ M @ V`` as object arrays of
+    Python ints: ``D`` diagonal with nonnegative entries, each dividing the
+    next, zeros trailing; ``U`` and ``V`` of determinant +-1."""
+
+    U: np.ndarray
+    D: np.ndarray
+    V: np.ndarray
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        r, c = self.D.shape
+        return tuple(int(self.D[k, k]) for k in range(min(r, c)))
+
+
+def _clearing_step(a: int, b: int) -> tuple[int, int, int, int]:
+    """``(x, y, u, v)`` of determinant 1 with ``u a + v b = 0``: the step
+    ``(a, b) -> (x a + y b, 0)``.  It keeps ``a`` when ``a`` divides ``b``,
+    and otherwise puts ``+-gcd(a, b)``, which is smaller, in its place."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    x0, y0, x1, y1, g, h = 1, 0, 0, 1, a, b
+    while h:
+        q, rem = divmod(g, h)
+        g, h = h, rem
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0, -(b // g), a // g
+
+
+def smith_normal_form(M) -> SmithForm:
+    """Smith normal form with transforms, by extended-gcd steps.
+
+    At step ``t`` the first nonzero entry of the remaining block, in row
+    order, is moved to ``(t, t)``.  Each entry below it is cleared by the
+    2 x 2 row operation of :func:`_clearing_step`, and each entry to its
+    right by the matching column operation.  Every pass either clears row
+    and column ``t`` or strictly shrinks the pivot, so it ends.  If the
+    pivot then fails to divide an entry of the remaining block, that
+    entry's row is added to row ``t`` and the step repeats.
+    """
+    r, c = np.shape(M)
+    D = [[int(e) for e in row] for row in np.asarray(M, dtype=object)]
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def row_op(i, k, x, y, u, v):
+        # (row i, row k) <- (x row i + y row k, u row i + v row k), in D and U.
+        for X in (D, U):
+            X[i], X[k] = (
+                [x * p + y * q for p, q in zip(X[i], X[k])],
+                [u * p + v * q for p, q in zip(X[i], X[k])],
+            )
+
+    def col_op(j, k, x, y, u, v):
+        # (col j, col k) <- (x col j + y col k, u col j + v col k), in D and V.
+        for X in (D, V):
+            for row in X:
+                row[j], row[k] = x * row[j] + y * row[k], u * row[j] + v * row[k]
+
+    for t in range(min(r, c)):
+        pivot = next(((i, j) for i in range(t, r) for j in range(t, c) if D[i][j]), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            row_op(t, i, 0, 1, 1, 0)
+        if j != t:
+            col_op(t, j, 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, r):
+                if D[i][t]:
+                    row_op(t, i, *_clearing_step(D[t][t], D[i][t]))
+            for j in range(t + 1, c):
+                if D[t][j]:
+                    col_op(t, j, *_clearing_step(D[t][t], D[t][j]))
+            if any(D[i][t] for i in range(t + 1, r)):
+                continue
+            bad = next(
+                (i for i in range(t + 1, r) for j in range(t + 1, c) if D[i][j] % D[t][t]),
+                None,
+            )
+            if bad is None:
+                break
+            row_op(t, bad, 1, 1, 0, 1)
+        if D[t][t] < 0:
+            D[t] = [-e for e in D[t]]
+            U[t] = [-e for e in U[t]]
+
+    return SmithForm(
+        U=np.array(U, dtype=object).reshape(r, r),
+        D=np.array(D, dtype=object).reshape(r, c),
+        V=np.array(V, dtype=object).reshape(c, c),
+    )

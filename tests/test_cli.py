@@ -256,7 +256,7 @@ class TestVerifyCommand:
             "VIOLATION RLC [closed_form_k0]: closed form a=1 predicts K0=0, SNF route gives Z^2",
             "VIOLATION RLC [k1_rank]: a=1 predicts kernel rank 0, SNF route gives 2",
             "VIOLATION RLC [snf_multiset]: SNF diagonal [0, 0, 0] vs expected [1, 1, 1]",
-            "VIOLATION RLC [cokernel_bridge]: from A: 0, from theta: Z^3",
+            "VIOLATION RLC [cokernel_bridge]: from A: Z^2, from theta: Z^3",
             "VIOLATION RLC [factorization]: eta^T [[0, 1], [-1, 0], [1, -1]] vs "
             "Y inc X [[0, 1], [-1, 0], [1, -1]], Smith diagonals X [0, 0], Y [0, 0, 0]",
             "  identity_A_eta: 2 ok",

@@ -12,13 +12,12 @@ from kneadck.intlinalg import (
     eye_int,
     is_irreducible,
     smith_diagonal,
-    smith_normal_form,
     zeros_int,
 )
 from kneadck.markov import build_orbit, transition_matrix
 from kneadck.symbolic import KneadingWord, Symbol
 
-from reference import determinant, is_irreducible_dense
+from reference import determinant, is_irreducible_dense, smith_normal_form
 
 # 5x5 transition matrix of the period-6 fixture word, frozen by hand.
 A6 = [
@@ -37,6 +36,9 @@ def random_matrix(rng, max_dim=6, bound=9):
 
 
 def check_smith_invariants(M):
+    """Certify ``smith_diagonal(M)`` by the reference Smith form: ``U M V = D``
+    with unimodular ``U`` and ``V``, and ``D``'s diagonal a divisibility
+    chain equal to the package's diagonal."""
     M = as_int_matrix(M)
     f = smith_normal_form(M)
     assert np.array_equal(f.U @ M @ f.V, f.D)
@@ -60,16 +62,16 @@ def check_smith_invariants(M):
 
 class TestSmithNormalForm:
     def test_identity(self):
-        f = smith_normal_form(eye_int(3))
-        assert np.array_equal(f.D, eye_int(3))
+        assert smith_diagonal(eye_int(3)) == (1, 1, 1)
+        assert np.array_equal(check_smith_invariants(eye_int(3)).D, eye_int(3))
 
     def test_zero(self):
-        f = smith_normal_form(zeros_int(2, 3))
-        assert f.diagonal == (0, 0)
+        assert smith_diagonal(zeros_int(2, 3)) == (0, 0)
+        assert check_smith_invariants(zeros_int(2, 3)).diagonal == (0, 0)
 
     def test_known_diagonals(self):
-        assert smith_normal_form([[2, 4], [6, 8]]).diagonal == (2, 4)
-        assert smith_normal_form([[0, 1, 0], [1, 1, -1], [0, 0, 1]]).diagonal == (1, 1, 1)
+        assert smith_diagonal([[2, 4], [6, 8]]) == (2, 4)
+        assert smith_diagonal([[0, 1, 0], [1, 1, -1], [0, 0, 1]]) == (1, 1, 1)
 
     def test_period_six_shift_block(self):
         # I minus the signed shift matrix of the period-6 fixture word.
@@ -81,15 +83,14 @@ class TestSmithNormalForm:
             [-1, 0, 0, 0, 1, 1],
             [0, 0, 0, 0, 0, 1],
         ]
-        assert smith_normal_form(M).diagonal == (1, 1, 1, 1, 1, 2)
+        assert smith_diagonal(M) == (1, 1, 1, 1, 1, 2)
 
     def test_deterministic(self):
-        M = [[3, 1, -4], [2, -3, 1], [-9, 5, 5]]
-        a = smith_normal_form(M)
-        b = smith_normal_form(M)
-        assert np.array_equal(a.U, b.U)
-        assert np.array_equal(a.V, b.V)
-        assert np.array_equal(a.D, b.D)
+        # The loop works on a copy: the input is left as it was.
+        M = np.array([[3, 1, -4], [2, -3, 1], [-9, 5, 5]])
+        before = M.copy()
+        assert smith_diagonal(M) == smith_diagonal(M) == (1, 1, 11)
+        assert np.array_equal(M, before)
 
     def test_random_reconstruction(self):
         rng = random.Random(7)
@@ -111,7 +112,7 @@ class TestSmithNormalForm:
         rng = random.Random(11)
         for _ in range(60):
             M = as_int_matrix(random_matrix(rng))
-            assert smith_normal_form(M).diagonal == smith_normal_form(M.T).diagonal
+            assert smith_diagonal(M) == smith_diagonal(M.T)
 
     def test_determinant_vs_diagonal(self):
         rng = random.Random(13)
@@ -123,7 +124,7 @@ class TestSmithNormalForm:
             if d == 0:
                 continue
             prod = 1
-            for e in smith_normal_form(M).diagonal:
+            for e in smith_diagonal(M):
                 prod *= e
             assert abs(d) == prod
             checked += 1
@@ -145,16 +146,14 @@ class TestSmithNormalForm:
         ]
         for M in dense + sparse:
             n = len(M)
-            ours = sorted(abs(d) for d in smith_normal_form(M).diagonal)
             theirs = sympy_snf(sympy.Matrix(M))
             diag = sorted(abs(int(theirs[i, i])) for i in range(n))
-            assert ours == diag
             assert sorted(smith_diagonal(M)) == diag
+            assert sorted(smith_normal_form(M).diagonal) == diag
 
     def test_entries_are_arbitrary_precision(self):
         big = 10**40
-        f = smith_normal_form([[big, 1], [1, big]])
-        assert f.diagonal == (1, big * big - 1)
+        assert smith_diagonal([[big, 1], [1, big]]) == (1, big * big - 1)
 
     def test_promotes_when_int64_could_overflow(self):
         # The first update writes 1 - a**2, just inside 2**62; the second
@@ -207,7 +206,7 @@ class TestSmithNormalForm:
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
-            smith_normal_form([[1.5, 0], [0, 1]])
+            smith_diagonal([[1.5, 0], [0, 1]])
         with pytest.raises(ValueError):
             as_int_matrix([[True, False]])
         with pytest.raises(ValueError):

@@ -27,6 +27,21 @@ def bowen_franks(A) -> AbelianGroup:
     return cokernel(eye_int(len(M)) - M)
 
 
+def count_smith_loops(monkeypatch) -> list:
+    """Record the shape of every matrix the one Smith loop runs on, whether
+    a caller reaches it directly or through ``cokernel``."""
+    runs = []
+    loop = intlinalg.smith_diagonal
+
+    def counting(M):
+        runs.append(np.shape(M))
+        return loop(M)
+
+    for module in (intlinalg, ktheory):
+        monkeypatch.setattr(module, "smith_diagonal", counting)
+    return runs
+
+
 def all_words(max_n):
     out = []
     for n in range(2, max_n + 1):
@@ -158,18 +173,18 @@ class TestKGroups:
         assert rep.BF == rep.K0 == bowen_franks(transition_matrix(build_orbit(word)))
 
     def test_one_snf_per_word(self, monkeypatch):
-        runs = []
-        eliminate = intlinalg._eliminate
-
-        def counting(M, transforms):
-            runs.append(transforms)
-            return eliminate(M, transforms)
-
-        monkeypatch.setattr(intlinalg, "_eliminate", counting)
+        runs = count_smith_loops(monkeypatch)
         for word in all_words(8):
             runs.clear()
             k_groups(word)
-            assert runs == [False], word
+            assert runs == [(word.n - 1, word.n - 1)], word
+
+    def test_four_snfs_per_verified_word(self, monkeypatch):
+        # I - A^T, X, Y and I - theta; the cokernel bridge reuses the first.
+        runs = count_smith_loops(monkeypatch)
+        report = ktheory.verify(8)
+        assert report.ok
+        assert len(runs) == 4 * report.words_checked
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_long_random_words(self, n):

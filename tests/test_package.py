@@ -12,7 +12,6 @@ PUBLIC = [
     "OrbitModel",
     "ParseError",
     "QuadMap",
-    "SmithForm",
     "SolverError",
     "SuperstableResult",
     "Symbol",
@@ -33,7 +32,6 @@ PUBLIC = [
     "numeric_itinerary",
     "parse_word",
     "smith_diagonal",
-    "smith_normal_form",
     "transition_matrix",
     "verify",
 ]
