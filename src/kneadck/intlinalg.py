@@ -2,20 +2,23 @@
 
 The package's own matrices are dense ``np.int64`` arrays from
 :func:`eye_int` and :func:`zeros_int`; :mod:`kneadck.markov` bounds their
-entries so that no product of them can wrap.  The Smith elimination runs
-on rows of Python ints (nested lists) read off the array with ``tolist``,
-so every entry it forms is exact at any size and no entry bound has to be
-tracked there.  Foreign input, such as nested lists, is checked and
-widened to Python ints by :func:`as_int_matrix` first.
+entries so that no product of them can wrap.  The Smith elimination reads
+the nonzeros off the array as Python ints, so every entry it forms is
+exact at any size and no entry bound has to be tracked there.  Foreign
+input, such as nested lists, is checked and widened to Python ints by
+:func:`as_int_matrix` first.
 
 Provides the Smith diagonal (the invariant factors alone, with no
 unimodular change of basis), cokernels of square matrices (the raw
 material of the K-group computations), and strong connectivity of 0-1
-matrices.  One elimination loop, :func:`smith_diagonal`, answers every
-integer question of the package: a cokernel is read off the diagonal, a
-kernel rank is its number of zeros, and a square matrix is unimodular
-exactly when its diagonal is all ones.  All arithmetic stays in the
-integers; nothing here uses fractions.
+matrices.  One elimination, :func:`smith_diagonal`, answers every integer
+question of the package: a cokernel is read off the diagonal, a kernel
+rank is its number of zeros, and a square matrix is unimodular exactly
+when its diagonal is all ones.  It runs in two stages.  A sparse pass on
+rows stored as dicts takes every unit pivot it can find, which for the
+package's sparse matrices is nearly all of them.  The unit-free block
+left over goes to a dense minimal-pivot loop.  All arithmetic stays in
+the integers; nothing here uses fractions.
 """
 
 from __future__ import annotations
@@ -72,21 +75,101 @@ def smith_diagonal(M) -> tuple[int, ...]:
     """The Smith diagonal of M: its invariant factors, each dividing the
     next, zeros trailing.  Deterministic for a given input.
 
-    Eliminates on the rows of ``M`` as lists of Python ints.  Pivoting
-    picks the nonzero entry of minimal absolute value (ties by lowest row,
-    then column); a unit in row ``t`` is such an entry, and almost every
-    pivot of ``I - A^T`` is one.  The row sweep subtracts multiples of the
-    pivot row, by floor division, from each row with a nonzero entry below
-    the pivot; the column sweep then visits only the rows whose entry
-    survived as a remainder.  A nonzero remainder is a strictly smaller
-    pivot, so the reduction terminates, and a unit pivot leaves none and is
-    final.  Before advancing, a non-unit pivot is forced to divide the
-    remaining block by pulling an offending row up, which yields the
-    divisibility chain on the diagonal directly.
+    A sparse pass eliminates unit pivots first.  It reads the nonzeros once
+    into one ``{col: value}`` dict per row and one set of rows per column.
+    The shortest row that holds a +-1 gives the pivot, in the column of its
+    units with the fewest nonzeros (Markowitz's order, restricted to
+    units).  A unit divides everything, so the row sweep alone clears its
+    column, and the pivot row and column then drop out with a 1 on the
+    diagonal.  When no live entry is a unit, the nonzero rows and columns
+    left are packed into a dense block for :func:`_remainder_diagonal`.
+    The result is one 1 per unit pivot, then the block's diagonal, then
+    zeros up to ``min(rows, cols)``: already the divisibility chain.
     """
     A = _int_array(M)
     r, c = A.shape
-    W = A.tolist()
+    rows: list[dict[int, int]] = [{} for _ in range(r)]
+    cols: list[set[int]] = [set() for _ in range(c)]
+    ii, jj = np.nonzero(A)
+    for i, j, e in zip(ii.tolist(), jj.tolist(), A[ii, jj].tolist()):
+        rows[i][j] = e
+        cols[j].add(i)
+
+    # Rows by length.  An entry is stale once its row has changed length;
+    # a row taken out without a unit waits until an update puts it back.
+    by_len: list[list[int]] = [[] for _ in range(c + 1)]
+    for i, R in enumerate(rows):
+        if R:
+            by_len[len(R)].append(i)
+    k = 1
+    units = 0
+    while True:
+        while k <= c and not by_len[k]:
+            k += 1
+        if k > c:
+            break
+        p = by_len[k].pop()
+        P = rows[p]
+        if len(P) != k:
+            continue
+        q = None
+        for j, e in P.items():
+            if e == 1 or e == -1:
+                m = len(cols[j])
+                if q is None or m < fewest:
+                    q, fewest = j, m
+        if q is None:
+            continue
+        u = P.pop(q)
+        rows[p] = {}
+        units += 1
+        for j in P:
+            cols[j].discard(p)
+        Cq = cols[q]
+        Cq.discard(p)
+        # Row sweep: a unit pivot clears its column by itself.
+        for i in Cq:
+            R = rows[i]
+            f = R.pop(q) * u
+            for j, e in P.items():
+                if j in R:
+                    v = R[j] - f * e
+                    if v:
+                        R[j] = v
+                    else:
+                        del R[j]
+                        cols[j].discard(i)
+                else:
+                    R[j] = -f * e
+                    cols[j].add(i)
+            size = len(R)
+            if size:
+                by_len[size].append(i)
+                if size < k:
+                    k = size
+        Cq.clear()
+
+    live = sorted({j for R in rows for j in R})
+    W = [[R.get(j, 0) for j in live] for R in rows if R]
+    diag = (1,) * units + _remainder_diagonal(W, len(live))
+    return diag + (0,) * (min(r, c) - len(diag))
+
+
+def _remainder_diagonal(W: list[list[int]], c: int) -> tuple[int, ...]:
+    """The Smith diagonal of the ``len(W) x c`` block ``W``, rows of Python
+    ints that are eliminated in place.
+
+    Pivoting picks the nonzero entry of minimal absolute value (ties by
+    lowest row, then column); a unit in row ``t`` is such an entry.  The
+    row sweep subtracts multiples of the pivot row, by floor division, from
+    each row with a nonzero entry below the pivot; the column sweep then
+    visits only the rows whose entry survived as a remainder.  A nonzero
+    remainder is a strictly smaller pivot, so the reduction terminates, and
+    a unit pivot leaves none and is final.  Before advancing, a non-unit
+    pivot is forced to divide the remaining block by pulling an offending
+    row up, which yields the divisibility chain on the diagonal directly.
+    """
+    r = len(W)
 
     for t in range(min(r, c)):
         while True:

@@ -14,8 +14,8 @@ from kneadck.intlinalg import (
     smith_diagonal,
     zeros_int,
 )
-from kneadck.markov import build_orbit, transition_matrix
-from kneadck.symbolic import KneadingWord, Symbol
+from kneadck.markov import build_matrices, build_orbit, transition_matrix
+from kneadck.symbolic import KneadingWord, Symbol, enumerate_admissible
 
 from reference import determinant, is_irreducible_dense, smith_normal_form
 
@@ -147,9 +147,12 @@ class TestSmithNormalForm:
         for M in dense + sparse:
             n = len(M)
             theirs = sympy_snf(sympy.Matrix(M))
-            diag = sorted(abs(int(theirs[i, i])) for i in range(n))
-            assert sorted(smith_diagonal(M)) == diag
-            assert sorted(smith_normal_form(M).diagonal) == diag
+            # The divisibility chain in order: sympy's nonzero |d| ascending,
+            # then its zeros.
+            found = [abs(int(theirs[i, i])) for i in range(n)]
+            diag = tuple(sorted(d for d in found if d)) + (0,) * found.count(0)
+            assert smith_diagonal(M) == diag
+            assert smith_normal_form(M).diagonal == diag
 
     def test_entries_are_arbitrary_precision(self):
         big = 10**40
@@ -228,6 +231,70 @@ class TestSmithNormalForm:
             assert all(type(e) is int for e in M.ravel())
         M = as_int_matrix(np.array([[2**62, -3]]))
         assert (M * 4)[0, 0] == 2**64
+
+
+@st.composite
+def sparse_matrices(draw, entries):
+    """r x c object arrays, 0 <= r, c <= 12, with at most a third of the
+    cells drawn from ``entries``, so zero rows and columns are common."""
+    r = draw(st.integers(0, 12))
+    c = draw(st.integers(0, 12))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, max(r - 1, 0)), st.integers(0, max(c - 1, 0)), entries),
+            max_size=r * c // 3,
+        )
+    )
+    M = np.zeros((r, c), dtype=object)
+    for i, j, e in cells:
+        M[i, j] = e
+    return M
+
+
+HUGE = st.integers(-(2**70), 2**70)
+
+
+class TestSparseUnitPass:
+    """``smith_diagonal`` against the reference Smith form, tuple for tuple,
+    on the package's own sparse matrices and on random sparse ones."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_admissible_word(self, n):
+        # I - A^T of k_groups, and I - theta, X and Y of verify.
+        for w in enumerate_admissible(n):
+            m = build_orbit(w)
+            t = build_matrices(m)
+            A = transition_matrix(m)
+            for M in (eye_int(n - 1) - A.T, eye_int(n) - t.theta, t.X, t.Y):
+                assert smith_diagonal(M) == smith_normal_form(M).diagonal, w
+
+    def test_forced_words_beyond_the_nonzero_bound(self):
+        # I - A^T of kgroups --force on every word {L, R}^(n-1) C.  An
+        # admissible word's A has at most 2(n-1) nonzeros; forced words
+        # exceed that, and the pass must not rely on it.
+        beyond = 0
+        for n in range(2, 11):
+            for tail in itertools.product((Symbol.L, Symbol.R), repeat=n - 1):
+                A = transition_matrix(build_orbit(KneadingWord(tail + (Symbol.C,))))
+                beyond += np.count_nonzero(A) > 2 * (n - 1)
+                M = eye_int(n - 1) - A.T
+                assert smith_diagonal(M) == smith_normal_form(M).diagonal, tail
+        assert beyond > 0
+
+    @given(sparse_matrices(st.one_of(st.sampled_from([-2, -1, 1, 2]), HUGE)))
+    @settings(max_examples=150, deadline=None)
+    def test_property_sparse(self, M):
+        assert smith_diagonal(M) == smith_normal_form(M).diagonal
+
+    @given(
+        sparse_matrices(
+            st.one_of(st.sampled_from([-3, -2, 2, 4, 6]), HUGE.filter(lambda e: abs(e) > 1))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_no_units(self, M):
+        # No unit pivot at all: the whole matrix is the remainder.
+        assert smith_diagonal(M) == smith_normal_form(M).diagonal
 
 
 class TestDeterminant:

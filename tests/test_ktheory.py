@@ -186,15 +186,23 @@ class TestKGroups:
         assert report.ok
         assert len(runs) == 4 * report.words_checked
 
-    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("n", [256, 512, 2048])
     def test_long_random_words(self, n):
-        # Seeded like the benchmark's long words: an R, uniform L/R, then C,
-        # kept when admissible.
+        # A uniform admissible word, seeded: an R, n - 2 uniform L/R bits,
+        # then C, kept when admissible.  Most long candidates are not, and
+        # the full check builds n keys of 2n characters, so a cheap
+        # necessary test screens first: a later run R L^k longer than
+        # the first run of L exceeds the word in the signed order (both
+        # start R L^m, whose sign is -1, and then L < R is flipped).
         rng = random.Random(1)
         while True:
-            word = parse_word("R" + "".join(rng.choice("LR") for _ in range(n - 2)) + "C")
-            if is_admissible(word):
-                break
+            bits = format(rng.getrandbits(n - 2), f"0{n - 2}b")
+            text = "R" + bits.translate(str.maketrans("01", "LR")) + "C"
+            runs = text[1:-1].split("R")
+            if max(map(len, runs)) == len(runs[0]):
+                word = parse_word(text)
+                if is_admissible(word):
+                    break
         rep = k_groups(word)
         assert rep.K0 == AbelianGroup.cyclic(closed_form_a(word))
         assert rep.K1 == (Z if rep.a_closed_form == 0 else TRIVIAL)
