@@ -14,16 +14,16 @@ material of the K-group computations), and strong connectivity of 0-1
 matrices.  One elimination, :func:`smith_diagonal`, answers every integer
 question of the package: a cokernel is read off the diagonal, a kernel
 rank is its number of zeros, and a square matrix is unimodular exactly
-when its diagonal is all ones.  It runs in two stages.  A sparse pass on
-rows stored as dicts takes every unit pivot it can find, which for the
-package's sparse matrices is nearly all of them.  The unit-free block
-left over goes to a dense minimal-pivot loop.  All arithmetic stays in
-the integers; nothing here uses fractions.
+when its diagonal is all ones.  It is one sparse loop on rows stored as
+dicts, in which unit and non-unit pivots take the same step; for the
+package's sparse matrices nearly every pivot is a unit.  All arithmetic
+stays in the integers; nothing here uses fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -75,16 +75,17 @@ def smith_diagonal(M) -> tuple[int, ...]:
     """The Smith diagonal of M: its invariant factors, each dividing the
     next, zeros trailing.  Deterministic for a given input.
 
-    A sparse pass eliminates unit pivots first.  It reads the nonzeros once
-    into one ``{col: value}`` dict per row and one set of rows per column.
-    The shortest row that holds a +-1 gives the pivot, in the column of its
-    units with the fewest nonzeros (Markowitz's order, restricted to
-    units).  A unit divides everything, so the row sweep alone clears its
-    column, and the pivot row and column then drop out with a 1 on the
-    diagonal.  When no live entry is a unit, the nonzero rows and columns
-    left are packed into a dense block for :func:`_remainder_diagonal`.
-    The result is one 1 per unit pivot, then the block's diagonal, then
-    zeros up to ``min(rows, cols)``: already the divisibility chain.
+    One sparse elimination on one ``{col: value}`` dict per row and one
+    set of rows per column.  The pivot is a +-1 while one is live, from
+    the shortest row holding one, in its sparsest column (Markowitz's
+    order, restricted to units); else the entry of least absolute value,
+    ties to the lowest row, then column.  Every pivot ``d`` takes the same
+    step.  The row sweep subtracts floor multiples of the pivot row from
+    each row of its column; a nonzero remainder is a smaller pivot, and
+    the pivot stays live.  Once the column is clear, the column sweep
+    reduces the pivot row mod ``d``; the pivot drops out as one factor
+    when nothing is left beside it, as a unit always does.  Newman's
+    gcd/lcm exchange then puts the factors into divisibility order.
     """
     A = _int_array(M)
     r, c = A.shape
@@ -97,40 +98,51 @@ def smith_diagonal(M) -> tuple[int, ...]:
 
     # Rows by length.  An entry is stale once its row has changed length;
     # a row taken out without a unit waits until an update puts it back.
+    # The walk restarts after each non-unit pivot, so it stops at top, not c.
     by_len: list[list[int]] = [[] for _ in range(c + 1)]
-    for i, R in enumerate(rows):
-        if R:
-            by_len[len(R)].append(i)
+    live = [i for i, R in enumerate(rows) if R]
+    for i in live:
+        by_len[len(rows[i])].append(i)
+    top = max(map(len, rows), default=0)
     k = 1
     units = 0
+    factors: list[int] = []
     while True:
-        while k <= c and not by_len[k]:
-            k += 1
-        if k > c:
-            break
-        p = by_len[k].pop()
-        P = rows[p]
-        if len(P) != k:
-            continue
         q = None
-        for j, e in P.items():
-            if e == 1 or e == -1:
-                m = len(cols[j])
-                if q is None or m < fewest:
-                    q, fewest = j, m
+        while q is None and k <= top:
+            if not by_len[k]:
+                k += 1
+                continue
+            p = by_len[k].pop()
+            P = rows[p]
+            if len(P) == k:
+                for j, e in P.items():
+                    if e == 1 or e == -1:
+                        m = len(cols[j])
+                        if q is None or m < fewest:
+                            q, fewest = j, m
         if q is None:
-            continue
-        u = P.pop(q)
-        rows[p] = {}
-        units += 1
-        for j in P:
-            cols[j].discard(p)
+            # No live unit.  Rows never come back to life, so the list of
+            # live rows only shrinks.
+            live = [i for i in live if rows[i]]
+            if not live:
+                break
+            least, p = min((min(map(abs, rows[i].values())), i) for i in live)
+            P = rows[p]
+            q = min(j for j, e in P.items() if abs(e) == least)
+        d = P.pop(q)
         Cq = cols[q]
         Cq.discard(p)
-        # Row sweep: a unit pivot clears its column by itself.
+        # Row sweep.  The pivot is a unit or the least |entry|, so every
+        # multiplier is nonzero.
+        left = []
         for i in Cq:
             R = rows[i]
-            f = R.pop(q) * u
+            x = R.pop(q)
+            f, x = x // d, x % d
+            if x:
+                R[q] = x
+                left.append(i)
             for j, e in P.items():
                 if j in R:
                     v = R[j] - f * e
@@ -147,85 +159,43 @@ def smith_diagonal(M) -> tuple[int, ...]:
                 by_len[size].append(i)
                 if size < k:
                     k = size
+                if size > top:
+                    top = size
+        if left:
+            # The remainders are smaller pivots; the column sweep waits
+            # until they are gone.
+            P[q] = d
+            cols[q] = {p, *left}
+            continue
+        # Column sweep: q holds only the pivot, so reducing the pivot row
+        # mod d is a column operation.
         Cq.clear()
+        kept = {}
+        for j, e in P.items():
+            if e % d:
+                kept[j] = e % d
+            else:
+                cols[j].discard(p)
+        if not kept:
+            rows[p] = {}
+            if d == 1 or d == -1:
+                units += 1
+            else:
+                factors.append(abs(d))
+            continue
+        kept[q] = d
+        rows[p] = kept
+        Cq.add(p)
+        by_len[len(kept)].append(p)
+        k = min(k, len(kept))
 
-    live = sorted({j for R in rows for j in R})
-    W = [[R.get(j, 0) for j in live] for R in rows if R]
-    diag = (1,) * units + _remainder_diagonal(W, len(live))
+    # Newman's gcd/lcm exchange: afterwards each factor divides the next.
+    for s in range(len(factors)):
+        for t in range(s + 1, len(factors)):
+            g = gcd(factors[s], factors[t])
+            factors[s], factors[t] = g, factors[s] // g * factors[t]
+    diag = (1,) * units + tuple(factors)
     return diag + (0,) * (min(r, c) - len(diag))
-
-
-def _remainder_diagonal(W: list[list[int]], c: int) -> tuple[int, ...]:
-    """The Smith diagonal of the ``len(W) x c`` block ``W``, rows of Python
-    ints that are eliminated in place.
-
-    Pivoting picks the nonzero entry of minimal absolute value (ties by
-    lowest row, then column); a unit in row ``t`` is such an entry.  The
-    row sweep subtracts multiples of the pivot row, by floor division, from
-    each row with a nonzero entry below the pivot; the column sweep then
-    visits only the rows whose entry survived as a remainder.  A nonzero
-    remainder is a strictly smaller pivot, so the reduction terminates, and
-    a unit pivot leaves none and is final.  Before advancing, a non-unit
-    pivot is forced to divide the remaining block by pulling an offending
-    row up, which yields the divisibility chain on the diagonal directly.
-    """
-    r = len(W)
-
-    for t in range(min(r, c)):
-        while True:
-            pj = next((j for j in range(t, c) if W[t][j] in (1, -1)), None)
-            if pj is None:
-                block = [
-                    (abs(e), i, j)
-                    for i in range(t, r)
-                    for j, e in enumerate(W[i][t:], t)
-                    if e
-                ]
-                if not block:
-                    # The rest of the diagonal is zero.
-                    return tuple(W[k][k] for k in range(min(r, c)))
-                _, pi, pj = min(block)
-                W[t], W[pi] = W[pi], W[t]
-            if pj != t:
-                for row in W:
-                    row[t], row[pj] = row[pj], row[t]
-            row = W[t]
-            if row[t] < 0:
-                row[:] = [-e for e in row]
-            d = row[t]
-
-            # Row sweep.  The pivot is the block's smallest |entry|, so every
-            # nonzero it divides gives a nonzero multiplier.
-            pivot_row = [(j, e) for j, e in enumerate(row[t:], t) if e]
-            survivors = []
-            for Wi in W[t + 1 :]:
-                if Wi[t]:
-                    q = Wi[t] // d
-                    for j, e in pivot_row:
-                        Wi[j] -= q * e
-                    if Wi[t]:
-                        survivors.append(Wi)
-            # Column sweep; row t's share is its remainder mod d.
-            cols = [(j, e // d) for j, e in pivot_row if j > t]
-            if cols:
-                for Wi in survivors:
-                    e = Wi[t]
-                    for j, q in cols:
-                        Wi[j] -= e * q
-                for j, _ in cols:
-                    row[j] %= d
-            if d == 1:
-                # A unit leaves no remainder and divides everything.
-                break
-            if survivors or any(row[t + 1 :]):
-                # A nonzero remainder is a smaller pivot.
-                continue
-            bad = next((Wi for Wi in W[t + 1 :] if any(e % d for e in Wi[t + 1 :])), None)
-            if bad is None:
-                break
-            # Pull the offending row up; the column sweep then shrinks the pivot.
-            row[t + 1 :] = [a + b for a, b in zip(row[t + 1 :], bad[t + 1 :])]
-    return tuple(W[k][k] for k in range(min(r, c)))
 
 
 @dataclass(frozen=True)

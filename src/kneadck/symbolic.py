@@ -25,6 +25,7 @@ one of its shifts exceeds it.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -192,12 +193,17 @@ def shift_keys(w: KneadingWord) -> tuple[str, ...]:
     coordinates ``theta_{i+k} / theta_{i-1}``: the suffix of that key from
     i, mirrored when ``theta_{i-1} = -1``, padded with zeros again.
     """
+    return tuple(_shift_keys(w))
+
+
+def _shift_keys(w: KneadingWord) -> Iterator[str]:
+    """The keys of :func:`shift_keys`, one at a time, in shift order."""
     n = w.n
     key = order_key(w.symbols, n) + _ZERO * n
     mirror = key.translate(_MIRROR)
-    return (key,) + tuple(
-        (key if key[i - 1] == _KEY_CHAR[1] else mirror)[i:] + _ZERO * i for i in range(1, n)
-    )
+    yield key
+    for i in range(1, n):
+        yield (key if key[i - 1] == _KEY_CHAR[1] else mirror)[i:] + _ZERO * i
 
 
 def is_admissible(w: KneadingWord) -> bool:
@@ -205,13 +211,15 @@ def is_admissible(w: KneadingWord) -> bool:
 
     Exactly the shift-maximal words arise as kneading sequences of actual
     quadratic maps; no proper shift of the periodic sequence may exceed the
-    sequence itself.  That is n-1 string comparisons of the shifts' keys
-    (:func:`shift_keys`) with the word's.
+    sequence itself.  That is up to n-1 string comparisons of the shifts'
+    keys (:func:`shift_keys`) with the word's, built one at a time, so an
+    inadmissible word stops at the first shift that exceeds it.
     """
     if w.n < 2:
         raise DomainError("admissibility is defined for period >= 2")
-    word, *shifts = shift_keys(w)
-    return all(k <= word for k in shifts)
+    keys = _shift_keys(w)
+    word = next(keys)
+    return all(k <= word for k in keys)
 
 
 def enumerate_admissible(n: int) -> list[KneadingWord]:

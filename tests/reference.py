@@ -4,8 +4,9 @@ Each one takes a different route from the code under test: the signed
 order by a direct pairwise scan instead of string keys, the determinant
 by Bareiss elimination instead of the Smith diagonal, the Smith form with
 its unimodular transforms by extended-gcd (Bezout) steps instead of the
-minimal-pivot loop of ``smith_diagonal``, and strong connectivity by a
-dense transitive closure instead of graph searches.
+sparse floor-division sweeps and gcd/lcm exchange of ``smith_diagonal``,
+and strong connectivity by a dense transitive closure instead of graph
+searches.
 """
 
 from __future__ import annotations

@@ -72,6 +72,12 @@ class TestSmithNormalForm:
     def test_known_diagonals(self):
         assert smith_diagonal([[2, 4], [6, 8]]) == (2, 4)
         assert smith_diagonal([[0, 1, 0], [1, 1, -1], [0, 0, 1]]) == (1, 1, 1)
+        # Isolated non-unit pivots that drop out of divisibility order.
+        assert smith_diagonal([[2, 0], [0, 3]]) == (1, 6)
+        assert smith_diagonal([[4, 0], [0, 2]]) == (2, 4)
+        assert smith_diagonal([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
+        # Unit-free from the start.
+        assert smith_diagonal(2 * eye_int(64)) == (2,) * 64
 
     def test_period_six_shift_block(self):
         # I minus the signed shift matrix of the period-6 fixture word.
@@ -139,7 +145,7 @@ class TestSmithNormalForm:
             for n in (rng.randint(1, 5) for _ in range(25))
         ]
         # Mostly zero with small entries, like I - A^T, but with enough
-        # non-unit entries to need remainders and the divisibility pull-up.
+        # non-unit entries to need remainders and the gcd/lcm exchange.
         sparse = [
             [[rng.choice((-2, -1, 0, 0, 0, 0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
             for n in (rng.randint(2, 10) for _ in range(40))
@@ -256,7 +262,8 @@ HUGE = st.integers(-(2**70), 2**70)
 
 class TestSparseUnitPass:
     """``smith_diagonal`` against the reference Smith form, tuple for tuple,
-    on the package's own sparse matrices and on random sparse ones."""
+    on the package's own sparse matrices and on random sparse ones, with
+    and without unit pivots."""
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_every_admissible_word(self, n):
@@ -293,7 +300,8 @@ class TestSparseUnitPass:
     )
     @settings(max_examples=150, deadline=None)
     def test_property_no_units(self, M):
-        # No unit pivot at all: the whole matrix is the remainder.
+        # No unit entry at all: the first pivot is the least |entry|, and
+        # units appear only as remainders.
         assert smith_diagonal(M) == smith_normal_form(M).diagonal
 
 
