@@ -44,7 +44,6 @@ from .symbolic import (
     KneadingWord,
     ParseError,
     Symbol,
-    SymbolSeq,
     enumerate_admissible,
     invariant_coordinate,
     is_admissible,
@@ -66,7 +65,6 @@ __all__ = [
     "SolverError",
     "SuperstableResult",
     "Symbol",
-    "SymbolSeq",
     "TheoremMatrices",
     "TheoremViolationError",
     "VerifyReport",

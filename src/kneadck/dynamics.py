@@ -52,8 +52,8 @@ def numeric_itinerary(
     """Symbols of x0, f(x0), ..., f^(depth-1)(x0) relative to c.
 
     Symbol k is C when |f^k(x0) - c| <= tol, else L left of c, R right.
-    Returns a finite prefix; it is index-compatible with the symbol
-    sequences of the symbolic module.
+    Returns a finite prefix, comparable with a word's symbols repeated
+    out to the same depth.
     """
     if not 0.0 <= x0 <= 1.0:
         raise DomainError("starting point must lie in [0, 1]")
@@ -128,7 +128,7 @@ def find_superstable_mu(w: KneadingWord) -> SuperstableResult:
     residual = abs(x - 0.5)
     m = QuadMap(mu)
     itinerary = numeric_itinerary(m, m.step(m.c), 2 * n, tol=C_TOL)
-    if itinerary != w.sequence().prefix(2 * n):
+    if itinerary != w.symbols * 2:
         raise SolverError(
             f"double precision cannot resolve {w}: mu = {mu!r} leaves residual {residual:.3g}"
         )

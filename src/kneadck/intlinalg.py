@@ -230,10 +230,6 @@ class AbelianGroup:
         """The cokernel of a square matrix, read off its Smith diagonal."""
         return cls(sum(1 for d in diag if d == 0), tuple(d for d in diag if d >= 2))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

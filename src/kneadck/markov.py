@@ -56,10 +56,6 @@ class OrbitModel:
         """True iff the word itself, orbit point 1, is the orbit maximum."""
         return self.rho[-1] == 1
 
-    def position(self, i: int) -> int:
-        """Spatial rank (1-based) of orbit point ``i`` (1-based)."""
-        return self.rho.index(i) + 1
-
 
 def build_orbit(w: KneadingWord) -> OrbitModel:
     """Sort the orbit points of a kneading word into spatial order.
@@ -74,7 +70,7 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
     n = w.n
     if n < 2:
         raise DomainError("orbit construction requires period >= 2")
-    keys = shift_keys(w)
+    keys = tuple(shift_keys(w))
     order = sorted(range(n), key=keys.__getitem__)
     rho = tuple(i + 1 for i in order)
     for k in range(n - 1):

@@ -47,11 +47,10 @@ class Symbol(enum.IntEnum):
     @classmethod
     def from_token(cls, token: str) -> "Symbol":
         token = token.strip()
-        if token in ("R", "L", "C"):
-            return cls[token]
-        if token in _NUMERIC_TOKENS:
-            return _NUMERIC_TOKENS[token]
-        raise ParseError(f"unknown symbol {token!r}")
+        symbol = _TOKENS.get(token)
+        if symbol is None:
+            raise ParseError(f"unknown symbol {token!r}")
+        return symbol
 
     @property
     def numeric(self) -> str:
@@ -62,40 +61,10 @@ class Symbol(enum.IntEnum):
         return self.name
 
 
-_NUMERIC_TOKENS = {"-1": Symbol.R, "+1": Symbol.L, "1": Symbol.L, "0": Symbol.C}
+#: Every accepted token, keyed as stripped: the letters and the signed numbers.
+_TOKENS = {**Symbol.__members__, "-1": Symbol.R, "+1": Symbol.L, "1": Symbol.L, "0": Symbol.C}
 
 _LETTER = {Symbol.R: "R", Symbol.C: "C", Symbol.L: "L"}
-
-@dataclass(frozen=True)
-class SymbolSeq:
-    """A periodic symbol sequence ``(period)^inf``.
-
-    Indexing is total: ``seq[k]`` is defined for every ``k >= 0``.
-    """
-
-    period: tuple[Symbol, ...]
-
-    def __post_init__(self) -> None:
-        if not self.period:
-            raise ValueError("period must be nonempty")
-
-    def __getitem__(self, k: int) -> Symbol:
-        if k < 0:
-            raise IndexError("symbol index must be nonnegative")
-        return self.period[k % len(self.period)]
-
-    def shift(self, i: int = 1) -> "SymbolSeq":
-        """Drop the first ``i`` symbols; shifting by the period is a no-op."""
-        if i < 0:
-            raise ValueError("shift amount must be nonnegative")
-        r = i % len(self.period)
-        return SymbolSeq(self.period[r:] + self.period[:r])
-
-    def prefix(self, depth: int) -> tuple[Symbol, ...]:
-        return tuple(self[k] for k in range(depth))
-
-    def text(self, depth: int) -> str:
-        return "".join(map(_LETTER.__getitem__, self.prefix(depth)))
 
 
 @dataclass(frozen=True)
@@ -119,10 +88,6 @@ class KneadingWord:
     @property
     def n(self) -> int:
         return len(self.symbols)
-
-    def sequence(self) -> SymbolSeq:
-        """The purely periodic sequence ``(word)^inf``."""
-        return SymbolSeq(self.symbols)
 
     def values(self) -> tuple[int, ...]:
         return tuple(int(s) for s in self.symbols)
@@ -178,26 +143,21 @@ def order_key(seq, depth: int) -> str:
 
     Character k stands for ``-theta_k``, so ``order_key(a, depth)`` compares
     with ``order_key(b, depth)`` as ``a`` with ``b`` in the signed order,
-    on their first ``depth`` symbols.  Accepts :class:`SymbolSeq` or any
-    integer-indexable sequence of symbols, e.g. the finite prefixes
-    produced by numeric itineraries.
+    on their first ``depth`` symbols.  Accepts any integer-indexable
+    sequence of symbols at least ``depth`` long, e.g. a word's symbols or
+    the finite prefixes produced by numeric itineraries.
     """
     return "".join(map(_KEY_CHAR.__getitem__, invariant_coordinate(seq, depth)))
 
 
-def shift_keys(w: KneadingWord) -> tuple[str, ...]:
-    """Keys, to depth 2n, of the n shifts of ``(w)^inf``; entry i is shift i.
+def shift_keys(w: KneadingWord) -> Iterator[str]:
+    """Keys, to depth 2n, of the n shifts of ``(w)^inf``, yielded in shift order.
 
     The final ``C`` makes every coordinate of ``(w)^inf`` from n-1 on 0,
     so its key is the word's own key padded with zeros.  Shift i has the
     coordinates ``theta_{i+k} / theta_{i-1}``: the suffix of that key from
     i, mirrored when ``theta_{i-1} = -1``, padded with zeros again.
     """
-    return tuple(_shift_keys(w))
-
-
-def _shift_keys(w: KneadingWord) -> Iterator[str]:
-    """The keys of :func:`shift_keys`, one at a time, in shift order."""
     n = w.n
     key = order_key(w.symbols, n) + _ZERO * n
     mirror = key.translate(_MIRROR)
@@ -217,7 +177,7 @@ def is_admissible(w: KneadingWord) -> bool:
     """
     if w.n < 2:
         raise DomainError("admissibility is defined for period >= 2")
-    keys = _shift_keys(w)
+    keys = shift_keys(w)
     word = next(keys)
     return all(k <= word for k in keys)
 

@@ -6,7 +6,8 @@ by Bareiss elimination instead of the Smith diagonal, the Smith form with
 its unimodular transforms by extended-gcd (Bezout) steps instead of the
 sparse floor-division sweeps and gcd/lcm exchange of ``smith_diagonal``,
 and strong connectivity by a dense transitive closure instead of graph
-searches.
+searches.  :func:`rotation` cuts the shifts of a periodic word to a
+finite depth, for the pairwise checks of the signed order.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def mt_compare(a, b, depth: int) -> Order:
             return Order(spatial * sign)
         sign *= int(sa)
     return Order.EQ
+
+
+def rotation(w, i: int, depth: int) -> tuple:
+    """Symbols i, ..., i + depth - 1 of the periodic sequence ``(w)^inf``."""
+    return tuple(w.symbols[(i + k) % w.n] for k in range(depth))
 
 
 def determinant(M) -> int:

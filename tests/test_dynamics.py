@@ -21,7 +21,7 @@ from kneadck.symbolic import (
     parse_word,
 )
 
-from reference import Order, mt_compare
+from reference import Order, mt_compare, rotation
 
 GOLDEN_MU = 1.0 + math.sqrt(5.0)  # superstable parameter of the period-2 word
 
@@ -58,12 +58,12 @@ class TestItinerary:
     def test_period_two_orbit(self):
         m = QuadMap(GOLDEN_MU)
         seq = numeric_itinerary(m, m.step(m.c), 8)
-        assert seq == tuple(parse_word("RC").sequence().prefix(8))
+        assert seq == rotation(parse_word("RC"), 0, 8)
 
     def test_period_three_orbit(self):
         m = QuadMap(3.8318740553)
         seq = numeric_itinerary(m, m.step(m.c), 6)
-        assert seq == tuple(parse_word("RLC").sequence().prefix(6))
+        assert seq == rotation(parse_word("RLC"), 0, 6)
 
     def test_tolerance_band(self):
         m = QuadMap(4.0)
@@ -96,14 +96,14 @@ class TestSuperstableSolver:
         res = find_superstable_mu(word)
         assert abs(res.mu - GOLDEN_MU) < 1e-9
         assert res.residual < 1e-9
-        assert res.itinerary == word.sequence().prefix(4)
+        assert res.itinerary == rotation(word, 0, 4)
 
     def test_period_three(self):
         word = parse_word("RLC")
         res = find_superstable_mu(word)
         assert abs(res.mu - 3.8318740553) < 1e-8
         assert res.residual < 1e-9
-        assert res.itinerary == word.sequence().prefix(6)
+        assert res.itinerary == rotation(word, 0, 6)
 
     def test_period_six(self):
         res = find_superstable_mu(parse_word("RLLRRC"))
@@ -113,12 +113,12 @@ class TestSuperstableSolver:
     @pytest.mark.parametrize("word", all_words(13), ids=str)
     def test_sweep_realizes_every_word(self, word):
         res = find_superstable_mu(word)
-        assert res.itinerary == word.sequence().prefix(2 * word.n)
+        assert res.itinerary == rotation(word, 0, 2 * word.n)
         assert res.residual < 1e-9
         m = QuadMap(res.mu)
         depth = 2 * word.n
         itin = numeric_itinerary(m, m.step(m.c), depth, tol=C_TOL)
-        assert itin == tuple(word.sequence().prefix(depth))
+        assert itin == rotation(word, 0, depth)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(SolverError):
@@ -164,11 +164,11 @@ class TestCoverage:
             except SolverError as e:
                 assert "double precision cannot resolve" in str(e)
                 continue
-            assert res.itinerary == word.sequence().prefix(2 * n), str(word)
+            assert res.itinerary == rotation(word, 0, 2 * n), str(word)
             assert res.residual < 1e-9, str(word)
             m = QuadMap(res.mu)
             itin = numeric_itinerary(m, m.step(m.c), 2 * n, tol=C_TOL)
-            assert itin == word.sequence().prefix(2 * n), str(word)
+            assert itin == rotation(word, 0, 2 * n), str(word)
 
 
 class TestOrderRealization:

@@ -414,10 +414,6 @@ class TestAbelianGroup:
         assert str(AbelianGroup(1, (2,))) == "Z + Z_2"
         assert str(AbelianGroup(2, (2, 4))) == "Z^2 + Z_2 + Z_4"
 
-    def test_is_trivial(self):
-        assert AbelianGroup(0, ()).is_trivial
-        assert not AbelianGroup(1, ()).is_trivial
-
     def test_from_diagonal(self):
         assert AbelianGroup.from_diagonal((1, 1, 3, 0)) == AbelianGroup(1, (3,))
         assert AbelianGroup.from_diagonal((1, 1)) == AbelianGroup(0, ())

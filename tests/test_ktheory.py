@@ -130,7 +130,6 @@ class TestKGroups:
         rep = k_groups(parse_word("RLC"))
         assert rep.a_closed_form == 1
         assert rep.K0 == TRIVIAL
-        assert rep.K0.is_trivial
         assert rep.K1 == TRIVIAL
 
     def test_reducible_zero_a(self):
@@ -276,7 +275,7 @@ class TestRenormalization:
         assert str(w) == "RLLRLRRLC"
         rep = k_groups(w)
         assert rep.a_closed_form == 1
-        assert rep.K0.is_trivial
+        assert rep.K0 == AbelianGroup(0, ())
         assert not rep.irreducible
 
     def test_zero_a_census(self):

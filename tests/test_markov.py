@@ -25,7 +25,7 @@ from kneadck.symbolic import (
     parse_word,
 )
 
-from reference import Order, determinant, mt_compare
+from reference import Order, determinant, mt_compare, rotation
 
 
 def pipeline(text):
@@ -66,7 +66,7 @@ def every_word(n):
 def pairwise_rho(w):
     """Spatial order of the orbit points by a pairwise mt_compare sort."""
     n = w.n
-    points = [w.sequence().shift(i) for i in range(n)]
+    points = [rotation(w, i, 2 * n) for i in range(n)]
 
     def cmp(i, j):
         return int(mt_compare(points[i - 1], points[j - 1], 2 * n))
@@ -167,12 +167,12 @@ class TestOrbitModel:
     def test_invariants(self, word):
         m = build_orbit(word)
         n = word.n
-        seq = word.sequence()
         depth = 2 * n
-        # Orbit point i is the word's sequence shifted i - 1 times.
-        points = [seq.shift(i) for i in range(n)]
+        # Orbit point i is the word's sequence shifted i - 1 times, so the
+        # next point's itinerary is this one's shifted once.
+        points = [rotation(word, i, depth) for i in range(n)]
         for i in range(n):
-            assert points[i].prefix(depth) == tuple(seq[i + k] for k in range(depth))
+            assert points[(i + 1) % n][:-1] == points[i][1:]
         assert sorted(m.rho) == list(range(1, n + 1))
         for k in range(n - 1):
             lhs = points[m.rho[k] - 1]
@@ -182,9 +182,6 @@ class TestOrbitModel:
         assert m.nL == sum(1 for s in word.symbols[:-1] if s is Symbol.L)
         # The turning point splits the left intervals from the right ones.
         assert m.rho[m.nL] == n
-        assert m.position(n) == m.nL + 1
-        for rank, orbit in enumerate(m.rho, start=1):
-            assert m.position(orbit) == rank
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_rho_is_the_pairwise_sort(self, n):

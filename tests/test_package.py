@@ -15,7 +15,6 @@ PUBLIC = [
     "SolverError",
     "SuperstableResult",
     "Symbol",
-    "SymbolSeq",
     "TheoremMatrices",
     "TheoremViolationError",
     "VerifyReport",

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,6 @@ from kneadck.symbolic import (
     KneadingWord,
     ParseError,
     Symbol,
-    SymbolSeq,
     enumerate_admissible,
     invariant_coordinate,
     is_admissible,
@@ -18,7 +18,7 @@ from kneadck.symbolic import (
     shift_keys,
 )
 
-from reference import Order, mt_compare
+from reference import Order, mt_compare, rotation
 
 # Known counts of admissible words by period; any ordering bug in the
 # signed comparison breaks these immediately.
@@ -39,9 +39,10 @@ def every_word(n):
 
 def reference_admissible(w):
     """Shift-maximality by direct pairwise comparison, without keys."""
-    seq = w.sequence()
+    depth = 2 * w.n
+    word = rotation(w, 0, depth)
     return all(
-        mt_compare(seq.shift(i), seq, 2 * w.n) is not Order.GT for i in range(1, w.n)
+        mt_compare(rotation(w, i, depth), word, depth) is not Order.GT for i in range(1, w.n)
     )
 
 
@@ -112,59 +113,35 @@ class TestParsing:
         assert int(Symbol.C) == 0
 
 
-class TestSymbolSeq:
-    def test_periodic_indexing(self):
-        s = parse_word("RLC").sequence()
-        assert [s[k] for k in range(7)] == [
-            Symbol.R, Symbol.L, Symbol.C, Symbol.R, Symbol.L, Symbol.C, Symbol.R,
-        ]
-
-    def test_shift_rotates(self):
-        s = parse_word("RLC").sequence()
-        assert s.shift(1).prefix(3) == (Symbol.L, Symbol.C, Symbol.R)
-        assert s.shift(3) == s
-
-    def test_shift_negative(self):
-        with pytest.raises(ValueError):
-            parse_word("RC").sequence().shift(-1)
-
-    def test_empty_period_rejected(self):
-        with pytest.raises(ValueError):
-            SymbolSeq(())
-
-    def test_text(self):
-        assert parse_word("RLC").sequence().text(6) == "RLCRLC"
-
-
 class TestInvariantCoordinate:
     def test_partial_products(self):
-        theta = invariant_coordinate(parse_word("RLLRRC").sequence(), 6)
+        theta = invariant_coordinate(parse_word("RLLRRC").symbols, 6)
         assert theta == (-1, -1, -1, 1, -1, 0)
 
     def test_zero_absorbs(self):
-        theta = invariant_coordinate(parse_word("RC").sequence(), 5)
+        theta = invariant_coordinate(rotation(parse_word("RC"), 0, 5), 5)
         assert theta == (-1, 0, 0, 0, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            invariant_coordinate(parse_word("RC").sequence(), 0)
+            invariant_coordinate(parse_word("RC").symbols, 0)
 
 
 class TestSignedOrder:
     def test_first_symbol_spatial(self):
-        a = parse_word("LC").sequence()   # starts left of c
-        b = parse_word("RC").sequence()   # starts right of c
+        a = rotation(parse_word("LC"), 0, 4)   # starts left of c
+        b = rotation(parse_word("RC"), 0, 4)   # starts right of c
         assert mt_compare(a, b, 4) is Order.LT
         assert mt_compare(b, a, 4) is Order.GT
 
     def test_sign_flip_after_r(self):
         # Common prefix R has negative product, so the spatial verdict flips.
-        a = parse_word("RLC").sequence()
-        b = parse_word("RRC").sequence()
+        a = rotation(parse_word("RLC"), 0, 6)
+        b = rotation(parse_word("RRC"), 0, 6)
         assert mt_compare(a, b, 6) is Order.GT
 
     def test_equal_sequences(self):
-        s = parse_word("RLC").sequence()
+        s = rotation(parse_word("RLC"), 0, 12)
         assert mt_compare(s, s, 12) is Order.EQ
 
     def test_finite_prefixes_accepted(self):
@@ -175,8 +152,8 @@ class TestSignedOrder:
     @given(st.integers(2, 7), st.integers(2, 7), st.integers(0, 6), st.integers(0, 6))
     def test_antisymmetry(self, i, j, si, sj):
         ws = words(6)
-        a = ws[i % len(ws)].sequence().shift(si)
-        b = ws[j % len(ws)].sequence().shift(sj)
+        a = rotation(ws[i % len(ws)], si, 14)
+        b = rotation(ws[j % len(ws)], sj, 14)
         assert int(mt_compare(a, b, 14)) == -int(mt_compare(b, a, 14))
 
     @given(st.integers(0, 400), st.integers(0, 400))
@@ -184,9 +161,9 @@ class TestSignedOrder:
         # The signed order reverses the numeric lexicographic order of the
         # cumulative-product coordinates.
         ws = words(7)
-        a = ws[i % len(ws)].sequence()
-        b = ws[j % len(ws)].sequence()
         depth = 18
+        a = rotation(ws[i % len(ws)], 0, depth)
+        b = rotation(ws[j % len(ws)], 0, depth)
         ta = invariant_coordinate(a, depth)
         tb = invariant_coordinate(b, depth)
         expected = Order.EQ if ta == tb else (Order.LT if ta > tb else Order.GT)
@@ -211,16 +188,17 @@ class TestOrderKeys:
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
-            order_key(parse_word("RC").sequence(), 0)
+            order_key(parse_word("RC").symbols, 0)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shift_keys_are_keys_of_the_shifts(self, n):
         for w in every_word(n):
-            seq = w.sequence()
             keys = shift_keys(w)
+            assert isinstance(keys, Iterator)
+            keys = list(keys)
             assert len(keys) == n
             for i in range(n):
-                assert keys[i] == order_key(seq.shift(i), 2 * n)
+                assert keys[i] == order_key(rotation(w, i, 2 * n), 2 * n)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shift_keys_are_distinct(self, n):
@@ -264,9 +242,9 @@ class TestAdmissibility:
 
     def test_shift_maximality_is_what_is_checked(self):
         w = parse_word("RLLRRC")
-        seq = w.sequence()
+        depth = 2 * w.n
         assert all(
-            mt_compare(seq.shift(i), seq, 2 * w.n) is not Order.GT
+            mt_compare(rotation(w, i, depth), rotation(w, 0, depth), depth) is not Order.GT
             for i in range(1, w.n)
         )
 
