@@ -19,7 +19,6 @@ from .dynamics import (
 )
 from .intlinalg import (
     AbelianGroup,
-    cokernel,
     is_irreducible,
     smith_diagonal,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "build_matrices",
     "build_orbit",
     "closed_form_a",
-    "cokernel",
     "enumerate_admissible",
     "find_superstable_mu",
     "invariant_coordinate",

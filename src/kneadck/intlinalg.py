@@ -2,21 +2,21 @@
 
 The package's own matrices are dense ``np.int64`` arrays from
 :func:`eye_int` and :func:`zeros_int`; :mod:`kneadck.markov` bounds their
-entries so that no product of them can wrap.  The Smith elimination reads
-the nonzeros off the array as Python ints, so every entry it forms is
-exact at any size and no entry bound has to be tracked there.  Foreign
-input, such as nested lists, is checked and widened to Python ints by
+entries so that no product of them can wrap.  The Smith elimination works
+on the nonzeros alone, as Python ints, so every entry it forms is exact
+at any size and no entry bound has to be tracked there.  Foreign input,
+such as nested lists, is checked and widened to Python ints by
 :func:`as_int_matrix` first.
 
 Provides the Smith diagonal (the invariant factors alone, with no
-unimodular change of basis), cokernels of square matrices (the raw
-material of the K-group computations), and strong connectivity of 0-1
-matrices.  One elimination, :func:`smith_diagonal`, answers every integer
-question of the package: a cokernel is read off the diagonal, a kernel
-rank is its number of zeros, and a square matrix is unimodular exactly
-when its diagonal is all ones.  It is one sparse loop on rows stored as
-dicts, in which unit and non-unit pivots take the same step; for the
-package's sparse matrices nearly every pivot is a unit.  All arithmetic
+unimodular change of basis) and strong connectivity of 0-1 matrices.  One
+elimination answers every integer question of the package: a cokernel is
+read off the diagonal, a kernel rank is its number of zeros, and a square
+matrix is unimodular exactly when its diagonal is all ones.  It is one
+sparse loop on rows stored as dicts, in which unit and non-unit pivots
+take the same step; for the package's sparse matrices nearly every pivot
+is a unit.  :mod:`kneadck.ktheory` feeds it, and the graph search, rows
+it builds from the runs of ``A``, with no dense array.  All arithmetic
 stays in the integers; nothing here uses fractions.
 """
 
@@ -75,26 +75,38 @@ def smith_diagonal(M) -> tuple[int, ...]:
     """The Smith diagonal of M: its invariant factors, each dividing the
     next, zeros trailing.  Deterministic for a given input.
 
-    One sparse elimination on one ``{col: value}`` dict per row and one
-    set of rows per column.  The pivot is a +-1 while one is live, from
-    the shortest row holding one, in its sparsest column (Markowitz's
-    order, restricted to units); else the entry of least absolute value,
-    ties to the lowest row, then column.  Every pivot ``d`` takes the same
-    step.  The row sweep subtracts floor multiples of the pivot row from
-    each row of its column; a nonzero remainder is a smaller pivot, and
-    the pivot stays live.  Once the column is clear, the column sweep
-    reduces the pivot row mod ``d``; the pivot drops out as one factor
-    when nothing is left beside it, as a unit always does.  Newman's
-    gcd/lcm exchange then puts the factors into divisibility order.
+    Reads the nonzeros off the array into one ``{col: value}`` dict per
+    row, in row-major order, and runs :func:`_smith_rows` on them: one
+    sparse elimination on those dicts and one set of rows per column.  The
+    pivot is a +-1 while one is live, from the shortest row holding one,
+    in its sparsest column (Markowitz's order, restricted to units); else
+    the entry of least absolute value, ties to the lowest row, then
+    column.  Every pivot ``d`` takes the same step.  The row sweep
+    subtracts floor multiples of the pivot row from each row of its
+    column; a nonzero remainder is a smaller pivot, and the pivot stays
+    live.  Once the column is clear, the column sweep reduces the pivot
+    row mod ``d``; the pivot drops out as one factor when nothing is left
+    beside it, as a unit always does.  Newman's gcd/lcm exchange then puts
+    the factors into divisibility order.
     """
     A = _int_array(M)
-    r, c = A.shape
-    rows: list[dict[int, int]] = [{} for _ in range(r)]
-    cols: list[set[int]] = [set() for _ in range(c)]
+    rows: list[dict[int, int]] = [{} for _ in range(A.shape[0])]
     ii, jj = np.nonzero(A)
     for i, j, e in zip(ii.tolist(), jj.tolist(), A[ii, jj].tolist()):
         rows[i][j] = e
-        cols[j].add(i)
+    return _smith_rows(rows, A.shape[1])
+
+
+def _smith_rows(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
+    """The loop of :func:`smith_diagonal` on the r x c matrix whose row i
+    has the nonzeros ``rows[i]``; it consumes ``rows``.  Dict order steers
+    the pivot choice, so rows in ascending column order give exactly the
+    elimination of the scan."""
+    r = len(rows)
+    cols: list[set[int]] = [set() for _ in range(c)]
+    for i, R in enumerate(rows):
+        for j in R:
+            cols[j].add(i)
 
     # Rows by length.  An entry is stale once its row has changed length;
     # a row taken out without a unit waits until an update puts it back.
@@ -240,15 +252,6 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(M) -> AbelianGroup:
-    """The group Z^r / M Z^r of a square integer matrix, from its Smith
-    diagonal."""
-    A = _int_array(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("cokernel requires a square matrix")
-    return AbelianGroup.from_diagonal(smith_diagonal(A))
-
-
 def is_irreducible(A) -> bool:
     """Strong connectivity of the digraph of a 0-1 matrix.
 
@@ -265,12 +268,16 @@ def is_irreducible(A) -> bool:
         raise ValueError("irreducibility requires a square matrix")
     if not ((M == 0) | (M == 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
-    succ = [[] for _ in range(r)]
-    pred = [[] for _ in range(r)]
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(M))):
-        succ[i].append(j)
-        pred[j].append(i)
-    return r == 0 or (_reaches_all(succ) and _reaches_all(pred))
+    return _strongly_connected([np.flatnonzero(row).tolist() for row in M])
+
+
+def _strongly_connected(succ) -> bool:
+    """Strong connectivity of the digraph with edges i -> j in ``succ[i]``."""
+    pred = [[] for _ in succ]
+    for i, out in enumerate(succ):
+        for j in out:
+            pred[j].append(i)
+    return not succ or (_reaches_all(succ) and _reaches_all(pred))
 
 
 def _reaches_all(adj: list[list[int]]) -> bool:

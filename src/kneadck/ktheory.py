@@ -9,7 +9,9 @@ the kernel of I - A^T over the integers.  Both checks are stated once, in
 :func:`_closed_form_checks`: :func:`k_groups` raises
 :class:`TheoremViolationError` with the first one an admissible word
 fails, and :func:`verify` records both beside the matrix identities of the
-construction for every admissible word up to a period.
+construction for every admissible word up to a period.  Both take I - A^T
+and irreducibility from the runs of ones that make up the rows of A, so
+``k_groups`` forms no dense matrix.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import numpy as np
 
 from .intlinalg import (
     AbelianGroup,
+    _smith_rows,
+    _strongly_connected,
     eye_int,
-    is_irreducible,
     smith_diagonal,
 )
-from .markov import build_matrices, build_orbit, transition_matrix
+from .markov import build_matrices, build_orbit, transition_intervals, transition_matrix
 from .symbolic import DomainError, KneadingWord, enumerate_admissible, invariant_coordinate
 
 
@@ -52,13 +55,23 @@ def closed_form_a(w: KneadingWord) -> int:
     return abs(1 + sum(invariant_coordinate(w.symbols, w.n - 1)))
 
 
-def _closed_form_checks(a: int, A):
+def _closed_form_checks(a: int, runs):
     """The Smith diagonal of I - A^T and the closed form's two checks on it.
 
-    Each check is ``(name, passed, detail)``; ``detail()`` builds the
-    failure text, so passing words never format it.
+    Column k of I - A^T is 1 at k less 1 on the k-th of the ``runs`` of A;
+    the rows are filled column by column, in the order a scan would list
+    them.  Each check is ``(name, passed, detail)``; ``detail()`` builds
+    the failure text, so passing words never format it.
     """
-    diag = smith_diagonal(eye_int(A.shape[0]) - A.T)
+    rows: list[dict[int, int]] = [{} for _ in runs]
+    for k, (lo, hi) in enumerate(runs):
+        rows[k][k] = 1
+        for j in range(lo, hi):
+            if j == k:
+                del rows[k][k]
+            else:
+                rows[j][k] = -1
+    diag = _smith_rows(rows, len(runs))
     K0 = AbelianGroup.from_diagonal(diag)
     expected_K0 = AbelianGroup.cyclic(a)
     kr = diag.count(0)
@@ -90,10 +103,10 @@ def k_groups(w: KneadingWord) -> KGroupReport:
     model = build_orbit(w)
     admissible = model.admissible
     a = closed_form_a(w)
-    A = transition_matrix(model)
+    runs = transition_intervals(model)
     # One Smith diagonal of I - A^T gives K0 and K1; BF = coker(I - A) is
     # K0 again, since a square matrix and its transpose share a Smith form.
-    diag, checks = _closed_form_checks(a, A)
+    diag, checks = _closed_form_checks(a, runs)
     if admissible:
         for _, passed, detail in checks:
             if not passed:
@@ -105,7 +118,7 @@ def k_groups(w: KneadingWord) -> KGroupReport:
         K0=K0,
         K1=AbelianGroup(diag.count(0), ()),
         BF=K0,
-        irreducible=is_irreducible(A),
+        irreducible=_strongly_connected([range(*run) for run in runs]),
         admissible=admissible,
     )
 
@@ -148,7 +161,8 @@ def verify(n_max: int) -> VerifyReport:
             a = closed_form_a(word)
             model = build_orbit(word)
             t = build_matrices(model)
-            A = transition_matrix(model)
+            runs = transition_intervals(model)
+            A = transition_matrix(model)  # for the checks on its entries
 
             def record(name: str, ok: bool, detail) -> None:
                 # detail() builds the failure text, only for a failing check.
@@ -158,7 +172,7 @@ def verify(n_max: int) -> VerifyReport:
                 else:
                     violations.append({"word": str(word), "check": name, "detail": detail()})
 
-            diag_a, closed_form_checks = _closed_form_checks(a, A)
+            diag_a, closed_form_checks = _closed_form_checks(a, runs)
             for check in closed_form_checks:
                 record(*check)
 
@@ -247,7 +261,8 @@ def verify(n_max: int) -> VerifyReport:
                 )
 
             if a == 0:
-                a_zero["irreducible" if is_irreducible(A) else "reducible"].append(str(word))
+                irreducible = _strongly_connected([range(*run) for run in runs])
+                a_zero["irreducible" if irreducible else "reducible"].append(str(word))
 
     return VerifyReport(
         n_max=n_max,

@@ -6,8 +6,8 @@ order yields the partition of the invariant interval cut at the turning
 point, and from the ordering permutation every matrix of the K-group
 computation is assembled: the cyclic shift, the ordering permutation, the
 interval-boundary difference, their product eta, the signed diagonal pieces,
-the transition matrix, and the unimodular matrices X and Y that relate the
-two chain-level descriptions.
+the transition matrix and its runs, and the unimodular matrices X and Y
+that relate the two chain-level descriptions.
 
 Everything here is exact integer arithmetic; no floats and no fractions.
 The matrices are ``np.int64`` arrays with entries in {-1, 0, 1}, a bound
@@ -234,22 +234,31 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     return t
 
 
-def transition_matrix(m: OrbitModel) -> np.ndarray:
-    """0-1 interval-covering matrix, built independently of ``build_matrices``.
+def transition_intervals(m: OrbitModel) -> list[tuple[int, int]]:
+    """The rows of the 0-1 interval-covering matrix as runs of ones, built
+    independently of ``build_matrices``.
 
     Interval k sits between the k-th and (k+1)-st orbit points in spatial
     order.  One application of the map sends each orbit point to its orbit
     successor and is monotone on either side of the turning point (the
     partition is cut exactly there), so the image of interval k is the
-    interval spanned by the successors of its two endpoints; entry (k, j)
-    is 1 iff that span covers interval j.  Purely combinatorial: only the
-    ordering permutation is consulted, never numeric orbits.
+    interval spanned by the successors of its two endpoints: it covers the
+    intervals ``lo <= j < hi`` of the k-th run ``(lo, hi)``, 0-based and
+    half-open.  Purely combinatorial and O(n): only the ordering
+    permutation is consulted, never numeric orbits.
     """
     n = m.n
-    pos = {orbit: rank for rank, orbit in enumerate(m.rho, start=1)}
-    A = zeros_int(n - 1, n - 1)
-    for k in range(1, n):
-        u = pos[m.rho[k - 1] % n + 1]
-        v = pos[m.rho[k] % n + 1]
-        A[k - 1, min(u, v) - 1 : max(u, v) - 1] = 1
+    pos = [0] * (n + 1)  # pos[j] is the 0-based spatial rank of orbit point j
+    for rank, orbit in enumerate(m.rho):
+        pos[orbit] = rank
+    image = [pos[orbit % n + 1] for orbit in m.rho]
+    return [(min(u, v), max(u, v)) for u, v in zip(image, image[1:])]
+
+
+def transition_matrix(m: OrbitModel) -> np.ndarray:
+    """0-1 interval-covering matrix, dense from :func:`transition_intervals`:
+    entry (k, j) is 1 iff run k covers interval j."""
+    A = zeros_int(m.n - 1, m.n - 1)
+    for k, (lo, hi) in enumerate(transition_intervals(m)):
+        A[k, lo:hi] = 1
     return A

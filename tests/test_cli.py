@@ -248,7 +248,8 @@ class TestVerifyCommand:
     def test_failing_checks_name_their_witness(self, capsys, monkeypatch):
         # A Smith diagonal of all zeros breaks the SNF checks of RLC (a = 1),
         # and the unimodularity of X and Y in its factorization check.
-        monkeypatch.setattr(kneadck.ktheory, "smith_diagonal", lambda M: (0,) * M.shape[0])
+        for module in (kneadck.intlinalg, kneadck.ktheory):
+            monkeypatch.setattr(module, "_smith_rows", lambda rows, c: (0,) * c)
         code, out, _ = run(capsys, ["verify", "3"])
         assert code == 1
         lines = out.splitlines()

@@ -21,7 +21,6 @@ PUBLIC = [
     "build_matrices",
     "build_orbit",
     "closed_form_a",
-    "cokernel",
     "enumerate_admissible",
     "find_superstable_mu",
     "invariant_coordinate",
