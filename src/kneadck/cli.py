@@ -25,7 +25,8 @@ from .dynamics import C_TOL, QuadMap, SolverError, find_superstable_mu, numeric_
 from .intlinalg import AbelianGroup
 from .ktheory import TheoremViolationError, closed_form_a, k_groups, verify
 from .markov import ConstructionError, build_matrices, build_orbit
-from .symbolic import DomainError, ParseError, enumerate_admissible, is_admissible, parse_word
+from .symbolic import _LETTER, DomainError, ParseError
+from .symbolic import enumerate_admissible, is_admissible, parse_word
 
 # Matrix selectors exposed by the matrices subcommand, in display order.
 _MATRIX_NAMES = (
@@ -186,7 +187,7 @@ def _cmd_find_mu(args):
         "mu": _real(result.mu, p),
         "residual": _real(result.residual, p),
         "word_confirmed": True,
-        "itinerary": "".join(s.name for s in result.itinerary),
+        "itinerary": "".join(map(_LETTER.__getitem__, result.itinerary)),
     }
     return inputs, results, None, 0
 
@@ -214,7 +215,7 @@ def _cmd_itinerary(args):
     results = {
         "mu": _real(args.mu, p),
         "x0": _real(x0, p),
-        "itinerary": "".join(s.name for s in symbols),
+        "itinerary": "".join(map(_LETTER.__getitem__, symbols)),
     }
     return inputs, results, None, 0
 

@@ -85,14 +85,15 @@ class SuperstableResult:
 
 
 def _critical_orbit(mu: float, n: int) -> tuple[str, float]:
-    # Key, to depth n, of the itinerary of f(c), and f^n(c).  Unlike
-    # numeric_itinerary this reads C only at c exactly, so the key is the
-    # kneading key of the double-precision orbit.
+    # Key, to depth n, of the itinerary of f(c), and f^n(c), once per
+    # bisection step.  Unlike numeric_itinerary this reads C only at c
+    # exactly, so the key is the kneading key of the double-precision orbit.
+    C, L, R = Symbol.C, Symbol.L, Symbol.R
     x = 0.5
     symbols = []
     for _ in range(n):
         x = mu * x * (1.0 - x)
-        symbols.append(Symbol.C if x == 0.5 else Symbol.L if x < 0.5 else Symbol.R)
+        symbols.append(C if x == 0.5 else L if x < 0.5 else R)
     return order_key(symbols, n), x
 
 

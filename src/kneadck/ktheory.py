@@ -17,6 +17,8 @@ and irreducibility from the runs of ones that make up the rows of A, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .intlinalg import (
     smith_diagonal,
 )
 from .markov import build_matrices, build_orbit, transition_intervals, transition_matrix
-from .symbolic import DomainError, KneadingWord, enumerate_admissible, invariant_coordinate
+from .symbolic import DomainError, KneadingWord, enumerate_admissible
 
 
 class TheoremViolationError(RuntimeError):
@@ -49,10 +51,11 @@ class KGroupReport:
 
 
 def closed_form_a(w: KneadingWord) -> int:
-    """Exact evaluation of a = |1 + theta_1 + ... + theta_{n-1}|."""
+    """Exact a = |1 + theta_1 + ... + theta_{n-1}|: its terms are the running
+    products, from 1, of the symbols before the final C."""
     if w.n < 2:
         raise DomainError("closed form requires period >= 2")
-    return abs(1 + sum(invariant_coordinate(w.symbols, w.n - 1)))
+    return abs(sum(accumulate(w.symbols[:-1], mul, initial=1)))
 
 
 def _closed_form_checks(a: int, runs):

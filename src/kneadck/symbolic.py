@@ -19,7 +19,8 @@ coordinate ``theta_k = e_0 ... e_k`` (Milnor and Thurston, LNM 1342, 1988).
 So one string key per sequence, :func:`order_key`, replaces pairwise
 comparisons: the shifts of a word are sorted by key, admissibility is a
 handful of string comparisons, and enumeration prunes a prefix as soon as
-one of its shifts exceeds it.
+one of its shifts exceeds it.  Symbols are ints (an ``IntEnum``), so the
+per-symbol loops multiply them as they are and scan them with ``in``.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class KneadingWord:
             raise ParseError("empty word")
         if self.symbols[-1] is not Symbol.C:
             raise ParseError("kneading word must end in C")
-        if any(s is Symbol.C for s in self.symbols[:-1]):
+        if Symbol.C in self.symbols[:-1]:
             raise ParseError("C may appear only in the final position")
 
     @property
@@ -108,24 +109,25 @@ def parse_word(text: str) -> KneadingWord:
     text = text.strip()
     if not text:
         raise ParseError("empty word")
-    if "," in text or text[0] in "+-0123456789":
-        symbols = tuple(Symbol.from_token(t) for t in text.split(","))
-    else:
-        symbols = tuple(Symbol.from_token(ch) for ch in text)
+    tokens = text.split(",") if "," in text or text[0] in "+-0123456789" else text
+    symbols = tuple(map(_TOKENS.get, map(str.strip, tokens)))
+    if None in symbols:
+        Symbol.from_token(tokens[symbols.index(None)])  # raises, naming the token
     return KneadingWord(symbols)
 
 
 def invariant_coordinate(seq, depth: int) -> tuple[int, ...]:
     """Cumulative products of the symbol values, to the given depth.
 
-    Entries are in {-1, 0, +1}, and a 0 is followed only by 0s.
+    Entries are plain ints in {-1, 0, +1} (the product starts from the int
+    1), and a 0 is followed only by 0s.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     entries = []
     prod = 1
     for k in range(depth):
-        prod *= int(seq[k])
+        prod *= seq[k]
         entries.append(prod)
     return tuple(entries)
 
@@ -199,19 +201,20 @@ def enumerate_admissible(n: int) -> list[KneadingWord]:
     """
     if n < 2:
         raise DomainError("enumeration is defined for period >= 2")
+    R, L, C = Symbol.R, Symbol.L, Symbol.C
     last = n - 1
     words = []
     # Frames: (prefix, its invariant coordinates, tied shifts).  R is
     # pushed before L so that L is popped, and extended, first.
-    stack = [((Symbol.R,), (-1,), ())]
+    stack = [((R,), (-1,), ())]
     while stack:
         prefix, theta, tied = stack.pop()
         m = len(prefix)
         if m == last:
-            if all(theta[last - i] < 0 for i in tied):
-                words.append(KneadingWord(prefix + (Symbol.C,)))
+            if all([theta[last - i] < 0 for i in tied]):
+                words.append(KneadingWord(prefix + (C,)))
             continue
-        for s in (Symbol.R, Symbol.L):
+        for s in (R, L):
             t = theta[-1] * s
             still = []
             for i in tied:
@@ -224,7 +227,7 @@ def enumerate_admissible(n: int) -> list[KneadingWord]:
                     still.append(i)
             else:
                 # Shift m starts with s against the word's R: tied iff s is R.
-                if s is Symbol.R:
+                if s is R:
                     still.append(m)
                 stack.append((prefix + (s,), theta + (t,), still))
     return words

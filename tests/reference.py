@@ -6,7 +6,8 @@ by Bareiss elimination instead of the Smith diagonal, the Smith form with
 its unimodular transforms by extended-gcd (Bezout) steps instead of the
 sparse floor-division sweeps and gcd/lcm exchange of ``smith_diagonal``,
 and strong connectivity by a dense transitive closure instead of graph
-searches.  :func:`rotation` cuts the shifts of a periodic word to a
+searches.  :func:`coordinate_by_int` converts every symbol to an int
+where the package multiplies the enum values directly.  :func:`rotation` cuts the shifts of a periodic word to a
 finite depth, for the pairwise checks of the signed order.
 """
 
@@ -57,6 +58,19 @@ def mt_compare(a, b, depth: int) -> Order:
 def rotation(w, i: int, depth: int) -> tuple:
     """Symbols i, ..., i + depth - 1 of the periodic sequence ``(w)^inf``."""
     return tuple(w.symbols[(i + k) % w.n] for k in range(depth))
+
+
+def coordinate_by_int(seq, depth: int) -> tuple[int, ...]:
+    """The invariant coordinate ``theta_k = e_0 ... e_k``, k < depth, with an
+    ``int()`` of every symbol before it is multiplied in."""
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    entries = []
+    prod = 1
+    for k in range(depth):
+        prod *= int(seq[k])
+        entries.append(prod)
+    return tuple(entries)
 
 
 def determinant(M) -> int:

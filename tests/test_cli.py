@@ -37,6 +37,9 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_parse_error_message(self, capsys):
+        assert run(capsys, ["admissible", "RLX"]) == (2, "", "error: unknown symbol 'X'\n")
+
     def test_domain_error_fixed_point(self, capsys):
         code, _, err = run(capsys, ["kgroups", "C"])
         assert code == 3

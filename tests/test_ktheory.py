@@ -25,7 +25,7 @@ from kneadck.symbolic import (
     parse_word,
 )
 
-from reference import is_irreducible_dense
+from reference import coordinate_by_int, is_irreducible_dense
 
 TRIVIAL = AbelianGroup(0, ())
 Z = AbelianGroup(1, ())
@@ -158,6 +158,14 @@ class TestClosedForm:
             prod *= e
             total += prod
         assert closed_form_a(word) == abs(total)
+
+    def test_equals_the_reference_coordinate(self):
+        ws = runs_corpus()
+        assert len(ws) == 1279 + 1022
+        for w in ws:
+            a = closed_form_a(w)
+            assert type(a) is int
+            assert a == abs(1 + sum(coordinate_by_int(w.symbols, w.n - 1)))
 
 
 class TestKGroups:

@@ -5,6 +5,7 @@ from collections.abc import Iterator
 import pytest
 from hypothesis import given, strategies as st
 
+from kneadck.dynamics import QuadMap, numeric_itinerary
 from kneadck.symbolic import (
     DomainError,
     KneadingWord,
@@ -18,11 +19,29 @@ from kneadck.symbolic import (
     shift_keys,
 )
 
-from reference import Order, mt_compare, rotation
+from reference import Order, coordinate_by_int, mt_compare, rotation
 
 # Known counts of admissible words by period; any ordering bug in the
 # signed comparison breaks these immediately.
 ADMISSIBLE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 9, 8: 16, 9: 28, 10: 51}
+
+
+# Each malformed input with its exact ParseError message.  A padded token
+# is named stripped, so inner spaces in letters read as an empty symbol.
+MALFORMED = {
+    "": "empty word",
+    "RL": "kneading word must end in C",
+    "RCL": "kneading word must end in C",
+    "RLCRC": "C may appear only in the final position",
+    "CC": "C may appear only in the final position",
+    "RLX": "unknown symbol 'X'",
+    "-2,0": "unknown symbol '-2'",
+    "0,1": "kneading word must end in C",
+    "-1,,0": "unknown symbol ''",
+    "R L C": "unknown symbol ''",
+    "R,L,X": "unknown symbol 'X'",
+    "-1, +2,0": "unknown symbol '+2'",
+}
 
 
 def words(max_n=8):
@@ -90,15 +109,23 @@ class TestParsing:
         assert parse_word(w.numeric) == w
 
     def test_lowercase_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^unknown symbol 'r'$"):
             parse_word("rlc")
 
-    @pytest.mark.parametrize(
-        "bad", ["", "RL", "RCL", "RLCRC", "CC", "RLX", "-2,0", "0,1", "-1,,0"]
-    )
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_malformed(self, bad):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_word(bad)
+        assert str(exc.value) == MALFORMED[bad]
+
+    def test_padded_numbers_tolerated(self):
+        assert parse_word("-1, +1,0") == parse_word("RLC")
+        assert parse_word("+1 ,0") == parse_word("LC")
+
+    def test_plain_zero_before_the_end_rejected(self):
+        # 0 == Symbol.C, so a plain 0 is a C before the end.
+        with pytest.raises(ParseError, match="^C may appear only in the final position$"):
+            KneadingWord((Symbol.R, 0, Symbol.C))
 
     def test_comma_separated_letters_tolerated(self):
         assert parse_word("R,L,C") == parse_word("RLC")
@@ -125,6 +152,56 @@ class TestInvariantCoordinate:
     def test_validation(self):
         with pytest.raises(ValueError):
             invariant_coordinate(parse_word("RC").symbols, 0)
+
+
+KEY_CHAR = {1: "0", 0: "1", -1: "2"}
+
+
+class TestCoordinateKernels:
+    """invariant_coordinate and order_key against the int() loop of reference."""
+
+    def check(self, seq, depth):
+        expected = coordinate_by_int(seq, depth)
+        theta = invariant_coordinate(seq, depth)
+        assert theta == expected
+        assert all(type(c) is int for c in theta)
+        assert order_key(seq, depth) == "".join(KEY_CHAR[c] for c in expected)
+
+    @pytest.mark.parametrize("corpus", ["admissible", "forced"])
+    def test_words(self, corpus):
+        ws = words(14) if corpus == "admissible" else [
+            w for n in range(2, 11) for w in every_word(n)
+        ]
+        assert len(ws) == (1279 if corpus == "admissible" else 1022)
+        for w in ws:
+            self.check(w.symbols, w.n)
+            self.check(w.symbols, 1)
+            self.check(rotation(w, 1, 2 * w.n), 2 * w.n)
+
+    def test_numeric_prefixes(self):
+        for mu in (2.5, 3.2, 3.5, 3.8318740553, 3.9, 4.0):
+            m = QuadMap(mu)
+            for x0 in (0.5, m.step(0.5), 0.1):
+                seq = numeric_itinerary(m, x0, 30)
+                self.check(seq, 30)
+            # A list, as the bisection of find_superstable_mu builds it.
+            x, seq = 0.5, []
+            for _ in range(30):
+                x = mu * x * (1.0 - x)
+                seq.append(Symbol.C if x == 0.5 else Symbol.L if x < 0.5 else Symbol.R)
+            self.check(seq, 30)
+            self.check(seq, 7)
+
+    def test_depth_errors(self):
+        seq = parse_word("RLC").symbols
+        for f in (invariant_coordinate, order_key, coordinate_by_int):
+            for depth in (0, -1):
+                with pytest.raises(ValueError):
+                    f(seq, depth)
+            with pytest.raises(IndexError):
+                f(seq, 4)
+            with pytest.raises(IndexError):
+                f([], 1)
 
 
 class TestSignedOrder:
