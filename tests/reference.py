@@ -9,6 +9,8 @@ and strong connectivity by a dense transitive closure instead of graph
 searches.  :func:`coordinate_by_int` converts every symbol to an int
 where the package multiplies the enum values directly.  :func:`rotation` cuts the shifts of a periodic word to a
 finite depth, for the pairwise checks of the signed order.
+:func:`charpoly` gives the kneading determinant ``det(I - tM)``, which the
+package never computes.
 """
 
 from __future__ import annotations
@@ -99,6 +101,33 @@ def determinant(M) -> int:
             D[i][k] = 0
         prev = D[k][k]
     return sign * D[n - 1][n - 1]
+
+
+def charpoly(M) -> list[int]:
+    """Coefficients ``[1, c_1, ..., c_n]`` of ``det(tI - M) = t^n + c_1
+    t^(n-1) + ... + c_n`` for a square integer matrix, which are also those
+    of ``det(I - tM) = 1 + c_1 t + ... + c_n t^n``.
+
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984) over
+    Python ints: with ``M_i`` the leading i x i block, ``M_(i+1) = [[M_i,
+    C], [R, a]]`` multiplies the coefficients of ``M_i`` by the lower
+    triangular Toeplitz matrix whose first column is ``1, -a, -R C,
+    -R M_i C, ..., -R M_i^(i-1) C``.
+    """
+    A = [[int(e) for e in row] for row in M]
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("charpoly requires a square matrix")
+    p = [1]
+    for i in range(n):
+        R = A[i][:i]
+        v = [A[k][i] for k in range(i)]  # M_i^j C, from j = 0
+        col = [1, -A[i][i]]
+        for _ in range(i):
+            col.append(-sum(r * x for r, x in zip(R, v)))
+            v = [sum(A[k][j] * v[j] for j in range(i)) for k in range(i)]
+        p = [sum(col[k - j] * p[j] for j in range(min(k, i) + 1)) for k in range(i + 2)]
+    return p
 
 
 def is_irreducible_dense(A) -> bool:

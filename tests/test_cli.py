@@ -249,8 +249,7 @@ class TestVerifyCommand:
         assert dataclasses.asdict(kneadck.ktheory.verify(8)) == doc["results"]
 
     def test_failing_checks_name_their_witness(self, capsys, monkeypatch):
-        # A Smith diagonal of all zeros breaks the SNF checks of RLC (a = 1),
-        # and the unimodularity of X and Y in its factorization check.
+        # A Smith diagonal of all zeros breaks the SNF checks of RLC (a = 1).
         for module in (kneadck.intlinalg, kneadck.ktheory):
             monkeypatch.setattr(module, "_smith_rows", lambda rows, c: (0,) * c)
         code, out, _ = run(capsys, ["verify", "3"])
@@ -261,8 +260,6 @@ class TestVerifyCommand:
             "VIOLATION RLC [k1_rank]: a=1 predicts kernel rank 0, SNF route gives 2",
             "VIOLATION RLC [snf_multiset]: SNF diagonal [0, 0, 0] vs expected [1, 1, 1]",
             "VIOLATION RLC [cokernel_bridge]: from A: Z^2, from theta: Z^3",
-            "VIOLATION RLC [factorization]: eta^T [[0, 1], [-1, 0], [1, -1]] vs "
-            "Y inc X [[0, 1], [-1, 0], [1, -1]], Smith diagonals X [0, 0], Y [0, 0, 0]",
             "  identity_A_eta: 2 ok",
             "result: FAIL",
         ):

@@ -238,12 +238,42 @@ class TestKGroups:
             k_groups(word)
             assert runs == [(word.n - 1, word.n - 1)], word
 
-    def test_four_snfs_per_verified_word(self, monkeypatch):
-        # I - A^T, X, Y and I - theta; the cokernel bridge reuses the first.
+    def test_two_snfs_per_verified_word(self, monkeypatch):
+        # I - A^T and I - theta; the cokernel bridge reuses the first.
         runs = count_smith_loops(monkeypatch)
         report = ktheory.verify(8)
         assert report.ok
-        assert len(runs) == 4 * report.words_checked
+        assert len(runs) == 2 * report.words_checked
+
+    def test_verify_scores_only_checks_a_word_can_fail(self):
+        # The report of verify 12 before the five checks that build_matrices
+        # decides (identity_beta_eta, identity_alpha_eta,
+        # identity_theta_factors, identity_A_factors, factorization) left
+        # it, with those keys removed: the other nine keep their order and
+        # counts, and every other field is unchanged.
+        report = ktheory.verify(12)
+        assert list(report.checks.items()) == [
+            ("closed_form_k0", 379),
+            ("k1_rank", 379),
+            ("identity_A_eta", 379),
+            ("block_form", 379),
+            ("construction_equivalence", 379),
+            ("snf_multiset", 379),
+            ("cokernel_bridge", 379),
+            ("zero_rows_cols", 379),
+            ("not_permutation", 378),
+        ]
+        assert report.words_checked == 379
+        assert report.skipped == {"not_permutation": ["RC"]}
+        assert report.violations == []
+        assert report.ok
+        zero = [w for n in range(2, 13) for w in enumerate_admissible(n) if closed_form_a(w) == 0]
+        split = {"reducible": [], "irreducible": []}
+        for w in zero:
+            irreducible = is_irreducible_dense(transition_matrix(build_orbit(w)))
+            split["irreducible" if irreducible else "reducible"].append(str(w))
+        assert report.a_zero == split
+        assert (len(split["reducible"]), len(split["irreducible"])) == (21, 42)
 
     @pytest.mark.parametrize("n", [256, 512, 2048, 4096])
     def test_long_random_words(self, n):

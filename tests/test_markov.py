@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kneadck.intlinalg import as_int_matrix, eye_int
+from kneadck.intlinalg import as_int_matrix, eye_int, smith_diagonal
 from kneadck.markov import (
     ConstructionError,
     OrbitModel,
@@ -25,7 +25,7 @@ from kneadck.symbolic import (
     parse_word,
 )
 
-from reference import Order, determinant, mt_compare, rotation
+from reference import Order, charpoly, coordinate_by_int, determinant, mt_compare, rotation
 
 
 def pipeline(text):
@@ -216,35 +216,49 @@ class TestOrbitModel:
         assert A.shape == (2, 2)
 
 
+def assert_identities(word):
+    """The identities of the matrix family of one word."""
+    n = word.n
+    m = build_orbit(word)
+    t = build_matrices(m)
+
+    # Intertwinings between the two chain-level descriptions.
+    assert np.array_equal(t.A @ t.eta, t.eta @ t.theta)
+    assert np.array_equal(t.beta @ t.eta, t.eta @ t.gamma)
+    assert np.array_equal(t.alpha @ t.eta, t.eta @ t.omega)
+
+    # Factorizations.
+    assert np.array_equal(t.theta, t.gamma @ t.omega)
+    assert np.array_equal(t.A, t.beta @ t.alpha)
+    assert np.array_equal(t.eta.T, t.Y @ t.inc @ t.X)
+
+    assert abs(determinant(t.X)) == 1
+    assert abs(determinant(t.Y)) == 1
+    assert set(smith_diagonal(t.X)) == {1}
+    assert set(smith_diagonal(t.Y)) == {1}
+
+    # Each row of eta is a difference of two permutation rows, so
+    # every row sums to zero.
+    assert all(int(s) == 0 for s in t.eta.sum(axis=1))
+
+    # thetaprime is Aprime extended by a zero row and a cyclic column.
+    assert all(int(e) == 0 for e in t.thetaprime[n - 1, :])
+    assert np.array_equal(t.thetaprime[: n - 1, : n - 1], t.Aprime)
+
+
 class TestMatrixRelations:
     """Structural identities that must hold for every admissible word."""
 
     @pytest.mark.parametrize("word", all_words(10), ids=str)
     def test_identities(self, word):
-        n = word.n
-        m = build_orbit(word)
-        t = build_matrices(m)
+        assert_identities(word)
 
-        # Intertwinings between the two chain-level descriptions.
-        assert np.array_equal(t.A @ t.eta, t.eta @ t.theta)
-        assert np.array_equal(t.beta @ t.eta, t.eta @ t.gamma)
-        assert np.array_equal(t.alpha @ t.eta, t.eta @ t.omega)
-
-        # Factorizations.
-        assert np.array_equal(t.theta, t.gamma @ t.omega)
-        assert np.array_equal(t.A, t.beta @ t.alpha)
-        assert np.array_equal(t.eta.T, t.Y @ t.inc @ t.X)
-
-        assert abs(determinant(t.X)) == 1
-        assert abs(determinant(t.Y)) == 1
-
-        # Each row of eta is a difference of two permutation rows, so
-        # every row sums to zero.
-        assert all(int(s) == 0 for s in t.eta.sum(axis=1))
-
-        # thetaprime is Aprime extended by a zero row and a cyclic column.
-        assert all(int(e) == 0 for e in t.thetaprime[n - 1, :])
-        assert np.array_equal(t.thetaprime[: n - 1, : n - 1], t.Aprime)
+    # build_matrices raises on the identities it checks for any word, so
+    # none may fail on a forced, inadmissible one either.
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_identities_on_forced_words(self, n):
+        for word in every_word(n):
+            assert_identities(word)
 
     @pytest.mark.parametrize("word", all_words(10), ids=str)
     def test_transition_matrix_agrees(self, word):
@@ -268,6 +282,61 @@ class TestMatrixRelations:
         A = transition_matrix(build_orbit(word))
         row_sums = [int(s) for s in A.sum(axis=1)]
         assert any(s != 1 for s in row_sums)
+
+
+def kneading_determinant(w):
+    """``[1, theta_1, ..., theta_(n-1)]``, the coefficients of
+    ``sum theta_k t^k`` with ``theta_k = e_1 ... e_k``."""
+    return [1, *coordinate_by_int(w.symbols, w.n - 1)]
+
+
+class TestKneadingDeterminant:
+    """``det(I - tA) = sum theta_k t^k`` (Milnor and Thurston, LNM 1342).
+
+    ``verify`` scores no check for it: ``block_form`` makes ``I - t theta``
+    block triangular over ``I - tA`` for the ``A`` of ``build_matrices``,
+    and ``construction_equivalence`` holds exactly where the identity holds
+    on the covering ``A``, the admissible words.
+    """
+
+    def test_charpoly_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(5)
+        dense = [
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            for n in (rng.randint(0, 6) for _ in range(20))
+        ]
+        family = []
+        for text in ("RC", "RLC", "RLLRRC", "RLRRC", "RRLLRLC", "RLLLRLRRLRC"):
+            m, tm = pipeline(text)
+            family += [transition_matrix(m), tm.theta]
+        for M in dense + family:
+            expected = sympy.Matrix(len(M), len(M), [int(e) for row in M for e in row])
+            coeffs = [int(c) for c in expected.charpoly(t).all_coeffs()]
+            assert charpoly(M) == coeffs, M
+
+    def test_covering_matrix_of_admissible_words(self):
+        for w in all_words(12):
+            A = transition_matrix(build_orbit(w))
+            assert charpoly(A) == kneading_determinant(w), w
+
+    def test_theta_of_every_word(self):
+        # det(theta) = 0, since the last row of gamma is zero.
+        for n in range(2, 10):
+            for w in every_word(n):
+                theta = build_matrices(build_orbit(w)).theta
+                assert charpoly(theta) == kneading_determinant(w) + [0], w
+
+    def test_both_fail_on_inadmissible_words(self):
+        for n in range(2, 10):
+            for w in every_word(n):
+                m = build_orbit(w)
+                if m.admissible:
+                    continue
+                A = transition_matrix(m)
+                assert charpoly(A) != kneading_determinant(w), w
+                assert not np.array_equal(A, build_matrices(m).A), w
 
 
 class TestIntegerRoute:
