@@ -24,26 +24,12 @@ import sys
 from .dynamics import C_TOL, QuadMap, SolverError, find_superstable_mu, numeric_itinerary
 from .intlinalg import AbelianGroup
 from .ktheory import TheoremViolationError, closed_form_a, k_groups, verify
-from .markov import ConstructionError, build_matrices, build_orbit
+from .markov import ConstructionError, TheoremMatrices, build_matrices, build_orbit
 from .symbolic import _LETTER, DomainError, ParseError
 from .symbolic import enumerate_admissible, is_admissible, parse_word
 
 # Matrix selectors exposed by the matrices subcommand, in display order.
-_MATRIX_NAMES = (
-    "A",
-    "theta",
-    "omega",
-    "phi",
-    "pi",
-    "eta",
-    "alpha",
-    "beta",
-    "gamma",
-    "Y",
-    "X",
-    "Aprime",
-    "thetaprime",
-)
+_MATRIX_NAMES = tuple(f.name for f in dataclasses.fields(TheoremMatrices))
 
 
 def _real(x, precision: int) -> str:

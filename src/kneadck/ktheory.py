@@ -232,16 +232,13 @@ def verify(n_max: int) -> VerifyReport:
             # For n >= 3 the two intervals adjacent to the turning point
             # map onto spans sharing the top interval, so A cannot be a
             # permutation matrix; the single-interval partition (n = 2)
-            # forces A = [[1]] and is skipped with a report.
+            # forces A = [[1]] and is skipped with a report.  A is 0-1 by
+            # construction, so one nonzero per row and column decides it.
             if n == 2:
                 counts.setdefault("not_permutation", 0)
                 skipped.setdefault("not_permutation", []).append(str(word))
             else:
-                permutation = (
-                    ((A == 0) | (A == 1)).all()
-                    and (nonzero.sum(axis=0) == 1).all()
-                    and (nonzero.sum(axis=1) == 1).all()
-                )
+                permutation = (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
                 record(
                     "not_permutation",
                     not permutation,

@@ -38,14 +38,13 @@ class OrbitModel:
     Orbit point i (1-based) is the i-th image of the turning point, whose
     itinerary is the kneading sequence shifted ``i - 1`` times.  ``rho``
     lists the orbit indices in spatial order (``rho[0]`` is the leftmost
-    point).  ``nL`` and ``nR`` count the partition intervals strictly left
-    and right of the turning point; ``nL + nR = n - 1``.
+    point).  ``nL`` counts the partition intervals strictly left of the
+    turning point; the other ``n - 1 - nL`` lie right of it.
     """
 
     word: KneadingWord
     rho: tuple[int, ...]
     nL: int
-    nR: int
 
     @property
     def n(self) -> int:
@@ -79,41 +78,36 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
                 f"orbit points {rho[k]} and {rho[k + 1]} of {w} do not compare strictly"
             )
 
-    nL = sum(1 for s in w.symbols[:-1] if s is Symbol.L)
-    nR = sum(1 for s in w.symbols[:-1] if s is Symbol.R)
+    nL = w.symbols.count(Symbol.L)
     # The turning point is the n-th orbit point and splits the partition.
     if rho[nL] != n:
         raise ConstructionError("turning point is not at spatial rank nL+1")
-    return OrbitModel(word=w, rho=rho, nL=nL, nR=nR)
+    return OrbitModel(word=w, rho=rho, nL=nL)
 
 
 @dataclass(frozen=True)
 class TheoremMatrices:
-    """The full matrix family of one kneading word.
+    """The matrix family of one kneading word, in the display order of
+    ``kneadck matrices``.
 
-    Shapes: ``omega``, ``pi``, ``gamma``, ``theta``, ``Y``, ``Yinv``,
-    ``thetaprime`` are n x n; ``phi`` and ``eta`` are (n-1) x n; ``inc``
-    and ``R`` (the right inverse of ``eta``) are n x (n-1); ``A``,
-    ``alpha``, ``beta``, ``X``, ``Xinv``, ``Aprime`` are (n-1) x (n-1).
+    Shapes: ``theta``, ``omega``, ``pi``, ``gamma``, ``Y``, ``thetaprime``
+    are n x n; ``phi`` and ``eta`` are (n-1) x n; ``A``, ``alpha``,
+    ``beta``, ``X``, ``Aprime`` are (n-1) x (n-1).
     """
 
-    omega: np.ndarray
-    pi: np.ndarray
-    phi: np.ndarray
-    eta: np.ndarray
     A: np.ndarray
+    theta: np.ndarray
+    omega: np.ndarray
+    phi: np.ndarray
+    pi: np.ndarray
+    eta: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    theta: np.ndarray
     Y: np.ndarray
-    inc: np.ndarray
     X: np.ndarray
     Aprime: np.ndarray
     thetaprime: np.ndarray
-    Xinv: np.ndarray
-    Yinv: np.ndarray
-    R: np.ndarray
 
 
 def _check_entry_bound(n: int, mats) -> None:
@@ -142,7 +136,8 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     therefore a pair of running sums, one on each side of the turning
     point, and ``Y`` is inverted by flipping the sign of its last row.
     Together they give an integer right inverse ``R`` of ``eta`` and with
-    it ``alpha = eta @ omega @ R``.  Every matrix is ``int64`` and passes
+    it ``alpha = eta @ omega @ R``.  Every matrix, including the unreturned
+    ``inc``, ``Xinv``, ``Yinv`` and ``R``, is ``int64`` and passes
     :func:`_check_entry_bound` before any identity is checked.  Two exact
     products then confirm the route: ``X @ Xinv == I``, which also proves
     ``X`` unimodular, and ``alpha @ eta == eta @ omega``, which pins
@@ -151,7 +146,7 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     :class:`ConstructionError`.
     """
     n = m.n
-    eps = np.array(m.word.values(), dtype=np.int64)
+    eps = np.array(m.word.symbols, dtype=np.int64)
 
     ranks = np.arange(n)
     omega = zeros_int(n, n)
@@ -205,25 +200,21 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     thetaprime = Yinv @ theta.T @ Y
 
     t = TheoremMatrices(
-        omega=omega,
-        pi=pi,
-        phi=phi,
-        eta=eta,
         A=A,
+        theta=theta,
+        omega=omega,
+        phi=phi,
+        pi=pi,
+        eta=eta,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        theta=theta,
         Y=Y,
-        inc=inc,
         X=X,
         Aprime=Aprime,
         thetaprime=thetaprime,
-        Xinv=Xinv,
-        Yinv=Yinv,
-        R=R,
     )
-    _check_entry_bound(n, vars(t).values())
+    _check_entry_bound(n, [*vars(t).values(), inc, Xinv, Yinv, R])
 
     if not np.array_equal(etaT, Y @ inc @ X):
         raise ConstructionError("eta-transpose does not factor as Y inc X")

@@ -45,14 +45,6 @@ class Symbol(enum.IntEnum):
     C = 0
     L = 1
 
-    @classmethod
-    def from_token(cls, token: str) -> "Symbol":
-        token = token.strip()
-        symbol = _TOKENS.get(token)
-        if symbol is None:
-            raise ParseError(f"unknown symbol {token!r}")
-        return symbol
-
     @property
     def numeric(self) -> str:
         """Signed numeric rendering (``-1``, ``+1``, ``0``)."""
@@ -90,9 +82,6 @@ class KneadingWord:
     def n(self) -> int:
         return len(self.symbols)
 
-    def values(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in self.symbols)
-
     def __str__(self) -> str:
         return "".join(map(_LETTER.__getitem__, self.symbols))
 
@@ -112,7 +101,8 @@ def parse_word(text: str) -> KneadingWord:
     tokens = text.split(",") if "," in text or text[0] in "+-0123456789" else text
     symbols = tuple(map(_TOKENS.get, map(str.strip, tokens)))
     if None in symbols:
-        Symbol.from_token(tokens[symbols.index(None)])  # raises, naming the token
+        token = tokens[symbols.index(None)]
+        raise ParseError(f"unknown symbol {token.strip()!r}")
     return KneadingWord(symbols)
 
 

@@ -126,7 +126,8 @@ def test_criterion_3_construction_identities():
         assert np.array_equal(t.alpha @ t.eta, t.eta @ t.omega), str(word)
         assert np.array_equal(t.theta, t.gamma @ t.omega), str(word)
         assert np.array_equal(t.A, t.beta @ t.alpha), str(word)
-        assert np.array_equal(t.eta.T, t.Y @ t.inc @ t.X), str(word)
+        inc = np.eye(n, n - 1, dtype=np.int64)
+        assert np.array_equal(t.eta.T, t.Y @ inc @ t.X), str(word)
         assert all(int(e) == 0 for e in t.thetaprime[n - 1, :]), str(word)
         assert np.array_equal(t.thetaprime[: n - 1, : n - 1], t.Aprime), str(word)
         diag = smith_diagonal(eye_int(n) - t.theta)

@@ -9,6 +9,7 @@ import pytest
 
 import kneadck.ktheory
 from kneadck.cli import main
+from kneadck.markov import TheoremMatrices
 
 
 def run(capsys, argv):
@@ -171,6 +172,17 @@ class TestMatricesCommand:
         code, out, _ = run(capsys, ["matrices", "RC", "--which", "beta"])
         assert code == 0
         assert out.splitlines() == ["word: RC", "beta =", "  -1"]
+
+    def test_family_order(self, capsys):
+        names = [f.name for f in dataclasses.fields(TheoremMatrices)]
+        assert names == [
+            "A", "theta", "omega", "phi", "pi", "eta", "alpha",
+            "beta", "gamma", "Y", "X", "Aprime", "thetaprime",
+        ]
+        code, out, _ = run(capsys, ["matrices", "RLC"])
+        assert code == 0
+        headers = [line[: -len(" =")] for line in out.splitlines() if line.endswith(" =")]
+        assert headers == names
 
     def test_all_matrices_machine(self, capsys):
         code, doc, _ = run_machine(capsys, ["matrices", "RLLRRC"])

@@ -151,7 +151,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("word", all_words(8), ids=str)
     def test_alternating_sum_form(self, word):
         # a = |1 + sum over l of the product of the first l symbol values|.
-        eps = word.values()[:-1]
+        eps = word.symbols[:-1]
         total = 1
         prod = 1
         for e in eps:
@@ -285,31 +285,40 @@ class TestKGroups:
     def test_memory_stays_linear_at_n_4096(self, tmp_path):
         # One dense (n-1)^2 int64 array is 134 MB here, so with the
         # interpreter and numpy a peak under 150 MB rules out any of them.
-        # ru_maxrss is in kilobytes on Linux.
+        # The child reports its own VmHWM: the ru_maxrss of a forked child
+        # starts from the forking process's RSS, pytest's here.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status for the peak RSS")
         word = random_word(4096)
         src = str(pathlib.Path(kneadck.__file__).parents[1])
         path = [src, os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        child = (
+            "import sys\n"
+            "from kneadck.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as f:\n"
+            "    sys.stderr.write(next(line for line in f if line.startswith('VmHWM:')))\n"
+            "sys.exit(code)\n"
+        )
         out = tmp_path / "out.json"
         with out.open("w") as f:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "kneadck.cli", "kgroups", str(word), "--format", "machine"],
+            # run() kills the child on any exception, the time limit included.
+            proc = subprocess.run(
+                [sys.executable, "-c", child, "kgroups", str(word), "--format", "machine"],
                 stdout=f,
+                stderr=subprocess.PIPE,
+                text=True,
                 env=env,
             )
-            try:
-                _, status, usage = os.wait4(proc.pid, 0)
-            except BaseException:  # the time limit, say: leave no child behind
-                proc.kill()
-                proc.wait()
-                raise
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         results = json.loads(out.read_text())["results"]
         assert results["a"] == closed_form_a(word)
         K0 = AbelianGroup(results["K0"]["free_rank"], tuple(results["K0"]["torsion"]))
         assert K0 == AbelianGroup.cyclic(results["a"])
-        assert usage.ru_maxrss < 150 * 1024
+        label, peak_kb, unit = proc.stderr.splitlines()[-1].split()
+        assert (label, unit) == ("VmHWM:", "kB")
+        assert int(peak_kb) < 150 * 1024
 
     def test_no_dense_matrix_and_no_scan(self, monkeypatch):
         def dense(*args):

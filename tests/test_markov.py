@@ -14,6 +14,7 @@ from kneadck.markov import (
     _check_entry_bound,
     build_matrices,
     build_orbit,
+    transition_intervals,
     transition_matrix,
 )
 from kneadck.symbolic import (
@@ -82,7 +83,7 @@ class TestPeriodSixFixture:
 
     def test_rho(self):
         assert self.m.rho == (2, 3, 6, 4, 5, 1)
-        assert (self.m.nL, self.m.nR) == (2, 3)
+        assert (self.m.nL, self.m.n - 1 - self.m.nL) == (2, 3)
 
     def test_omega(self):
         expected = [
@@ -143,7 +144,7 @@ class TestSmallFixtures:
     def test_rlc(self):
         m, t = pipeline("RLC")
         assert m.rho == (2, 3, 1)
-        assert (m.nL, m.nR) == (1, 1)
+        assert (m.nL, m.n - 1 - m.nL) == (1, 1)
         assert np.array_equal(t.A, as_int_matrix([[0, 1], [1, 1]]))
         assert np.array_equal(
             t.theta, as_int_matrix([[1, -1, 0], [-1, 0, 1], [0, 0, 0]])
@@ -155,7 +156,7 @@ class TestSmallFixtures:
     def test_rc(self):
         m, t = pipeline("RC")
         assert m.rho == (2, 1)
-        assert (m.nL, m.nR) == (0, 1)
+        assert (m.nL, m.n - 1 - m.nL) == (0, 1)
         assert np.array_equal(t.A, as_int_matrix([[1]]))
         assert np.array_equal(t.alpha, as_int_matrix([[-1]]))
         assert np.array_equal(t.beta, as_int_matrix([[-1]]))
@@ -178,8 +179,8 @@ class TestOrbitModel:
             lhs = points[m.rho[k] - 1]
             rhs = points[m.rho[k + 1] - 1]
             assert mt_compare(lhs, rhs, depth) is Order.LT
-        assert m.nL + m.nR == n - 1
         assert m.nL == sum(1 for s in word.symbols[:-1] if s is Symbol.L)
+        assert m.n - 1 - m.nL == sum(1 for s in word.symbols[:-1] if s is Symbol.R)
         # The turning point splits the left intervals from the right ones.
         assert m.rho[m.nL] == n
 
@@ -230,7 +231,7 @@ def assert_identities(word):
     # Factorizations.
     assert np.array_equal(t.theta, t.gamma @ t.omega)
     assert np.array_equal(t.A, t.beta @ t.alpha)
-    assert np.array_equal(t.eta.T, t.Y @ t.inc @ t.X)
+    assert np.array_equal(t.eta.T, t.Y @ np.eye(n, n - 1, dtype=np.int64) @ t.X)
 
     assert abs(determinant(t.X)) == 1
     assert abs(determinant(t.Y)) == 1
@@ -264,6 +265,26 @@ class TestMatrixRelations:
     def test_transition_matrix_agrees(self, word):
         m = build_orbit(word)
         assert np.array_equal(transition_matrix(m), build_matrices(m).A)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_transition_intervals_cover_every_column(self, n):
+        for w in every_word(n):
+            runs = transition_intervals(build_orbit(w))
+            assert len(runs) == n - 1, str(w)
+            assert all(0 <= lo < hi <= n - 1 for lo, hi in runs), str(w)
+            covered = set().union(*(range(lo, hi) for lo, hi in runs))
+            assert covered == set(range(n - 1)), str(w)
+
+    def test_transition_intervals_are_the_rows_of_A(self):
+        # A from the eta/alpha route, independent of the runs.
+        words = all_words(12)
+        assert len(words) == 379
+        for w in words:
+            m = build_orbit(w)
+            A = build_matrices(m).A
+            for row, (lo, hi) in zip(A, transition_intervals(m)):
+                assert np.flatnonzero(row).tolist() == list(range(lo, hi)), str(w)
+                assert set(row[lo:hi].tolist()) == {1}, str(w)
 
     @pytest.mark.parametrize("word", all_words(10), ids=str)
     def test_transition_matrix_shape(self, word):
@@ -350,9 +371,11 @@ class TestIntegerRoute:
     def test_inverses(self, word):
         n = word.n
         t = build_matrices(build_orbit(word))
-        assert np.array_equal(t.X @ t.Xinv, eye_int(n - 1))
-        assert np.array_equal(t.Y @ t.Yinv, eye_int(n))
-        assert np.array_equal(t.eta @ t.R, eye_int(n - 1))
+        assert set(smith_diagonal(t.X)) == {1}
+        assert set(smith_diagonal(t.Y)) == {1}
+        # eta has an integer right inverse exactly when its Smith diagonal
+        # is all ones.
+        assert smith_diagonal(t.eta) == (1,) * (n - 1)
         assert np.array_equal(t.alpha @ t.eta, t.eta @ t.omega)
 
     @pytest.mark.parametrize("word", all_words(10), ids=str)
@@ -373,7 +396,7 @@ class TestIntegerRoute:
         # closed-form inverse of X cannot hold.
         m = build_orbit(parse_word("RLLRRC"))
         assert m.rho == (2, 3, 6, 4, 5, 1)
-        bad = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL, nR=m.nR)
+        bad = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
         with pytest.raises(ConstructionError):
             build_matrices(bad)
 

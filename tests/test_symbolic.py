@@ -95,7 +95,7 @@ def a000048(n):
 class TestParsing:
     def test_letters(self):
         w = parse_word("RLLRRC")
-        assert w.values() == (-1, 1, 1, -1, -1, 0)
+        assert w.symbols == (-1, 1, 1, -1, -1, 0)
         assert str(w) == "RLLRRC"
         assert w.n == 6
 
