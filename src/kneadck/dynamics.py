@@ -85,16 +85,16 @@ class SuperstableResult:
 
 
 def _critical_orbit(mu: float, n: int) -> tuple[str, float]:
-    # Key, to depth n, of the itinerary of f(c), and f^n(c), once per
-    # bisection step.  Unlike numeric_itinerary this reads C only at c
-    # exactly, so the key is the kneading key of the double-precision orbit.
+    # Key of f(c), ..., f^n(c), ending at C when the orbit is superstable,
+    # and f^n(c), once per bisection step.  Unlike numeric_itinerary this
+    # reads C only at c exactly, so it keys the double-precision orbit.
     C, L, R = Symbol.C, Symbol.L, Symbol.R
     x = 0.5
     symbols = []
     for _ in range(n):
         x = mu * x * (1.0 - x)
         symbols.append(C if x == 0.5 else L if x < 0.5 else R)
-    return order_key(symbols, n), x
+    return order_key(symbols), x
 
 
 def find_superstable_mu(w: KneadingWord) -> SuperstableResult:
@@ -114,7 +114,7 @@ def find_superstable_mu(w: KneadingWord) -> SuperstableResult:
     if not is_admissible(w):
         raise SolverError(f"word {w} is not admissible; no quadratic map realizes it")
 
-    target = order_key(w.symbols, n)
+    target = order_key(w.symbols)
     lo, hi = 2.0, 4.0
     while True:
         mu = 0.5 * (lo + hi)

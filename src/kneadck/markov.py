@@ -59,12 +59,11 @@ class OrbitModel:
 def build_orbit(w: KneadingWord) -> OrbitModel:
     """Sort the orbit points of a kneading word into spatial order.
 
-    The points are sorted by their signed-order keys (see
-    :func:`~kneadck.symbolic.shift_keys`).  The word is admissible exactly
-    when it is the largest of them.  Inadmissible words are accepted and
-    flagged by ``admissible``, with no warning: the constructions below
-    remain formally defined, but the K-group theorems only cover admissible
-    input.
+    The points are sorted by their signed-order keys, which end at the ``C``
+    (see :func:`~kneadck.symbolic.shift_keys`).  The word is admissible
+    exactly when it is the largest of them.  Inadmissible words are accepted
+    and flagged by ``admissible``, with no warning: the constructions below
+    stay defined, but the K-group theorems only cover admissible input.
     """
     n = w.n
     if n < 2:

@@ -17,10 +17,10 @@ kneading word recovers the spatial layout of the critical orbit.
 The signed order is the reversed lexicographic order of the invariant
 coordinate ``theta_k = e_0 ... e_k`` (Milnor and Thurston, LNM 1342, 1988).
 So one string key per sequence, :func:`order_key`, replaces pairwise
-comparisons: the shifts of a word are sorted by key, admissibility is a
-handful of string comparisons, and enumeration prunes a prefix as soon as
-one of its shifts exceeds it.  Symbols are ints (an ``IntEnum``), so the
-per-symbol loops multiply them as they are and scan them with ``in``.
+comparisons: the shifts of a word are sorted by keys ending at their ``C``,
+admissibility is a few string comparisons, and enumeration prunes a prefix
+once one of its shifts exceeds it.  Symbols are ints (an ``IntEnum``), so
+the per-symbol loops multiply them as they are and scan them with ``in``.
 """
 
 from __future__ import annotations
@@ -125,37 +125,35 @@ def invariant_coordinate(seq, depth: int) -> tuple[int, ...]:
 #: Key characters of the invariant coordinates +1, 0, -1.  Characters of
 #: ``-theta`` in string order make string order the signed order.
 _KEY_CHAR = {1: "0", 0: "1", -1: "2"}
-_ZERO = _KEY_CHAR[0]
 #: Negates every coordinate of a key.
 _MIRROR = str.maketrans("02", "20")
 
 
-def order_key(seq, depth: int) -> str:
-    """Key of a symbol sequence whose string order is the signed order.
+def order_key(seq) -> str:
+    """Key of a finite symbol sequence whose string order is the signed order.
 
-    Character k stands for ``-theta_k``, so ``order_key(a, depth)`` compares
-    with ``order_key(b, depth)`` as ``a`` with ``b`` in the signed order,
-    on their first ``depth`` symbols.  Accepts any integer-indexable
-    sequence of symbols at least ``depth`` long, e.g. a word's symbols or
-    the finite prefixes produced by numeric itineraries.
+    Character k stands for ``-theta_k``, so ``order_key(a)`` compares with
+    ``order_key(b)`` as ``a`` with ``b`` in the signed order, for ``a`` and
+    ``b`` of one length.  Accepts any non-empty sequence of symbols, e.g. a
+    word's symbols or the finite prefixes produced by numeric itineraries.
     """
-    return "".join(map(_KEY_CHAR.__getitem__, invariant_coordinate(seq, depth)))
+    return "".join(map(_KEY_CHAR.__getitem__, invariant_coordinate(seq, len(seq))))
 
 
 def shift_keys(w: KneadingWord) -> Iterator[str]:
-    """Keys, to depth 2n, of the n shifts of ``(w)^inf``, yielded in shift order.
+    """Keys of the n shifts of ``(w)^inf``, each ending at its ``C``, in shift order.
 
-    The final ``C`` makes every coordinate of ``(w)^inf`` from n-1 on 0,
-    so its key is the word's own key padded with zeros.  Shift i has the
-    coordinates ``theta_{i+k} / theta_{i-1}``: the suffix of that key from
-    i, mirrored when ``theta_{i-1} = -1``, padded with zeros again.
+    Shift i has the coordinates ``theta_{i+k} / theta_{i-1}``: the suffix
+    from i of the word's own key, mirrored when ``theta_{i-1} = -1``, so
+    its key has n - i characters.  The final ``C`` is the only ``"1"`` of
+    each key, so two keys differ at or before the end of the shorter one,
+    and their string order is that of the full periodic sequences.
     """
-    n = w.n
-    key = order_key(w.symbols, n) + _ZERO * n
+    key = order_key(w.symbols)
     mirror = key.translate(_MIRROR)
     yield key
-    for i in range(1, n):
-        yield (key if key[i - 1] == _KEY_CHAR[1] else mirror)[i:] + _ZERO * i
+    for i in range(1, w.n):
+        yield (key if key[i - 1] == _KEY_CHAR[1] else mirror)[i:]
 
 
 def is_admissible(w: KneadingWord) -> bool:

@@ -85,10 +85,11 @@ def random_word(n: int) -> KneadingWord:
     """A uniform admissible word, seeded: an R, n - 2 uniform L/R bits,
     then C, kept when admissible.
 
-    Most long candidates are not, and the full check builds n keys of 2n
-    characters, so a cheap necessary test screens first: a later run R L^k
-    longer than the first run of L exceeds the word in the signed order
-    (both start R L^m, whose sign is -1, and then L < R is flipped).
+    Most long candidates are not, and the full check builds the word's key
+    of n characters and its mirror, so a cheap necessary test screens first:
+    a later run R L^k longer than the first run of L exceeds the word in the
+    signed order (both start R L^m, whose sign is -1, and then L < R is
+    flipped).
     """
     rng = random.Random(1)
     while True:

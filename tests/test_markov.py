@@ -23,10 +23,12 @@ from kneadck.symbolic import (
     Symbol,
     enumerate_admissible,
     is_admissible,
+    order_key,
     parse_word,
 )
 
 from reference import Order, charpoly, coordinate_by_int, determinant, mt_compare, rotation
+from test_ktheory import random_word
 
 
 def pipeline(text):
@@ -192,6 +194,29 @@ class TestOrbitModel:
     @pytest.mark.parametrize("word", random_words(64, 3, 7) + random_words(128, 2, 7), ids=str)
     def test_rho_is_the_pairwise_sort_long(self, word):
         assert build_orbit(word).rho == pairwise_rho(word)
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_keys_ending_at_c_order_as_padded_keys_long(self, n):
+        # Two seeded words R{L,R}^(n-2)C, admissible or not, and one
+        # admissible word, against the keys to depth 2n of their shifts.
+        rng = random.Random(n)
+        ws = [
+            KneadingWord(
+                (Symbol.R,)
+                + tuple(rng.choice((Symbol.L, Symbol.R)) for _ in range(n - 2))
+                + (Symbol.C,)
+            )
+            for _ in range(2)
+        ] + [random_word(n)]
+        for w in ws:
+            # Shift i of (w)^inf to depth 2n, as rotation(w, i, 2 * n) spells it.
+            periodic = w.symbols * 3
+            padded = [order_key(periodic[i : i + 2 * n]) for i in range(n)]
+            m = build_orbit(w)
+            assert m.rho == tuple(sorted(range(1, n + 1), key=lambda i: padded[i - 1]))
+            assert is_admissible(w) == m.admissible == (max(padded) == padded[0])
+        if n == 256:
+            assert m.rho == pairwise_rho(w)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_admissible_flag(self, n):

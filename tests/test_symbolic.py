@@ -165,7 +165,7 @@ class TestCoordinateKernels:
         theta = invariant_coordinate(seq, depth)
         assert theta == expected
         assert all(type(c) is int for c in theta)
-        assert order_key(seq, depth) == "".join(KEY_CHAR[c] for c in expected)
+        assert order_key(seq[:depth]) == "".join(KEY_CHAR[c] for c in expected)
 
     @pytest.mark.parametrize("corpus", ["admissible", "forced"])
     def test_words(self, corpus):
@@ -194,7 +194,7 @@ class TestCoordinateKernels:
 
     def test_depth_errors(self):
         seq = parse_word("RLC").symbols
-        for f in (invariant_coordinate, order_key, coordinate_by_int):
+        for f in (invariant_coordinate, coordinate_by_int):
             for depth in (0, -1):
                 with pytest.raises(ValueError):
                     f(seq, depth)
@@ -257,15 +257,15 @@ symbol_lists = st.lists(st.sampled_from(list(Symbol)), min_size=12, max_size=12)
 class TestOrderKeys:
     @given(symbol_lists, symbol_lists, st.integers(1, 12))
     def test_key_order_is_signed_order(self, a, b, depth):
-        assert _cmp(order_key(a, depth), order_key(b, depth)) == int(mt_compare(a, b, depth))
+        assert _cmp(order_key(a[:depth]), order_key(b[:depth])) == int(mt_compare(a, b, depth))
 
     def test_key_characters(self):
         # theta = (-1, -1, -1, 1, -1, 0) for RLLRRC; the key spells -theta.
-        assert order_key(parse_word("RLLRRC").symbols, 6) == "222021"
+        assert order_key(parse_word("RLLRRC").symbols) == "222021"
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
-            order_key(parse_word("RC").symbols, 0)
+            order_key(())
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shift_keys_are_keys_of_the_shifts(self, n):
@@ -275,7 +275,12 @@ class TestOrderKeys:
             keys = list(keys)
             assert len(keys) == n
             for i in range(n):
-                assert keys[i] == order_key(rotation(w, i, 2 * n), 2 * n)
+                assert keys[i] == order_key(rotation(w, i, n - i))
+                # Past the C the periodic sequence keys as "1"s, so the key
+                # to depth 2n is this key padded and orders the same.
+                assert keys[i] + "1" * (n + i) == order_key(rotation(w, i, 2 * n))
+                assert keys[i].index("1") == n - 1 - i
+            assert sum(map(len, keys)) == n * (n + 1) // 2
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shift_keys_are_distinct(self, n):
