@@ -8,8 +8,9 @@ itinerary, the solver recovers it from actual orbits.
 
 The kneading sequence of f_mu is monotone in mu under the signed order
 (Milnor and Thurston, LNM 1342, 1988), so the solver is one bisection of
-mu on the :func:`~kneadck.symbolic.order_key` of the critical orbit.  In
-double precision it resolves every admissible word of period <= 13;
+mu on the :func:`~kneadck.symbolic.invariant_coordinate` of the critical
+orbit, read against the word's up to the first coordinate that disagrees.
+In double precision it resolves every admissible word of period <= 13;
 ``RL^12C``, whose parameter lies within 4e-8 of 4, and some longer words
 raise :class:`SolverError`.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .symbolic import DomainError, KneadingWord, Symbol, is_admissible, order_key
+from .symbolic import DomainError, KneadingWord, Symbol, invariant_coordinate, is_admissible
 
 #: Tolerance for declaring an orbit point equal to the turning point.  The
 #: map has zero derivative at c, so orbit points near c carry roughly the
@@ -61,16 +62,13 @@ def numeric_itinerary(
         raise DomainError("depth must be positive")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError("tolerance must be positive and finite")
+    c, mu = map.c, map.mu
+    C, L, R = Symbol.C, Symbol.L, Symbol.R
     out = []
     x = x0
     for _ in range(depth):
-        if abs(x - map.c) <= tol:
-            out.append(Symbol.C)
-        elif x < map.c:
-            out.append(Symbol.L)
-        else:
-            out.append(Symbol.R)
-        x = map.step(x)
+        out.append(C if abs(x - c) <= tol else L if x < c else R)
+        x = mu * x * (1.0 - x)
     return tuple(out)
 
 
@@ -84,26 +82,15 @@ class SuperstableResult:
     itinerary: tuple[Symbol, ...]
 
 
-def _critical_orbit(mu: float, n: int) -> tuple[str, float]:
-    # Key of f(c), ..., f^n(c), ending at C when the orbit is superstable,
-    # and f^n(c), once per bisection step.  Unlike numeric_itinerary this
-    # reads C only at c exactly, so it keys the double-precision orbit.
-    C, L, R = Symbol.C, Symbol.L, Symbol.R
-    x = 0.5
-    symbols = []
-    for _ in range(n):
-        x = mu * x * (1.0 - x)
-        symbols.append(C if x == 0.5 else L if x < 0.5 else R)
-    return order_key(symbols), x
-
-
 def find_superstable_mu(w: KneadingWord) -> SuperstableResult:
     """Parameter of the map whose kneading sequence equals the given word.
 
     The kneading sequence of f_mu grows with mu in the signed order, so one
-    bisection of [2, 4] on the key of f(c)'s itinerary, against the word's
-    key, finds the superstable parameter.  It runs until the keys agree or
-    the midpoint stops moving: full double precision in mu is needed,
+    bisection of [2, 4] finds the superstable parameter.  Each step reads
+    the invariant coordinate of f(c)'s itinerary, with C only at c exactly,
+    against the word's up to the first that differs: the larger coordinate
+    belongs to the smaller sequence.  It runs until all n coordinates agree
+    or the midpoint stops moving: full double precision in mu is needed,
     because d/dmu of f^n(c) grows like 4^n.  The numeric itinerary of f(c)
     must then reproduce the word for 2n symbols with C-tolerance 1e-9;
     where it does not, double precision cannot resolve the word.
@@ -114,18 +101,28 @@ def find_superstable_mu(w: KneadingWord) -> SuperstableResult:
     if not is_admissible(w):
         raise SolverError(f"word {w} is not admissible; no quadratic map realizes it")
 
-    target = order_key(w.symbols)
+    target = invariant_coordinate(w.symbols, n)
     lo, hi = 2.0, 4.0
     while True:
         mu = 0.5 * (lo + hi)
-        key, x = _critical_orbit(mu, n)
-        if key == target or mu == lo or mu == hi:
+        x, theta = 0.5, 1
+        for t in target:
+            x = mu * x * (1.0 - x)
+            theta = 0 if x == 0.5 else theta if x < 0.5 else -theta
+            if theta != t:
+                break
+        else:
             break
-        if key < target:
+        if mu == lo or mu == hi:
+            break
+        if theta > t:
             lo = mu
         else:
             hi = mu
 
+    x = 0.5
+    for _ in range(n):
+        x = mu * x * (1.0 - x)
     residual = abs(x - 0.5)
     m = QuadMap(mu)
     itinerary = numeric_itinerary(m, m.step(m.c), 2 * n, tol=C_TOL)

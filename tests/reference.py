@@ -10,7 +10,10 @@ searches.  :func:`coordinate_by_int` converts every symbol to an int
 where the package multiplies the enum values directly.  :func:`rotation` cuts the shifts of a periodic word to a
 finite depth, for the pairwise checks of the signed order.
 :func:`charpoly` gives the kneading determinant ``det(I - tM)``, which the
-package never computes.
+package never computes.  :func:`reference_superstable_mu` bisects on the
+string key of the whole critical orbit at every step, where the package
+reads the orbit's invariant coordinate against the word's and stops at the
+first coordinate that disagrees.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+
+from kneadck.dynamics import C_TOL, QuadMap, SolverError, SuperstableResult, numeric_itinerary
+from kneadck.symbolic import DomainError, Symbol, is_admissible, order_key
 
 
 class Order(enum.IntEnum):
@@ -234,3 +240,50 @@ def smith_normal_form(M) -> SmithForm:
         D=np.array(D, dtype=object).reshape(r, c),
         V=np.array(V, dtype=object).reshape(c, c),
     )
+
+
+def critical_orbit_key(mu: float, n: int) -> tuple[str, float]:
+    """Order key of f(c), ..., f^n(c) under ``x -> mu x (1 - x)``, and f^n(c).
+
+    Reads C only at c exactly, so it keys the double-precision orbit; the
+    key ends at C when the orbit is superstable.
+    """
+    C, L, R = Symbol.C, Symbol.L, Symbol.R
+    x = 0.5
+    symbols = []
+    for _ in range(n):
+        x = mu * x * (1.0 - x)
+        symbols.append(C if x == 0.5 else L if x < 0.5 else R)
+    return order_key(symbols), x
+
+
+def reference_superstable_mu(w) -> SuperstableResult:
+    """Bisection of [2, 4] on :func:`critical_orbit_key` against the word's
+    key, with the same exits, confirmation and refusals as
+    ``find_superstable_mu``."""
+    n = w.n
+    if n < 2:
+        raise DomainError("superstable search requires period >= 2")
+    if not is_admissible(w):
+        raise SolverError(f"word {w} is not admissible; no quadratic map realizes it")
+
+    target = order_key(w.symbols)
+    lo, hi = 2.0, 4.0
+    while True:
+        mu = 0.5 * (lo + hi)
+        key, x = critical_orbit_key(mu, n)
+        if key == target or mu == lo or mu == hi:
+            break
+        if key < target:
+            lo = mu
+        else:
+            hi = mu
+
+    residual = abs(x - 0.5)
+    m = QuadMap(mu)
+    itinerary = numeric_itinerary(m, m.step(m.c), 2 * n, tol=C_TOL)
+    if itinerary != w.symbols * 2:
+        raise SolverError(
+            f"double precision cannot resolve {w}: mu = {mu!r} leaves residual {residual:.3g}"
+        )
+    return SuperstableResult(mu=mu, residual=residual, itinerary=itinerary)

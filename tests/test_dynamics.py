@@ -8,7 +8,6 @@ from kneadck.dynamics import (
     C_TOL,
     QuadMap,
     SolverError,
-    _critical_orbit,
     find_superstable_mu,
     numeric_itinerary,
 )
@@ -21,9 +20,26 @@ from kneadck.symbolic import (
     parse_word,
 )
 
-from reference import Order, mt_compare, rotation
+from reference import (
+    Order,
+    critical_orbit_key,
+    mt_compare,
+    reference_superstable_mu,
+    rotation,
+)
 
 GOLDEN_MU = 1.0 + math.sqrt(5.0)  # superstable parameter of the period-2 word
+
+#: ``find-mu`` stderr on the words double precision cannot resolve, with
+#: the ``mu`` and residual at which the bisection stops.
+REFUSALS = {
+    "RLLLLLLLLLLLLC": "error: double precision cannot resolve RLLLLLLLLLLLLC: "
+    "mu = 3.9999999632328542 leaves residual 1.6e-09\n",
+    "RLLLLRRRRRLRLLRLRRLC": "error: double precision cannot resolve RLLLLRRRRRLRLLRLRRLC: "
+    "mu = 3.9956029965960136 leaves residual 6.76e-10\n",
+    "RLLLLLLLLRLRLRLLLRC": "error: double precision cannot resolve RLLLLLLLLRLRLRLLLRC: "
+    "mu = 3.999975322746347 leaves residual 1.11e-10\n",
+}
 
 
 def all_words(max_n):
@@ -31,6 +47,29 @@ def all_words(max_n):
     for n in range(2, max_n + 1):
         out.extend(enumerate_admissible(n))
     return out
+
+
+def seeded_words(n, count=8):
+    """The admissible words of period n that
+    ``TestCoverage.test_long_words_resolve_or_refuse`` draws."""
+    rng = random.Random(1)
+    out = []
+    while len(out) < count:
+        middle = tuple(rng.choice((Symbol.L, Symbol.R)) for _ in range(n - 2))
+        word = KneadingWord((Symbol.R, *middle, Symbol.C))
+        if is_admissible(word):
+            out.append(word)
+    return out
+
+
+def solve(solver, word):
+    """The solver's result as exact text: hex floats and the itinerary, or
+    the refusal message."""
+    try:
+        res = solver(word)
+    except SolverError as e:
+        return str(e)
+    return res.mu.hex(), res.residual.hex(), res.itinerary
 
 
 class TestQuadMap:
@@ -128,6 +167,19 @@ class TestSuperstableSolver:
         with pytest.raises(DomainError):
             find_superstable_mu(parse_word("C"))
 
+    def test_matches_reference_bisection(self):
+        # The early-stopping bisection against the whole-orbit key of the
+        # reference: the same mu, residual and itinerary bit for bit, or the
+        # same refusal, on every word with n <= 14, the seeded longer words
+        # and the refused words.
+        corpus = all_words(14)
+        for n in range(15, 21):
+            corpus.extend(seeded_words(n))
+        corpus.extend(map(parse_word, REFUSALS))
+        for word in corpus:
+            expected = solve(reference_superstable_mu, word)
+            assert solve(find_superstable_mu, word) == expected, str(word)
+
     def test_rejects_bad_controls(self):
         # The bisection takes the word alone: no tolerance, no grid step.
         w = parse_word("RLC")
@@ -140,13 +192,18 @@ class TestCoverage:
     def test_precision_limit_exits_4(self, capsys):
         # The parameter of RL^12C lies within 4e-8 of 4, where the critical
         # orbit cannot be resolved in double precision.
-        assert main(["find-mu", "R" + "L" * 12 + "C"]) == 4
+        word = "R" + "L" * 12 + "C"
+        assert main(["find-mu", word]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "error: double precision cannot resolve RLLLLLLLLLLLLC: mu = "
-        )
-        assert "residual" in captured.err
+        assert captured.err == REFUSALS[word]
+
+    @pytest.mark.parametrize("word", ["RLLLLRRRRRLRLLRLRRLC", "RLLLLLLLLRLRLRLLLRC"])
+    def test_long_refusals_exit_4(self, word, capsys):
+        assert main(["find-mu", word]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == REFUSALS[word]
 
     @pytest.mark.parametrize("n", range(15, 21))
     def test_long_words_resolve_or_refuse(self, n):
@@ -197,4 +254,4 @@ class TestOrderRealization:
         rng = random.Random(44)
         for _ in range(500):
             mu1, mu2 = sorted((rng.uniform(2.0, 3.99), rng.uniform(2.0, 3.99)))
-            assert _critical_orbit(mu1, 10)[0] <= _critical_orbit(mu2, 10)[0], (mu1, mu2)
+            assert critical_orbit_key(mu1, 10)[0] <= critical_orbit_key(mu2, 10)[0], (mu1, mu2)
