@@ -17,11 +17,7 @@ from .dynamics import (
     find_superstable_mu,
     numeric_itinerary,
 )
-from .intlinalg import (
-    AbelianGroup,
-    is_irreducible,
-    smith_diagonal,
-)
+from .intlinalg import AbelianGroup, smith_diagonal
 from .ktheory import (
     KGroupReport,
     TheoremViolationError,
@@ -36,7 +32,6 @@ from .markov import (
     TheoremMatrices,
     build_matrices,
     build_orbit,
-    transition_matrix,
 )
 from .symbolic import (
     DomainError,
@@ -74,11 +69,9 @@ __all__ = [
     "find_superstable_mu",
     "invariant_coordinate",
     "is_admissible",
-    "is_irreducible",
     "k_groups",
     "numeric_itinerary",
     "parse_word",
     "smith_diagonal",
-    "transition_matrix",
     "verify",
 ]

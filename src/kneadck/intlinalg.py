@@ -1,23 +1,15 @@
-"""Exact integer matrix arithmetic.
-
-The package's own matrices are dense ``np.int64`` arrays from
-:func:`eye_int` and :func:`zeros_int`; :mod:`kneadck.markov` bounds their
-entries so that no product of them can wrap.  The Smith elimination works
-on the nonzeros alone, as Python ints, so every entry it forms is exact
-at any size and no entry bound has to be tracked there.  Foreign input,
-such as nested lists, is checked and widened to Python ints by
-:func:`as_int_matrix` first.
+"""Exact integer matrix arithmetic, in Python ints and without numpy.
 
 Provides the Smith diagonal (the invariant factors alone, with no
-unimodular change of basis) and strong connectivity of 0-1 matrices.  One
-elimination answers every integer question of the package: a cokernel is
-read off the diagonal, a kernel rank is its number of zeros, and a square
-matrix is unimodular exactly when its diagonal is all ones.  It is one
-sparse loop on rows stored as dicts, in which unit and non-unit pivots
-take the same step; for the package's sparse matrices nearly every pivot
-is a unit.  :mod:`kneadck.ktheory` feeds it, and the graph search, rows
-it builds from the runs of ``A``, with no dense array.  All arithmetic
-stays in the integers; nothing here uses fractions.
+unimodular change of basis) and strong connectivity of a digraph given by
+its successor lists.  One elimination answers every integer question of
+the package: a cokernel is read off the diagonal, a kernel rank is its
+number of zeros, and a square matrix is unimodular exactly when its
+diagonal is all ones.  It is one sparse loop on rows stored as
+``{col: value}`` dicts, exact at any size, in which unit and non-unit
+pivots take the same step; for the package's sparse matrices nearly
+every pivot is a unit.  :mod:`kneadck.ktheory` builds its rows, and the
+successor lists, from the runs of ``A`` and the rows of ``theta``.
 """
 
 from __future__ import annotations
@@ -25,87 +17,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
 
+def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
+    """The Smith diagonal of the r x c matrix whose row i has the nonzeros
+    ``rows[i]``: its invariant factors, each dividing the next, zeros
+    trailing.  Deterministic for a given input.
 
-def as_int_matrix(data) -> np.ndarray:
-    """Coerce nested lists / arrays to a 2-D object array of Python ints.
-
-    Fixed-width integer inputs are widened to Python ints so later row
-    operations cannot overflow.
-    """
-    M = np.array(data, dtype=object)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
-    if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
-        return M
-    entries = M.ravel().tolist()
-    if set(map(type, entries)) <= {int}:
-        return M
-    for k, e in enumerate(entries):
-        if isinstance(e, (bool, np.bool_)) or not isinstance(e, (int, np.integer)):
-            raise ValueError(f"non-integer entry {e!r} at {divmod(k, M.shape[1])}")
-        entries[k] = int(e)
-    out = np.empty(M.size, dtype=object)
-    out[:] = entries
-    return out.reshape(M.shape)
-
-
-def _int_array(M) -> np.ndarray:
-    """``M`` itself when it is a 2-D numpy integer array, such as the
-    package's own matrices, else ``as_int_matrix(M)``.
-
-    Either way ``tolist`` yields Python ints, so the package's matrices
-    reach the Smith elimination without a copy or a scan of their entries.
-    """
-    if isinstance(M, np.ndarray) and M.dtype.kind in "iu" and M.ndim == 2:
-        return M
-    return as_int_matrix(M)
-
-
-def eye_int(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
-def zeros_int(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
-
-
-def smith_diagonal(M) -> tuple[int, ...]:
-    """The Smith diagonal of M: its invariant factors, each dividing the
-    next, zeros trailing.  Deterministic for a given input.
-
-    Reads the nonzeros off the array into one ``{col: value}`` dict per
-    row, in row-major order, and runs :func:`_smith_rows` on them: one
-    sparse elimination on those dicts and one set of rows per column.  The
-    pivot is a +-1 while one is live, from the shortest row holding one,
-    in its sparsest column (Markowitz's order, restricted to units); else
-    the entry of least absolute value, ties to the lowest row, then
-    column.  Every pivot ``d`` takes the same step.  The row sweep
-    subtracts floor multiples of the pivot row from each row of its
+    Each row is a ``{col: value}`` dict whose columns lie in ``range(c)``
+    and whose values are nonzero ``int``s; anything else raises
+    :class:`ValueError`.  The loop consumes ``rows``: it rewrites the list
+    and its dicts in place.  Dict order steers the pivot choice,
+    so rows in ascending column order give the elimination of a row-major
+    scan.  The pivot is a +-1 while one is live, from the shortest row
+    holding one, in its sparsest column (Markowitz's order, restricted to
+    units); else the entry of least absolute value, ties to the lowest
+    row, then column.  Every pivot ``d`` takes the same step.  The row
+    sweep subtracts floor multiples of the pivot row from each row of its
     column; a nonzero remainder is a smaller pivot, and the pivot stays
     live.  Once the column is clear, the column sweep reduces the pivot
     row mod ``d``; the pivot drops out as one factor when nothing is left
     beside it, as a unit always does.  Newman's gcd/lcm exchange then puts
     the factors into divisibility order.
     """
-    A = _int_array(M)
-    rows: list[dict[int, int]] = [{} for _ in range(A.shape[0])]
-    ii, jj = np.nonzero(A)
-    for i, j, e in zip(ii.tolist(), jj.tolist(), A[ii, jj].tolist()):
-        rows[i][j] = e
-    return _smith_rows(rows, A.shape[1])
-
-
-def _smith_rows(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
-    """The loop of :func:`smith_diagonal` on the r x c matrix whose row i
-    has the nonzeros ``rows[i]``; it consumes ``rows``.  Dict order steers
-    the pivot choice, so rows in ascending column order give exactly the
-    elimination of the scan."""
     r = len(rows)
     cols: list[set[int]] = [set() for _ in range(c)]
     for i, R in enumerate(rows):
-        for j in R:
+        for j, e in R.items():
+            if type(j) is not int or not 0 <= j < c:
+                raise ValueError(f"column {j!r} of row {i} is not in range({c})")
+            if type(e) is not int or not e:
+                raise ValueError(f"non-integer or zero entry {e!r} at ({i}, {j})")
             cols[j].add(i)
 
     # Rows by length.  An entry is stale once its row has changed length;
@@ -252,27 +193,12 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def is_irreducible(A) -> bool:
-    """Strong connectivity of the digraph of a 0-1 matrix.
-
-    Edge i -> j iff ``a_ij = 1``; irreducible iff every vertex reaches every
-    vertex by a path of length >= 1 (so ``[[1]]`` is irreducible and
-    ``[[0]]`` is not).  That holds exactly when vertex 0 reaches every
-    vertex, itself included, by such a path both forward and backward, so
-    two graph searches over the nonzeros decide it in O(n + nnz) after one
-    scan of the entries.
-    """
-    M = _int_array(A)
-    r, c = M.shape
-    if r != c:
-        raise ValueError("irreducibility requires a square matrix")
-    if not ((M == 0) | (M == 1)).all():
-        raise ValueError("matrix entries must be 0 or 1")
-    return _strongly_connected([np.flatnonzero(row).tolist() for row in M])
-
-
 def _strongly_connected(succ) -> bool:
-    """Strong connectivity of the digraph with edges i -> j in ``succ[i]``."""
+    """Strong connectivity of the digraph with edges i -> j in ``succ[i]``:
+    every vertex reaches every vertex by a path of length >= 1, so ``[[0]]``
+    (one loop) is strongly connected and ``[[]]`` is not.  That holds
+    exactly when vertex 0 reaches every vertex, itself included, by such a
+    path both forward and backward: two graph searches, O(n + edges)."""
     pred = [[] for _ in succ]
     for i, out in enumerate(succ):
         for j in out:

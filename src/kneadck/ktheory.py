@@ -9,9 +9,11 @@ the kernel of I - A^T over the integers.  Both checks are stated once, in
 :func:`_closed_form_checks`: :func:`k_groups` raises
 :class:`TheoremViolationError` with the first one an admissible word
 fails, and :func:`verify` records both beside the checks on the matrix
-family for every admissible word up to a period.  Both take I - A^T
-and irreducibility from the runs of ones that make up the rows of A, so
-``k_groups`` forms no dense matrix.
+family for every admissible word up to a period.  Both read I - A^T,
+irreducibility and, in ``verify``, the checks on the entries of A off
+the runs of ones that make up the rows of A, so neither forms a dense
+covering matrix.  Every elimination is one call of
+:func:`~kneadck.intlinalg.smith_diagonal` on rows.
 """
 
 from __future__ import annotations
@@ -22,14 +24,8 @@ from operator import mul
 
 import numpy as np
 
-from .intlinalg import (
-    AbelianGroup,
-    _smith_rows,
-    _strongly_connected,
-    eye_int,
-    smith_diagonal,
-)
-from .markov import build_matrices, build_orbit, transition_intervals, transition_matrix
+from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
+from .markov import build_matrices, build_orbit, transition_intervals
 from .symbolic import DomainError, KneadingWord, enumerate_admissible
 
 
@@ -74,7 +70,7 @@ def _closed_form_checks(a: int, runs):
                 del rows[k][k]
             else:
                 rows[j][k] = -1
-    diag = _smith_rows(rows, len(runs))
+    diag = smith_diagonal(rows, len(runs))
     K0 = AbelianGroup.from_diagonal(diag)
     expected_K0 = AbelianGroup.cyclic(a)
     kr = diag.count(0)
@@ -168,7 +164,6 @@ def verify(n_max: int) -> VerifyReport:
             model = build_orbit(word)
             t = build_matrices(model)
             runs = transition_intervals(model)
-            A = transition_matrix(model)  # for the checks on its entries
 
             def record(name: str, ok: bool, detail) -> None:
                 # detail() builds the failure text, only for a failing check.
@@ -196,14 +191,24 @@ def verify(n_max: int) -> VerifyReport:
                 lambda: f"thetaprime {tp.tolist()} vs top-left block {t.Aprime.tolist()}",
             )
 
+            # Row k of the covering A is 1 on the k-th run and 0 elsewhere.
+            signed = t.A.tolist()
             record(
                 "construction_equivalence",
-                np.array_equal(A, t.A),
-                lambda: f"covering route {A.tolist()} vs signed route {t.A.tolist()}",
+                all(
+                    row[lo:hi] == [1] * (hi - lo) and not any(row[:lo] + row[hi:])
+                    for row, (lo, hi) in zip(signed, runs)
+                ),
+                lambda: f"covering runs {runs} vs signed route {signed}",
             )
 
             # One SNF of I - theta feeds both the multiset and the bridge.
-            diag = smith_diagonal(eye_int(n) - t.theta)
+            # Its row i is row i of theta, less 1 at i, negated.
+            rows = []
+            for i, row in enumerate(t.theta.tolist()):
+                row[i] -= 1
+                rows.append({j: -e for j, e in enumerate(row) if e})
+            diag = smith_diagonal(rows, n)
             expected_diag = sorted([a] + [1] * (n - 1))
             record(
                 "snf_multiset",
@@ -222,27 +227,31 @@ def verify(n_max: int) -> VerifyReport:
                 lambda: f"from A: {bridge_lhs}, from theta: {bridge_rhs}",
             )
 
-            nonzero = A != 0
+            # A zero row of A is an empty run, a zero column one no run covers.
+            empty = [k for k, (lo, hi) in enumerate(runs) if lo >= hi]
+            covered = {j for run in runs for j in range(*run)}
             record(
                 "zero_rows_cols",
-                bool(nonzero.any(axis=1).all() and nonzero.any(axis=0).all()),
-                lambda: f"A has a zero row or column: {A.tolist()}",
+                not empty and len(covered) == n - 1,
+                lambda: f"A has zero rows {empty} and zero columns "
+                f"{sorted(set(range(n - 1)) - covered)}: runs {runs}",
             )
 
             # For n >= 3 the two intervals adjacent to the turning point
             # map onto spans sharing the top interval, so A cannot be a
             # permutation matrix; the single-interval partition (n = 2)
             # forces A = [[1]] and is skipped with a report.  A is 0-1 by
-            # construction, so one nonzero per row and column decides it.
+            # construction, so one nonzero per row and column decides it:
+            # runs of length 1 with distinct starts.
             if n == 2:
                 counts.setdefault("not_permutation", 0)
                 skipped.setdefault("not_permutation", []).append(str(word))
             else:
-                permutation = (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+                permutation = len({lo for lo, hi in runs if hi - lo == 1}) == n - 1
                 record(
                     "not_permutation",
                     not permutation,
-                    lambda: f"A is a permutation matrix: {A.tolist()}",
+                    lambda: f"A is a permutation matrix: runs {runs}",
                 )
 
             if a == 0:

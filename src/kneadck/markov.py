@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intlinalg import eye_int, zeros_int
 from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
 
 
@@ -148,11 +147,11 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     eps = np.array(m.word.symbols, dtype=np.int64)
 
     ranks = np.arange(n)
-    omega = zeros_int(n, n)
+    omega = np.zeros((n, n), dtype=np.int64)
     omega[ranks, (ranks + 1) % n] = 1
 
     rho = np.array(m.rho)
-    pi = zeros_int(n, n)
+    pi = np.zeros((n, n), dtype=np.int64)
     pi[ranks, rho - 1] = 1
 
     phi = np.eye(n - 1, n, 1, dtype=np.int64) - np.eye(n - 1, n, dtype=np.int64)
@@ -168,12 +167,12 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
 
     theta = gamma @ omega
 
-    beta = eye_int(n - 1)
+    beta = np.eye(n - 1, dtype=np.int64)
     beta[m.nL :] *= -1
 
-    Y = eye_int(n)
+    Y = np.eye(n, dtype=np.int64)
     Y[n - 1, : n - 1] = -1
-    Yinv = eye_int(n)
+    Yinv = np.eye(n, dtype=np.int64)
     Yinv[n - 1, : n - 1] = 1
 
     inc = np.eye(n, n - 1, dtype=np.int64)
@@ -217,7 +216,7 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
 
     if not np.array_equal(etaT, Y @ inc @ X):
         raise ConstructionError("eta-transpose does not factor as Y inc X")
-    if not np.array_equal(X @ Xinv, eye_int(n - 1)):
+    if not np.array_equal(X @ Xinv, np.eye(n - 1, dtype=np.int64)):
         raise ConstructionError("top block of eta-transpose fails X Xinv = I")
     if not np.array_equal(alpha @ eta, eta_omega):
         raise ConstructionError("alpha fails alpha eta = eta omega")
@@ -244,11 +243,3 @@ def transition_intervals(m: OrbitModel) -> list[tuple[int, int]]:
     image = [pos[orbit % n + 1] for orbit in m.rho]
     return [(min(u, v), max(u, v)) for u, v in zip(image, image[1:])]
 
-
-def transition_matrix(m: OrbitModel) -> np.ndarray:
-    """0-1 interval-covering matrix, dense from :func:`transition_intervals`:
-    entry (k, j) is 1 iff run k covers interval j."""
-    A = zeros_int(m.n - 1, m.n - 1)
-    for k, (lo, hi) in enumerate(transition_intervals(m)):
-        A[k, lo:hi] = 1
-    return A

@@ -6,7 +6,10 @@ by Bareiss elimination instead of the Smith diagonal, the Smith form with
 its unimodular transforms by extended-gcd (Bezout) steps instead of the
 sparse floor-division sweeps and gcd/lcm exchange of ``smith_diagonal``,
 and strong connectivity by a dense transitive closure instead of graph
-searches.  :func:`coordinate_by_int` converts every symbol to an int
+searches.  :func:`rows_of` and :func:`covering_matrix` are the dense
+adapters the package no longer has: a dense matrix as the rows that
+``smith_diagonal`` takes, and the 0-1 covering matrix spelled out from
+the runs.  :func:`coordinate_by_int` converts every symbol to an int
 where the package multiplies the enum values directly.  :func:`rotation` cuts the shifts of a periodic word to a
 finite depth, for the pairwise checks of the signed order.
 :func:`charpoly` gives the kneading determinant ``det(I - tM)``, which the
@@ -24,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from kneadck.dynamics import C_TOL, QuadMap, SolverError, SuperstableResult, numeric_itinerary
+from kneadck.intlinalg import smith_diagonal
+from kneadck.markov import transition_intervals
 from kneadck.symbolic import DomainError, Symbol, is_admissible, order_key
 
 
@@ -134,6 +139,26 @@ def charpoly(M) -> list[int]:
             v = [sum(A[k][j] * v[j] for j in range(i)) for k in range(i)]
         p = [sum(col[k - j] * p[j] for j in range(min(k, i) + 1)) for k in range(i + 2)]
     return p
+
+
+def rows_of(M) -> list[dict[int, int]]:
+    """The nonzeros of a dense integer matrix as one ``{col: value}`` dict
+    per row, row-major, in ascending column order: the rows of a scan."""
+    return [{j: e for j, e in enumerate(row) if e} for row in np.asarray(M).tolist()]
+
+
+def smith_of(M) -> tuple[int, ...]:
+    """``smith_diagonal`` of a dense matrix, fed the rows of :func:`rows_of`."""
+    return smith_diagonal(rows_of(M), np.shape(M)[1])
+
+
+def covering_matrix(m) -> np.ndarray:
+    """The dense 0-1 covering matrix of an orbit model: entry (k, j) is 1
+    iff the k-th run of ``transition_intervals(m)`` covers interval j."""
+    A = np.zeros((m.n - 1, m.n - 1), dtype=np.int64)
+    for k, (lo, hi) in enumerate(transition_intervals(m)):
+        A[k, lo:hi] = 1
+    return A
 
 
 def is_irreducible_dense(A) -> bool:

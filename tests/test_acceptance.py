@@ -16,18 +16,21 @@ import numpy as np
 import pytest
 
 from kneadck.dynamics import C_TOL, QuadMap, find_superstable_mu, numeric_itinerary
-from kneadck.intlinalg import (
-    AbelianGroup,
-    as_int_matrix,
-    eye_int,
-    is_irreducible,
-    smith_diagonal,
-)
+from kneadck.intlinalg import AbelianGroup, _strongly_connected
 from kneadck.ktheory import closed_form_a, k_groups
-from kneadck.markov import build_matrices, build_orbit, transition_matrix
+from kneadck.markov import build_matrices, build_orbit
 from kneadck.symbolic import Symbol, enumerate_admissible, parse_word
 
-from reference import Order, determinant, mt_compare, rotation, smith_normal_form
+from reference import (
+    Order,
+    covering_matrix,
+    determinant,
+    mt_compare,
+    rows_of,
+    rotation,
+    smith_normal_form,
+    smith_of,
+)
 
 
 def sweep(lo, hi):
@@ -84,9 +87,9 @@ def test_criterion_1_period_six_fixture():
             [1, 0, 0, 0, 0, 0],
         ],
     }
-    assert np.array_equal(transition_matrix(m), as_int_matrix(fixtures["A"]))
+    assert np.array_equal(covering_matrix(m), fixtures["A"])
     for name, expected in fixtures.items():
-        assert np.array_equal(getattr(t, name), as_int_matrix(expected)), name
+        assert np.array_equal(getattr(t, name), expected), name
 
     rep = k_groups(m.word)
     assert rep.K0 == AbelianGroup(0, (2,))
@@ -104,10 +107,10 @@ def test_criterion_2_closed_form_sweep():
     checked = 0
     for word in sweep(2, 12):
         a = closed_form_a(word)
-        A = transition_matrix(build_orbit(word))
-        M = eye_int(A.shape[0]) - A.T
-        assert AbelianGroup.from_diagonal(smith_diagonal(M)) == AbelianGroup.cyclic(a), str(word)
-        assert smith_diagonal(M).count(0) == (1 if a == 0 else 0), str(word)
+        A = covering_matrix(build_orbit(word))
+        M = np.eye(A.shape[0], dtype=np.int64) - A.T
+        assert AbelianGroup.from_diagonal(smith_of(M)) == AbelianGroup.cyclic(a), str(word)
+        assert smith_of(M).count(0) == (1 if a == 0 else 0), str(word)
         checked += 1
     assert checked == 379
     elapsed = time.perf_counter() - start
@@ -130,7 +133,7 @@ def test_criterion_3_construction_identities():
         assert np.array_equal(t.eta.T, t.Y @ inc @ t.X), str(word)
         assert all(int(e) == 0 for e in t.thetaprime[n - 1, :]), str(word)
         assert np.array_equal(t.thetaprime[: n - 1, : n - 1], t.Aprime), str(word)
-        diag = smith_diagonal(eye_int(n) - t.theta)
+        diag = smith_of(np.eye(n, dtype=np.int64) - t.theta)
         assert sorted(diag) == sorted([a] + [1] * (n - 1)), str(word)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.3f}s"
@@ -141,8 +144,8 @@ def test_criterion_4_cokernel_bridge():
     for word in sweep(2, 10):
         n = word.n
         t = build_matrices(build_orbit(word))
-        from_A = AbelianGroup.from_diagonal(smith_diagonal(eye_int(n - 1) - t.A))
-        from_theta = AbelianGroup.from_diagonal(smith_diagonal(eye_int(n) - t.theta))
+        from_A = AbelianGroup.from_diagonal(smith_of(np.eye(n - 1, dtype=np.int64) - t.A))
+        from_theta = AbelianGroup.from_diagonal(smith_of(np.eye(n, dtype=np.int64) - t.theta))
         assert from_A == from_theta, str(word)
     report(4, "cokernel bridge between the two presentations", True)
 
@@ -152,8 +155,8 @@ def test_criterion_5_zero_a_forces_reducibility():
     for word in sweep(2, 12):
         if closed_form_a(word) != 0:
             continue
-        A = transition_matrix(build_orbit(word))
-        if is_irreducible(A):
+        # A row of rows_of(A) iterates over its columns: its successors.
+        if _strongly_connected(rows_of(covering_matrix(build_orbit(word)))):
             counterexamples.setdefault(word.n, []).append(str(word))
     if counterexamples:
         total = sum(len(v) for v in counterexamples.values())
@@ -174,8 +177,8 @@ def test_criterion_6_snf_engine_random():
     for _ in range(500):
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 12)
-        M = as_int_matrix(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        M = np.array(
+            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], dtype=object
         )
         f = smith_normal_form(M)
         assert np.array_equal(f.U @ M @ f.V, f.D)
@@ -186,8 +189,8 @@ def test_criterion_6_snf_engine_random():
                 assert diag[k + 1] == 0
             else:
                 assert diag[k + 1] % diag[k] == 0
-        assert smith_diagonal(M) == diag
-        assert smith_diagonal(M.T) == diag
+        assert smith_of(M) == diag
+        assert smith_of(M.T) == diag
         if rows == cols:
             d = determinant(M)
             if d != 0:

@@ -262,8 +262,7 @@ class TestVerifyCommand:
 
     def test_failing_checks_name_their_witness(self, capsys, monkeypatch):
         # A Smith diagonal of all zeros breaks the SNF checks of RLC (a = 1).
-        for module in (kneadck.intlinalg, kneadck.ktheory):
-            monkeypatch.setattr(module, "_smith_rows", lambda rows, c: (0,) * c)
+        monkeypatch.setattr(kneadck.ktheory, "smith_diagonal", lambda rows, c: (0,) * c)
         code, out, _ = run(capsys, ["verify", "3"])
         assert code == 1
         lines = out.splitlines()
@@ -276,6 +275,59 @@ class TestVerifyCommand:
             "result: FAIL",
         ):
             assert line in lines
+
+    @pytest.mark.parametrize(
+        "runs,violations",
+        [
+            # A row of A with a one the signed route does not have.
+            (
+                [(0, 2), (0, 2)],
+                ["VIOLATION RLC [construction_equivalence]: covering runs [(0, 2), (0, 2)]"
+                 " vs signed route [[0, 1], [1, 1]]"],
+            ),
+            # Ones outside the run, on a row the run itself matches.
+            (
+                [(1, 2), (1, 2)],
+                ["VIOLATION RLC [closed_form_k0]: closed form a=1 predicts K0=0, SNF route gives Z",
+                 "VIOLATION RLC [k1_rank]: a=1 predicts kernel rank 0, SNF route gives 1",
+                 "VIOLATION RLC [construction_equivalence]: covering runs [(1, 2), (1, 2)]"
+                 " vs signed route [[0, 1], [1, 1]]",
+                 "VIOLATION RLC [cokernel_bridge]: from A: Z, from theta: 0",
+                 "VIOLATION RLC [zero_rows_cols]: A has zero rows [] and zero columns [0]:"
+                 " runs [(1, 2), (1, 2)]"],
+            ),
+            (
+                [(1, 2), (1, 1)],
+                ["VIOLATION RLC [construction_equivalence]: covering runs [(1, 2), (1, 1)]"
+                 " vs signed route [[0, 1], [1, 1]]",
+                 "VIOLATION RLC [zero_rows_cols]: A has zero rows [1] and zero columns [0]:"
+                 " runs [(1, 2), (1, 1)]"],
+            ),
+            (
+                [(1, 2), (0, 1)],
+                ["VIOLATION RLC [closed_form_k0]: closed form a=1 predicts K0=0, SNF route gives Z",
+                 "VIOLATION RLC [k1_rank]: a=1 predicts kernel rank 0, SNF route gives 1",
+                 "VIOLATION RLC [construction_equivalence]: covering runs [(1, 2), (0, 1)]"
+                 " vs signed route [[0, 1], [1, 1]]",
+                 "VIOLATION RLC [cokernel_bridge]: from A: Z, from theta: 0",
+                 "VIOLATION RLC [not_permutation]: A is a permutation matrix:"
+                 " runs [(1, 2), (0, 1)]"],
+            ),
+        ],
+    )
+    def test_checks_on_the_runs_name_their_witness(self, capsys, monkeypatch, runs, violations):
+        # RLC's runs are [(1, 2), (0, 2)], so A = [[0, 1], [1, 1]]; crafted
+        # runs break the checks that read A off them.
+        real = kneadck.ktheory.transition_intervals
+
+        def crafted(model):
+            return list(runs) if str(model.word) == "RLC" else real(model)
+
+        monkeypatch.setattr(kneadck.ktheory, "transition_intervals", crafted)
+        code, out, _ = run(capsys, ["verify", "3"])
+        assert code == 1
+        found = [line for line in out.splitlines() if line.startswith("VIOLATION")]
+        assert found == violations
 
     def test_n_max_too_small(self, capsys):
         code, _, err = run(capsys, ["verify", "1"])

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import kneadck
-from kneadck import intlinalg, ktheory
-from kneadck.intlinalg import AbelianGroup, as_int_matrix, eye_int, is_irreducible, smith_diagonal
+from kneadck import intlinalg, ktheory, markov
+from kneadck.intlinalg import AbelianGroup, _strongly_connected
 from kneadck.ktheory import TheoremViolationError, closed_form_a, k_groups
-from kneadck.markov import build_orbit, transition_matrix
+from kneadck.markov import build_matrices, build_orbit
 from kneadck.symbolic import (
     DomainError,
     KneadingWord,
@@ -25,7 +25,7 @@ from kneadck.symbolic import (
     parse_word,
 )
 
-from reference import coordinate_by_int, is_irreducible_dense
+from reference import coordinate_by_int, covering_matrix, is_irreducible_dense, rows_of, smith_of
 
 TRIVIAL = AbelianGroup(0, ())
 Z = AbelianGroup(1, ())
@@ -33,23 +33,20 @@ Z = AbelianGroup(1, ())
 
 def bowen_franks(A) -> AbelianGroup:
     """The Bowen-Franks group coker(I - A) of a square matrix."""
-    M = as_int_matrix(A)
-    return AbelianGroup.from_diagonal(smith_diagonal(eye_int(len(M)) - M))
+    return AbelianGroup.from_diagonal(smith_of(np.eye(len(A), dtype=np.int64) - np.asarray(A)))
 
 
 def spy_smith_loop(monkeypatch, record) -> list:
-    """Collect ``record(rows, c)`` for every run of the one Smith loop,
-    whether a caller reaches it through ``smith_diagonal`` or with rows it
-    built."""
+    """Collect ``record(rows, c)`` for every call of ``smith_diagonal``, the
+    one Smith loop, that ``kneadck.ktheory`` makes."""
     seen = []
-    loop = intlinalg._smith_rows
+    loop = intlinalg.smith_diagonal
 
     def spying(rows, c):
         seen.append(record(rows, c))
         return loop(rows, c)
 
-    for module in (intlinalg, ktheory):
-        monkeypatch.setattr(module, "_smith_rows", spying)
+    monkeypatch.setattr(ktheory, "smith_diagonal", spying)
     return seen
 
 
@@ -209,7 +206,7 @@ class TestKGroups:
     def test_disagreement_raises_for_admissible_words_only(self, monkeypatch):
         # A Smith diagonal of all zeros contradicts the closed form on RLC
         # (a = 1); LRC is inadmissible, so the disagreement is not enforced.
-        monkeypatch.setattr(ktheory, "_smith_rows", lambda rows, c: (0,) * c)
+        monkeypatch.setattr(ktheory, "smith_diagonal", lambda rows, c: (0,) * c)
         with pytest.raises(TheoremViolationError) as exc:
             k_groups(parse_word("RLC"))
         assert str(exc.value) == "RLC: closed form a=1 predicts K0=0, SNF route gives Z^2"
@@ -230,7 +227,7 @@ class TestKGroups:
     @pytest.mark.parametrize("word", all_words(12), ids=str)
     def test_bf_equals_k0(self, word):
         rep = k_groups(word)
-        assert rep.BF == rep.K0 == bowen_franks(transition_matrix(build_orbit(word)))
+        assert rep.BF == rep.K0 == bowen_franks(covering_matrix(build_orbit(word)))
 
     def test_one_snf_per_word(self, monkeypatch):
         runs = count_smith_loops(monkeypatch)
@@ -245,6 +242,21 @@ class TestKGroups:
         report = ktheory.verify(8)
         assert report.ok
         assert len(runs) == 2 * report.words_checked
+
+    def test_verify_builds_the_runs_once_per_word(self, monkeypatch):
+        calls = []
+        runs = markov.transition_intervals
+
+        def counting(model):
+            calls.append(str(model.word))
+            return runs(model)
+
+        # In markov too, so a call from a helper there is counted as well.
+        for module in (markov, ktheory):
+            monkeypatch.setattr(module, "transition_intervals", counting)
+        report = ktheory.verify(8)
+        assert report.words_checked == 37
+        assert sorted(calls) == sorted(str(w) for w in all_words(8))
 
     def test_verify_scores_only_checks_a_word_can_fail(self):
         # The report of verify 12 before the five checks that build_matrices
@@ -271,7 +283,7 @@ class TestKGroups:
         zero = [w for n in range(2, 13) for w in enumerate_admissible(n) if closed_form_a(w) == 0]
         split = {"reducible": [], "irreducible": []}
         for w in zero:
-            irreducible = is_irreducible_dense(transition_matrix(build_orbit(w)))
+            irreducible = is_irreducible_dense(covering_matrix(build_orbit(w)))
             split["irreducible" if irreducible else "reducible"].append(str(w))
         assert report.a_zero == split
         assert (len(split["reducible"]), len(split["irreducible"])) == (21, 42)
@@ -322,30 +334,36 @@ class TestKGroups:
         assert int(peak_kb) < 150 * 1024
 
     def test_no_dense_matrix_and_no_scan(self, monkeypatch):
-        def dense(*args):
+        def dense(*args, **kwargs):
             raise AssertionError("k_groups built or scanned a dense matrix")
 
-        monkeypatch.setattr(ktheory, "transition_matrix", dense)
-        monkeypatch.setattr(np, "nonzero", dense)
-        rep = k_groups(parse_word("RLLRRC"))
+        word = parse_word("RLLRRC")
+        model = build_orbit(word)
+        for name in ("array", "asarray", "empty", "eye", "full", "identity", "ones", "zeros",
+                     "nonzero", "flatnonzero", "argwhere"):
+            monkeypatch.setattr(np, name, dense)
+        # Armed: the dense matrix family can no longer be built.
+        with pytest.raises(AssertionError, match="dense matrix"):
+            build_matrices(model)
+        rep = k_groups(word)
         assert rep.K0 == AbelianGroup(0, (2,))
         assert rep.irreducible
 
     def test_rows_from_runs_equal_the_scan(self, monkeypatch):
         # Same rows, same item order: the elimination is the same pivot for
-        # pivot as that of the dense I - A^T.
+        # pivot as that of the row-major scan of the dense I - A^T.
         fed = smith_rows_fed(monkeypatch)
         words = runs_corpus()
         assert len(words) == 1279 + 1022
         for word in words:
             fed.clear()
             k_groups(word)
-            smith_diagonal(eye_int(word.n - 1) - transition_matrix(build_orbit(word)).T)
-            assert fed[0] == fed[1], word
+            M = np.eye(word.n - 1, dtype=np.int64) - covering_matrix(build_orbit(word)).T
+            assert fed == [[list(R.items()) for R in rows_of(M)]], word
 
     def test_irreducibility_from_runs(self):
         for word in runs_corpus():
-            A = transition_matrix(build_orbit(word))
+            A = covering_matrix(build_orbit(word))
             assert k_groups(word).irreducible == is_irreducible_dense(A), word
 
 
@@ -361,7 +379,7 @@ class TestBowenFranks:
         assert bowen_franks(A) == AbelianGroup(0, (2,))
 
     def test_identity(self):
-        assert bowen_franks(eye_int(2)) == AbelianGroup(2, ())
+        assert bowen_franks(np.eye(2, dtype=np.int64)) == AbelianGroup(2, ())
 
     def test_swap(self):
         assert bowen_franks([[0, 1], [1, 0]]) == Z
@@ -392,8 +410,8 @@ class TestRenormalization:
 
     @pytest.mark.parametrize("text", sorted(star_words(12)))
     def test_products_reducible(self, text):
-        A = transition_matrix(build_orbit(parse_word(text)))
-        assert not is_irreducible(A)
+        # A row of rows_of(A) iterates over its columns: its successors.
+        assert not _strongly_connected(rows_of(covering_matrix(build_orbit(parse_word(text)))))
 
     def test_zero_a_reducible_words_are_exactly_products(self):
         stars = star_words(12)

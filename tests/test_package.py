@@ -25,12 +25,10 @@ PUBLIC = [
     "find_superstable_mu",
     "invariant_coordinate",
     "is_admissible",
-    "is_irreducible",
     "k_groups",
     "numeric_itinerary",
     "parse_word",
     "smith_diagonal",
-    "transition_matrix",
     "verify",
 ]
 
