@@ -73,21 +73,21 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError("must be a positive integer")
 
 
-def _word_with_force_gate(args, what: str):
-    """``(word, admissible)`` for ``args.word``, refusing period 1 and,
-    without ``--force``, inadmissible words."""
+def _orbit_with_force_gate(args, what: str):
+    """The ordered orbit of ``args.word``, refusing period 1 and, without
+    ``--force``, inadmissible words."""
     word = parse_word(args.word)
     if word.n < 2:
         raise DomainError(f"{what} requires period >= 2")
-    admissible = is_admissible(word)
-    if not admissible and not args.force:
+    model = build_orbit(word)
+    if not model.admissible and not args.force:
         raise DomainError(f"word {word} is not admissible; pass --force to compute anyway")
-    return word, admissible
+    return model
 
 
 def _cmd_kgroups(args):
-    word, _ = _word_with_force_gate(args, "K-group computation")
-    report = k_groups(word)
+    report = k_groups(_orbit_with_force_gate(args, "K-group computation"))
+    word = report.word
     inputs = {"word": str(word), "force": bool(args.force)}
     results = {
         "word": str(word),
@@ -103,7 +103,8 @@ def _cmd_kgroups(args):
 
 
 def _cmd_matrices(args):
-    word, admissible = _word_with_force_gate(args, "matrix construction")
+    model = _orbit_with_force_gate(args, "matrix construction")
+    word = model.word
     if args.which is None:
         which = list(_MATRIX_NAMES)
     else:
@@ -113,12 +114,12 @@ def _cmd_matrices(args):
                 raise ParseError(
                     f"unknown matrix name {name!r}; choose from {', '.join(_MATRIX_NAMES)}"
                 )
-    mats = build_matrices(build_orbit(word))
+    mats = build_matrices(model)
     inputs = {"word": str(word), "which": which, "force": bool(args.force)}
     results = {
         "word": str(word),
         "n": word.n,
-        "admissible": admissible,
+        "admissible": model.admissible,
         "matrices": {name: _matrix_payload(getattr(mats, name)) for name in which},
     }
     text = [f"word: {word}"]

@@ -101,7 +101,7 @@ def find_superstable_mu(w: KneadingWord) -> SuperstableResult:
     if not is_admissible(w):
         raise SolverError(f"word {w} is not admissible; no quadratic map realizes it")
 
-    target = invariant_coordinate(w.symbols, n)
+    target = invariant_coordinate(w.symbols)
     lo, hi = 2.0, 4.0
     while True:
         mu = 0.5 * (lo + hi)

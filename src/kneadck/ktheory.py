@@ -6,14 +6,14 @@ t = 1 summed over the invariant coordinates ``theta_k = e_1 ... e_k``,
 predicting K0 = Z_a (with Z_0 = Z, Z_1 = 0) and K1 = Z exactly when a = 0;
 and the Smith-normal-form route, which reads K0 as the cokernel and K1 as
 the kernel of I - A^T over the integers.  Both checks are stated once, in
-:func:`_closed_form_checks`: :func:`k_groups` raises
-:class:`TheoremViolationError` with the first one an admissible word
-fails, and :func:`verify` records both beside the checks on the matrix
-family for every admissible word up to a period.  Both read I - A^T,
-irreducibility and, in ``verify``, the checks on the entries of A off
-the runs of ones that make up the rows of A, so neither forms a dense
-covering matrix.  Every elimination is one call of
-:func:`~kneadck.intlinalg.smith_diagonal` on rows.
+:func:`_closed_form_checks`: :func:`k_groups`, given the ordered orbit of
+:func:`~kneadck.markov.build_orbit`, raises :class:`TheoremViolationError`
+with the first one an admissible word fails, and :func:`verify` records
+both beside the checks on the matrix family for every admissible word up
+to a period.  Both read I - A^T, irreducibility and, in ``verify``, the
+checks on the entries of A off the runs of ones that make up the rows of
+A, so neither forms a dense covering matrix.  Every elimination is one
+call of :func:`~kneadck.intlinalg.smith_diagonal` on rows.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
-from .markov import build_matrices, build_orbit, transition_intervals
+from .markov import OrbitModel, build_matrices, build_orbit, transition_intervals
 from .symbolic import DomainError, KneadingWord, enumerate_admissible
 
 
@@ -89,36 +89,33 @@ def _closed_form_checks(a: int, runs):
     )
 
 
-def k_groups(w: KneadingWord) -> KGroupReport:
-    """Full K-group report for a word of period >= 2.
+def k_groups(m: OrbitModel) -> KGroupReport:
+    """Full K-group report for the ordered orbit ``m`` of a word.
 
-    Inadmissible words are processed too (their transition matrix is still
-    defined); the report then carries ``admissible=False`` and the
-    closed-form/SNF agreement is not enforced, since the closed form is
-    only claimed for admissible input.
+    The word and its admissibility are read off ``m``.  Inadmissible
+    words are processed too (their transition matrix is still defined);
+    the report then carries ``admissible=False`` and the closed-form/SNF
+    agreement is not enforced, since the closed form is only claimed for
+    admissible input.
     """
-    if w.n < 2:
-        raise DomainError("K-group computation requires period >= 2")
-    model = build_orbit(w)
-    admissible = model.admissible
-    a = closed_form_a(w)
-    runs = transition_intervals(model)
+    a = closed_form_a(m.word)
+    runs = transition_intervals(m)
     # One Smith diagonal of I - A^T gives K0 and K1; BF = coker(I - A) is
     # K0 again, since a square matrix and its transpose share a Smith form.
     diag, checks = _closed_form_checks(a, runs)
-    if admissible:
+    if m.admissible:
         for _, passed, detail in checks:
             if not passed:
-                raise TheoremViolationError(f"{w}: {detail()}")
+                raise TheoremViolationError(f"{m.word}: {detail()}")
     K0 = AbelianGroup.from_diagonal(diag)
     return KGroupReport(
-        word=w,
+        word=m.word,
         a_closed_form=a,
         K0=K0,
         K1=AbelianGroup(diag.count(0), ()),
         BF=K0,
         irreducible=_strongly_connected([range(*run) for run in runs]),
-        admissible=admissible,
+        admissible=m.admissible,
     )
 
 

@@ -45,11 +45,6 @@ class Symbol(enum.IntEnum):
     C = 0
     L = 1
 
-    @property
-    def numeric(self) -> str:
-        """Signed numeric rendering (``-1``, ``+1``, ``0``)."""
-        return "0" if self is Symbol.C else f"{int(self):+d}"
-
     def __str__(self) -> str:
         return self.name
 
@@ -85,10 +80,6 @@ class KneadingWord:
     def __str__(self) -> str:
         return "".join(map(_LETTER.__getitem__, self.symbols))
 
-    @property
-    def numeric(self) -> str:
-        return ",".join(s.numeric for s in self.symbols)
-
 
 def parse_word(text: str) -> KneadingWord:
     """Parse ``"RLLRRC"`` or comma-separated ``"-1,+1,+1,-1,-1,0"``.
@@ -106,18 +97,18 @@ def parse_word(text: str) -> KneadingWord:
     return KneadingWord(symbols)
 
 
-def invariant_coordinate(seq, depth: int) -> tuple[int, ...]:
-    """Cumulative products of the symbol values, to the given depth.
+def invariant_coordinate(seq) -> tuple[int, ...]:
+    """Cumulative products of the values of a non-empty symbol sequence.
 
     Entries are plain ints in {-1, 0, +1} (the product starts from the int
     1), and a 0 is followed only by 0s.
     """
-    if depth < 1:
-        raise ValueError("depth must be positive")
+    if not seq:
+        raise ValueError("sequence must be non-empty")
     entries = []
     prod = 1
-    for k in range(depth):
-        prod *= seq[k]
+    for s in seq:
+        prod *= s
         entries.append(prod)
     return tuple(entries)
 
@@ -137,7 +128,7 @@ def order_key(seq) -> str:
     ``b`` of one length.  Accepts any non-empty sequence of symbols, e.g. a
     word's symbols or the finite prefixes produced by numeric itineraries.
     """
-    return "".join(map(_KEY_CHAR.__getitem__, invariant_coordinate(seq, len(seq))))
+    return "".join(map(_KEY_CHAR.__getitem__, invariant_coordinate(seq)))
 
 
 def shift_keys(w: KneadingWord) -> Iterator[str]:

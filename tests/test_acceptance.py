@@ -91,7 +91,7 @@ def test_criterion_1_period_six_fixture():
     for name, expected in fixtures.items():
         assert np.array_equal(getattr(t, name), expected), name
 
-    rep = k_groups(m.word)
+    rep = k_groups(m)
     assert rep.K0 == AbelianGroup(0, (2,))
     assert str(rep.K0) == "Z_2"
     assert rep.K1 == AbelianGroup(0, ())

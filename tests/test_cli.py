@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -8,8 +9,11 @@ import sys
 import pytest
 
 import kneadck.ktheory
+import kneadck.markov
+import kneadck.symbolic
 from kneadck.cli import main
 from kneadck.markov import TheoremMatrices
+from kneadck.symbolic import is_admissible, parse_word
 
 
 def run(capsys, argv):
@@ -101,6 +105,42 @@ class TestExitCodes:
         code, _, err = run(capsys, ["enumerate", "1"])
         assert code == 3
         assert "error:" in err
+
+
+class TestOneOrbitSort:
+    """kgroups and matrices sort the shifts of a word once per call: the
+    gate reads admissibility off the orbit the command goes on to use."""
+
+    @pytest.fixture
+    def sorted_words(self, monkeypatch):
+        # Every route to the shift keys, build_orbit's and is_admissible's.
+        calls = []
+        real = kneadck.symbolic.shift_keys
+
+        def counted(w):
+            calls.append(str(w))
+            return real(w)
+
+        for module in (kneadck.markov, kneadck.symbolic):
+            monkeypatch.setattr(module, "shift_keys", counted)
+        return calls
+
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["gated", "forced"])
+    @pytest.mark.parametrize("command", ["kgroups", "matrices"])
+    def test_one_sort_per_call(self, capsys, sorted_words, command, force):
+        # Every word {L, R}^(n-1) C with n <= 6: 12 admissible, 50 not.
+        words = [
+            "".join(t) + "C" for n in range(2, 7) for t in itertools.product("LR", repeat=n - 1)
+        ]
+        refused = 0
+        for word in words:
+            admissible = is_admissible(parse_word(word))
+            sorted_words.clear()
+            code, _, _ = run(capsys, [command, word, *force])
+            assert code == (0 if admissible or force else 3), word
+            assert sorted_words == [word]
+            refused += code == 3
+        assert refused == (0 if force else 50)
 
 
 class TestKGroupsCommand:

@@ -110,6 +110,17 @@ FORCED_7 = {
     ("matrices", "machine"): "19694a846bb6232b1262a40f8649e00b1b378dcaf3c10f8bf4968e41664cb81e",
 }
 
+# kgroups W and matrices W without --force over C, RLX and every word
+# {L,R}^(n-1) C with n <= 7, in that order: the exit code, stdout and
+# stderr of each call, so the gate's refusals are pinned byte for byte
+# beside the output of the words it lets through.
+UNFORCED_7 = {
+    ("kgroups", "text"): "4d6592d762e70159f39389e729f69a2e7c1cd517c3ee58cfc8bcb64b9cbff107",
+    ("kgroups", "machine"): "f903008b240e15c870d08caacb985ad507f6ef0d199b068dcb1ad5cffd622e12",
+    ("matrices", "text"): "cf51a0896a9ab469a493b47832d14ef0781961bf47276df8c3faea2d9b1547f3",
+    ("matrices", "machine"): "d11642d3e769d1b66f5d27b82f99882dc4cd401e3333f90dd85a6deb558dbe21",
+}
+
 # kgroups W --format machine on the words of the long_words benchmark
 # workload with seed 1 (random admissible words of periods 64 and 128, in
 # its shuffled order).  Hashed while the Smith elimination still ran on
@@ -269,6 +280,14 @@ def test_forced_every_word_7(command, fmt):
         streams([command, w, "--force", "--format", fmt]) for w in every_word(7)
     )
     assert sha256(text) == FORCED_7[command, fmt]
+
+
+@pytest.mark.parametrize("command, fmt", sorted(UNFORCED_7))
+def test_unforced_every_word_7(command, fmt):
+    text = "".join(
+        streams([command, w, "--format", fmt]) for w in ["C", "RLX", *every_word(7)]
+    )
+    assert sha256(text) == UNFORCED_7[command, fmt]
 
 
 def test_find_mu_10_text():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kneadck
-from kneadck import intlinalg, ktheory, markov
+from kneadck import intlinalg, ktheory, markov, symbolic
 from kneadck.intlinalg import AbelianGroup, _strongly_connected
 from kneadck.ktheory import TheoremViolationError, closed_form_a, k_groups
 from kneadck.markov import build_matrices, build_orbit
@@ -168,7 +168,7 @@ class TestClosedForm:
 
 class TestKGroups:
     def test_period_six_fixture(self):
-        rep = k_groups(parse_word("RLLRRC"))
+        rep = k_groups(build_orbit(parse_word("RLLRRC")))
         assert rep.a_closed_form == 2
         assert rep.K0 == AbelianGroup(0, (2,))
         assert str(rep.K0) == "Z_2"
@@ -178,29 +178,44 @@ class TestKGroups:
         assert rep.admissible
 
     def test_period_two(self):
-        rep = k_groups(parse_word("RC"))
+        rep = k_groups(build_orbit(parse_word("RC")))
         assert rep.a_closed_form == 0
         assert rep.K0 == Z
         assert rep.K1 == Z
         assert rep.irreducible
 
     def test_trivial_group(self):
-        rep = k_groups(parse_word("RLC"))
+        rep = k_groups(build_orbit(parse_word("RLC")))
         assert rep.a_closed_form == 1
         assert rep.K0 == TRIVIAL
         assert rep.K1 == TRIVIAL
 
     def test_reducible_zero_a(self):
-        rep = k_groups(parse_word("RLRC"))
+        rep = k_groups(build_orbit(parse_word("RLRC")))
         assert rep.a_closed_form == 0
         assert rep.K0 == Z
         assert rep.K1 == Z
         assert not rep.irreducible
 
+    def test_reads_the_orbit_it_is_given(self, monkeypatch):
+        # No second sort: k_groups neither rebuilds the orbit nor re-tests
+        # admissibility, which would both reach shift_keys.
+        model = build_orbit(parse_word("LRC"))
+
+        def refuse(*args):
+            raise AssertionError("k_groups sorted the orbit again")
+
+        for module, name in ((markov, "build_orbit"), (ktheory, "build_orbit"),
+                             (markov, "shift_keys"), (symbolic, "shift_keys")):
+            monkeypatch.setattr(module, name, refuse)
+        rep = k_groups(model)
+        assert rep.word == model.word
+        assert rep.admissible is False
+
     def test_inadmissible_reported_not_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = k_groups(parse_word("LLC"))
+            rep = k_groups(build_orbit(parse_word("LLC")))
         assert rep.admissible is False
 
     def test_disagreement_raises_for_admissible_words_only(self, monkeypatch):
@@ -208,15 +223,15 @@ class TestKGroups:
         # (a = 1); LRC is inadmissible, so the disagreement is not enforced.
         monkeypatch.setattr(ktheory, "smith_diagonal", lambda rows, c: (0,) * c)
         with pytest.raises(TheoremViolationError) as exc:
-            k_groups(parse_word("RLC"))
+            k_groups(build_orbit(parse_word("RLC")))
         assert str(exc.value) == "RLC: closed form a=1 predicts K0=0, SNF route gives Z^2"
-        rep = k_groups(parse_word("LRC"))
+        rep = k_groups(build_orbit(parse_word("LRC")))
         assert rep.admissible is False
         assert rep.K0 == rep.K1 == AbelianGroup(2, ())
 
     @pytest.mark.parametrize("word", all_words(10), ids=str)
     def test_closed_form_matches_snf(self, word):
-        rep = k_groups(word)
+        rep = k_groups(build_orbit(word))
         a = rep.a_closed_form
         assert rep.K0 == AbelianGroup.cyclic(a)
         if a == 0:
@@ -226,14 +241,14 @@ class TestKGroups:
 
     @pytest.mark.parametrize("word", all_words(12), ids=str)
     def test_bf_equals_k0(self, word):
-        rep = k_groups(word)
+        rep = k_groups(build_orbit(word))
         assert rep.BF == rep.K0 == bowen_franks(covering_matrix(build_orbit(word)))
 
     def test_one_snf_per_word(self, monkeypatch):
         runs = count_smith_loops(monkeypatch)
         for word in all_words(8):
             runs.clear()
-            k_groups(word)
+            k_groups(build_orbit(word))
             assert runs == [(word.n - 1, word.n - 1)], word
 
     def test_two_snfs_per_verified_word(self, monkeypatch):
@@ -291,7 +306,7 @@ class TestKGroups:
     @pytest.mark.parametrize("n", [256, 512, 2048, 4096])
     def test_long_random_words(self, n):
         word = random_word(n)
-        rep = k_groups(word)
+        rep = k_groups(build_orbit(word))
         assert rep.K0 == AbelianGroup.cyclic(closed_form_a(word))
         assert rep.K1 == (Z if rep.a_closed_form == 0 else TRIVIAL)
 
@@ -345,7 +360,7 @@ class TestKGroups:
         # Armed: the dense matrix family can no longer be built.
         with pytest.raises(AssertionError, match="dense matrix"):
             build_matrices(model)
-        rep = k_groups(word)
+        rep = k_groups(model)
         assert rep.K0 == AbelianGroup(0, (2,))
         assert rep.irreducible
 
@@ -357,14 +372,14 @@ class TestKGroups:
         assert len(words) == 1279 + 1022
         for word in words:
             fed.clear()
-            k_groups(word)
+            k_groups(build_orbit(word))
             M = np.eye(word.n - 1, dtype=np.int64) - covering_matrix(build_orbit(word)).T
             assert fed == [[list(R.items()) for R in rows_of(M)]], word
 
     def test_irreducibility_from_runs(self):
         for word in runs_corpus():
             A = covering_matrix(build_orbit(word))
-            assert k_groups(word).irreducible == is_irreducible_dense(A), word
+            assert k_groups(build_orbit(word)).irreducible == is_irreducible_dense(A), word
 
 
 class TestBowenFranks:
@@ -416,7 +431,7 @@ class TestRenormalization:
     def test_zero_a_reducible_words_are_exactly_products(self):
         stars = star_words(12)
         for word in all_words(12):
-            rep = k_groups(word)
+            rep = k_groups(build_orbit(word))
             if rep.a_closed_form != 0:
                 continue
             assert (not rep.irreducible) == (str(word) in stars)
@@ -424,14 +439,14 @@ class TestRenormalization:
     def test_zero_a_does_not_force_reducible(self):
         # Smallest witnesses: the period-2 word and two period-8 words.
         for text in ("RC", "RLLRLRRC", "RLLRRRLC"):
-            rep = k_groups(parse_word(text))
+            rep = k_groups(build_orbit(parse_word(text)))
             assert rep.a_closed_form == 0
             assert rep.irreducible
 
     def test_product_does_not_force_zero_a(self):
         w = star(parse_word("RLC"), parse_word("RLC"))
         assert str(w) == "RLLRLRRLC"
-        rep = k_groups(w)
+        rep = k_groups(build_orbit(w))
         assert rep.a_closed_form == 1
         assert rep.K0 == AbelianGroup(0, ())
         assert not rep.irreducible
@@ -440,7 +455,7 @@ class TestRenormalization:
         # 63 words with a = 0 up to period 12: 21 reducible, 42 not.
         reducible = irreducible = 0
         for word in all_words(12):
-            rep = k_groups(word)
+            rep = k_groups(build_orbit(word))
             if rep.a_closed_form != 0:
                 continue
             if rep.irreducible:

@@ -44,6 +44,11 @@ MALFORMED = {
 }
 
 
+def numeric(w):
+    """The signed numeric text of a word, e.g. ``-1,+1,0`` for RLC."""
+    return ",".join("0" if s is Symbol.C else f"{int(s):+d}" for s in w.symbols)
+
+
 def words(max_n=8):
     return [w for n in range(2, max_n + 1) for w in enumerate_admissible(n)]
 
@@ -105,8 +110,8 @@ class TestParsing:
 
     def test_numeric_round_trip(self):
         w = parse_word("RLLRRC")
-        assert w.numeric == "-1,+1,+1,-1,-1,0"
-        assert parse_word(w.numeric) == w
+        assert numeric(w) == "-1,+1,+1,-1,-1,0"
+        assert parse_word(numeric(w)) == w
 
     def test_lowercase_rejected(self):
         with pytest.raises(ParseError, match="^unknown symbol 'r'$"):
@@ -142,16 +147,18 @@ class TestParsing:
 
 class TestInvariantCoordinate:
     def test_partial_products(self):
-        theta = invariant_coordinate(parse_word("RLLRRC").symbols, 6)
+        theta = invariant_coordinate(parse_word("RLLRRC").symbols)
         assert theta == (-1, -1, -1, 1, -1, 0)
 
     def test_zero_absorbs(self):
-        theta = invariant_coordinate(rotation(parse_word("RC"), 0, 5), 5)
+        theta = invariant_coordinate(rotation(parse_word("RC"), 0, 5))
         assert theta == (-1, 0, 0, 0, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            invariant_coordinate(parse_word("RC").symbols, 0)
+            invariant_coordinate(parse_word("RC").symbols[:0])
+        with pytest.raises(ValueError):
+            order_key(())
 
 
 KEY_CHAR = {1: "0", 0: "1", -1: "2"}
@@ -162,7 +169,7 @@ class TestCoordinateKernels:
 
     def check(self, seq, depth):
         expected = coordinate_by_int(seq, depth)
-        theta = invariant_coordinate(seq, depth)
+        theta = invariant_coordinate(seq[:depth])
         assert theta == expected
         assert all(type(c) is int for c in theta)
         assert order_key(seq[:depth]) == "".join(KEY_CHAR[c] for c in expected)
@@ -194,14 +201,15 @@ class TestCoordinateKernels:
 
     def test_depth_errors(self):
         seq = parse_word("RLC").symbols
-        for f in (invariant_coordinate, coordinate_by_int):
-            for depth in (0, -1):
-                with pytest.raises(ValueError):
-                    f(seq, depth)
-            with pytest.raises(IndexError):
-                f(seq, 4)
-            with pytest.raises(IndexError):
-                f([], 1)
+        for depth in (0, -1):
+            with pytest.raises(ValueError):
+                coordinate_by_int(seq, depth)
+        with pytest.raises(IndexError):
+            coordinate_by_int(seq, 4)
+        with pytest.raises(IndexError):
+            coordinate_by_int([], 1)
+        with pytest.raises(ValueError):
+            invariant_coordinate([])
 
 
 class TestSignedOrder:
@@ -241,8 +249,8 @@ class TestSignedOrder:
         depth = 18
         a = rotation(ws[i % len(ws)], 0, depth)
         b = rotation(ws[j % len(ws)], 0, depth)
-        ta = invariant_coordinate(a, depth)
-        tb = invariant_coordinate(b, depth)
+        ta = invariant_coordinate(a[:depth])
+        tb = invariant_coordinate(b[:depth])
         expected = Order.EQ if ta == tb else (Order.LT if ta > tb else Order.GT)
         assert mt_compare(a, b, depth) is expected
 
@@ -368,4 +376,4 @@ class TestEnumeration:
         ws = words(8)
         w = ws[i % len(ws)]
         assert parse_word(str(w)) == w
-        assert parse_word(w.numeric) == w
+        assert parse_word(numeric(w)) == w
