@@ -26,18 +26,18 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
     Each row is a ``{col: value}`` dict whose columns lie in ``range(c)``
     and whose values are nonzero ``int``s; anything else raises
     :class:`ValueError`.  The loop consumes ``rows``: it rewrites the list
-    and its dicts in place.  Dict order steers the pivot choice,
-    so rows in ascending column order give the elimination of a row-major
-    scan.  The pivot is a +-1 while one is live, from the shortest row
-    holding one, in its sparsest column (Markowitz's order, restricted to
-    units); else the entry of least absolute value, ties to the lowest
-    row, then column.  Every pivot ``d`` takes the same step.  The row
-    sweep subtracts floor multiples of the pivot row from each row of its
-    column; a nonzero remainder is a smaller pivot, and the pivot stays
-    live.  Once the column is clear, the column sweep reduces the pivot
-    row mod ``d``; the pivot drops out as one factor when nothing is left
-    beside it, as a unit always does.  Newman's gcd/lcm exchange then puts
-    the factors into divisibility order.
+    and its dicts in place.  Unit pivots come from one pass over the rows,
+    last row first: each row, at its turn, pivots on its first +-1 in dict
+    order, or is passed over.  After the pass the pivot is the least
+    |entry|, ties to the lowest row, then column.  That order makes little
+    fill on the column-differenced rows of ``I - A`` (at most 4 nonzeros
+    each), but may make much more on others.  Every pivot ``d`` takes the
+    same step.  The row sweep subtracts floor multiples of the pivot row
+    from each row of its column; a nonzero remainder is a smaller pivot,
+    and the pivot stays live.  Once the column is clear, the column sweep
+    reduces the pivot row mod ``d``; the pivot drops out as one factor
+    when nothing is left beside it, as a unit always does.  Newman's
+    gcd/lcm exchange then puts the factors into divisibility order.
     """
     r = len(rows)
     cols: list[set[int]] = [set() for _ in range(c)]
@@ -49,34 +49,22 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
                 raise ValueError(f"non-integer or zero entry {e!r} at ({i}, {j})")
             cols[j].add(i)
 
-    # Rows by length.  An entry is stale once its row has changed length;
-    # a row taken out without a unit waits until an update puts it back.
-    # The walk restarts after each non-unit pivot, so it stops at top, not c.
-    by_len: list[list[int]] = [[] for _ in range(c + 1)]
+    pending = list(range(r))
     live = [i for i, R in enumerate(rows) if R]
-    for i in live:
-        by_len[len(rows[i])].append(i)
-    top = max(map(len, rows), default=0)
-    k = 1
     units = 0
     factors: list[int] = []
     while True:
         q = None
-        while q is None and k <= top:
-            if not by_len[k]:
-                k += 1
-                continue
-            p = by_len[k].pop()
+        while q is None and pending:
+            p = pending.pop()
             P = rows[p]
-            if len(P) == k:
-                for j, e in P.items():
-                    if e == 1 or e == -1:
-                        m = len(cols[j])
-                        if q is None or m < fewest:
-                            q, fewest = j, m
+            for j, e in P.items():
+                if e == 1 or e == -1:
+                    q = j
+                    break
         if q is None:
-            # No live unit.  Rows never come back to life, so the list of
-            # live rows only shrinks.
+            # No unit left to visit.  Rows never come back to life, so the
+            # list of live rows only shrinks.
             live = [i for i in live if rows[i]]
             if not live:
                 break
@@ -107,13 +95,6 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
                 else:
                     R[j] = -f * e
                     cols[j].add(i)
-            size = len(R)
-            if size:
-                by_len[size].append(i)
-                if size < k:
-                    k = size
-                if size > top:
-                    top = size
         if left:
             # The remainders are smaller pivots; the column sweep waits
             # until they are gone.
@@ -139,8 +120,6 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
         kept[q] = d
         rows[p] = kept
         Cq.add(p)
-        by_len[len(kept)].append(p)
-        k = min(k, len(kept))
 
     # Newman's gcd/lcm exchange: afterwards each factor divides the next.
     for s in range(len(factors)):

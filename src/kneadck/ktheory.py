@@ -10,10 +10,11 @@ the kernel of I - A^T over the integers.  Both checks are stated once, in
 :func:`~kneadck.markov.build_orbit`, raises :class:`TheoremViolationError`
 with the first one an admissible word fails, and :func:`verify` records
 both beside the checks on the matrix family for every admissible word up
-to a period.  Both read I - A^T, irreducibility and, in ``verify``, the
-checks on the entries of A off the runs of ones that make up the rows of
-A, so neither forms a dense covering matrix.  Every elimination is one
-call of :func:`~kneadck.intlinalg.smith_diagonal` on rows.
+to a period.  Both read the Smith rows, of (I - A) D with D unimodular,
+irreducibility and, in ``verify``, the checks on the entries of A off the
+runs of ones that make up the rows of A, so neither forms a dense
+covering matrix.  Every elimination is one call of
+:func:`~kneadck.intlinalg.smith_diagonal` on rows.
 """
 
 from __future__ import annotations
@@ -57,20 +58,25 @@ def closed_form_a(w: KneadingWord) -> int:
 def _closed_form_checks(a: int, runs):
     """The Smith diagonal of I - A^T and the closed form's two checks on it.
 
-    Column k of I - A^T is 1 at k less 1 on the k-th of the ``runs`` of A;
-    the rows are filled column by column, in the order a scan would list
-    them.  Each check is ``(name, passed, detail)``; ``detail()`` builds
-    the failure text, so passing words never format it.
+    D, 1 on the diagonal and -1 just above it, is unimodular, so the rows
+    of (I - A) D have that Smith form: row k is +1 at k, -1 at k + 1, -1 at
+    ``lo`` and +1 at ``hi`` for the k-th run ``(lo, hi)`` of A, summed where
+    they meet, less column n - 1.  Each check is ``(name, passed,
+    detail)``; ``detail()`` builds the failure text only when it fails.
     """
-    rows: list[dict[int, int]] = [{} for _ in runs]
+    c = len(runs)
+    rows = []
     for k, (lo, hi) in enumerate(runs):
-        rows[k][k] = 1
-        for j in range(lo, hi):
-            if j == k:
-                del rows[k][k]
+        R = {k: 1, k + 1: -1}
+        for j, e in ((lo, -1), (hi, 1)):
+            e += R.get(j, 0)
+            if e:
+                R[j] = e
             else:
-                rows[j][k] = -1
-    diag = smith_diagonal(rows, len(runs))
+                del R[j]
+        R.pop(c, None)
+        rows.append(R)
+    diag = smith_diagonal(rows, c)
     K0 = AbelianGroup.from_diagonal(diag)
     expected_K0 = AbelianGroup.cyclic(a)
     kr = diag.count(0)
@@ -100,8 +106,8 @@ def k_groups(m: OrbitModel) -> KGroupReport:
     """
     a = closed_form_a(m.word)
     runs = transition_intervals(m)
-    # One Smith diagonal of I - A^T gives K0 and K1; BF = coker(I - A) is
-    # K0 again, since a square matrix and its transpose share a Smith form.
+    # One Smith diagonal, of (I - A) D, gives K0 and K1; BF = coker(I - A)
+    # is K0 again, since I - A and I - A^T share a Smith form.
     diag, checks = _closed_form_checks(a, runs)
     if m.admissible:
         for _, passed, detail in checks:
@@ -140,7 +146,7 @@ def verify(n_max: int) -> VerifyReport:
     ``build_matrices`` defines or raises :class:`ConstructionError` on are
     not counted again; ``block_form`` with ``construction_equivalence``
     carries the kneading determinant ``det(I - tA) = sum theta_k t^k``.
-    Two Smith eliminations run per word, of ``I - A^T`` and ``I - theta``.
+    Two Smith eliminations run per word, of ``(I - A) D`` and ``I - theta``.
     """
     if n_max < 2:
         raise DomainError("verification sweep requires n_max >= 2")
@@ -213,9 +219,9 @@ def verify(n_max: int) -> VerifyReport:
                 lambda: f"SNF diagonal {sorted(diag)} vs expected {expected_diag}",
             )
 
-            # The bridge reuses the diagonal of I - A^T: once
-            # construction_equivalence holds, A == t.A, and a square matrix
-            # shares its Smith form with its transpose.
+            # The bridge reuses the diagonal of (I - A) D: once
+            # construction_equivalence holds, A == t.A, and that diagonal
+            # is the Smith form of I - t.A.
             bridge_lhs = AbelianGroup.from_diagonal(diag_a)
             bridge_rhs = AbelianGroup.from_diagonal(diag)
             record(

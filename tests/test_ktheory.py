@@ -25,7 +25,14 @@ from kneadck.symbolic import (
     parse_word,
 )
 
-from reference import coordinate_by_int, covering_matrix, is_irreducible_dense, rows_of, smith_of
+from reference import (
+    coordinate_by_int,
+    covering_matrix,
+    is_irreducible_dense,
+    rows_of,
+    smith_normal_form,
+    smith_of,
+)
 
 TRIVIAL = AbelianGroup(0, ())
 Z = AbelianGroup(1, ())
@@ -53,11 +60,6 @@ def spy_smith_loop(monkeypatch, record) -> list:
 def count_smith_loops(monkeypatch) -> list:
     """The shape of every matrix the Smith loop runs on."""
     return spy_smith_loop(monkeypatch, lambda rows, c: (len(rows), c))
-
-
-def smith_rows_fed(monkeypatch) -> list:
-    """The rows every Smith loop starts from, as lists of items."""
-    return spy_smith_loop(monkeypatch, lambda rows, c: [list(R.items()) for R in rows])
 
 
 def all_words(max_n):
@@ -303,7 +305,7 @@ class TestKGroups:
         assert report.a_zero == split
         assert (len(split["reducible"]), len(split["irreducible"])) == (21, 42)
 
-    @pytest.mark.parametrize("n", [256, 512, 2048, 4096])
+    @pytest.mark.parametrize("n", [256, 512, 2048, 4096, 8192])
     def test_long_random_words(self, n):
         word = random_word(n)
         rep = k_groups(build_orbit(word))
@@ -364,17 +366,29 @@ class TestKGroups:
         assert rep.K0 == AbelianGroup(0, (2,))
         assert rep.irreducible
 
-    def test_rows_from_runs_equal_the_scan(self, monkeypatch):
-        # Same rows, same item order: the elimination is the same pivot for
-        # pivot as that of the row-major scan of the dense I - A^T.
-        fed = smith_rows_fed(monkeypatch)
+    def test_rows_from_runs_are_the_differenced_rows(self, monkeypatch):
+        # The rows fed are those of (I - A) D, with D the column difference
+        # (1 on the diagonal, -1 just above it): at most 4 nonzeros each.
+        fed = spy_smith_loop(monkeypatch, lambda rows, c: [dict(R) for R in rows])
         words = runs_corpus()
         assert len(words) == 1279 + 1022
         for word in words:
             fed.clear()
-            k_groups(build_orbit(word))
-            M = np.eye(word.n - 1, dtype=np.int64) - covering_matrix(build_orbit(word)).T
-            assert fed == [[list(R.items()) for R in rows_of(M)]], word
+            model = build_orbit(word)
+            k_groups(model)
+            eye = np.eye(word.n - 1, dtype=np.int64)
+            D = eye - np.eye(word.n - 1, k=1, dtype=np.int64)
+            assert fed == [rows_of((eye - covering_matrix(model)) @ D)], word
+            assert max(map(len, fed[0])) <= 4, word
+
+    def test_diagonal_is_the_certified_smith_form_of_i_minus_a_transpose(self):
+        # The reference Smith form, with transforms, of I - A^T itself.
+        for word in runs_corpus():
+            model = build_orbit(word)
+            runs = markov.transition_intervals(model)
+            diag, _ = ktheory._closed_form_checks(closed_form_a(word), runs)
+            M = np.eye(word.n - 1, dtype=np.int64) - covering_matrix(model).T
+            assert diag == smith_normal_form(M).diagonal, word
 
     def test_irreducibility_from_runs(self):
         for word in runs_corpus():
