@@ -26,18 +26,20 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
     Each row is a ``{col: value}`` dict whose columns lie in ``range(c)``
     and whose values are nonzero ``int``s; anything else raises
     :class:`ValueError`.  The loop consumes ``rows``: it rewrites the list
-    and its dicts in place.  Unit pivots come from one pass over the rows,
-    last row first: each row, at its turn, pivots on its first +-1 in dict
-    order, or is passed over.  After the pass the pivot is the least
-    |entry|, ties to the lowest row, then column.  That order makes little
-    fill on the column-differenced rows of ``I - A`` (at most 4 nonzeros
-    each), but may make much more on others.  Every pivot ``d`` takes the
-    same step.  The row sweep subtracts floor multiples of the pivot row
-    from each row of its column; a nonzero remainder is a smaller pivot,
-    and the pivot stays live.  Once the column is clear, the column sweep
-    reduces the pivot row mod ``d``; the pivot drops out as one factor
-    when nothing is left beside it, as a unit always does.  Newman's
-    gcd/lcm exchange then puts the factors into divisibility order.
+    and its dicts in place.  Rows come off one stack, last row first; each
+    nonempty row pivots on its first entry of least |value| in dict order,
+    a +-1 if it has one.  That order makes little fill on the
+    column-differenced rows of ``I - A`` (at most 4 nonzeros each), but may
+    make much more on others.  The row sweep subtracts floor multiples of
+    the pivot row ``d`` from each row of its column; rows with a nonzero
+    remainder go back on the stack above it.  Once the column is clear,
+    the column sweep reduces the pivot row mod ``d``: it drops out as one
+    factor when nothing is left beside the pivot, as for a unit, and goes
+    back on the stack otherwise.  By Newman's Euclid argument this ends:
+    after a step that emits no factor, the next row popped holds an entry
+    below ``|d|``, so the pivots strictly decrease between factors, of
+    which there are at most ``r``.  Newman's gcd/lcm exchange then puts
+    the factors into divisibility order.
     """
     r = len(rows)
     cols: list[set[int]] = [set() for _ in range(c)]
@@ -49,33 +51,24 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
                 raise ValueError(f"non-integer or zero entry {e!r} at ({i}, {j})")
             cols[j].add(i)
 
-    pending = list(range(r))
-    live = [i for i, R in enumerate(rows) if R]
+    stack = list(range(r))
     units = 0
     factors: list[int] = []
-    while True:
-        q = None
-        while q is None and pending:
-            p = pending.pop()
-            P = rows[p]
-            for j, e in P.items():
-                if e == 1 or e == -1:
-                    q = j
-                    break
-        if q is None:
-            # No unit left to visit.  Rows never come back to life, so the
-            # list of live rows only shrinks.
-            live = [i for i in live if rows[i]]
-            if not live:
+    while stack:
+        p = stack.pop()
+        P = rows[p]
+        if not P:
+            continue
+        for q, d in P.items():
+            if d == 1 or d == -1:
                 break
-            least, p = min((min(map(abs, rows[i].values())), i) for i in live)
-            P = rows[p]
-            q = min(j for j, e in P.items() if abs(e) == least)
+        else:
+            least = min(map(abs, P.values()))
+            q = next(j for j, e in P.items() if abs(e) == least)
         d = P.pop(q)
         Cq = cols[q]
         Cq.discard(p)
-        # Row sweep.  The pivot is a unit or the least |entry|, so every
-        # multiplier is nonzero.
+        # Row sweep.  The pivot is least in its own row only, so f may be 0.
         left = []
         for i in Cq:
             R = rows[i]
@@ -84,6 +77,8 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
             if x:
                 R[q] = x
                 left.append(i)
+            if not f:
+                continue
             for j, e in P.items():
                 if j in R:
                     v = R[j] - f * e
@@ -100,6 +95,8 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
             # until they are gone.
             P[q] = d
             cols[q] = {p, *left}
+            stack.append(p)
+            stack += left
             continue
         # Column sweep: q holds only the pivot, so reducing the pivot row
         # mod d is a column operation.
@@ -120,6 +117,7 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
         kept[q] = d
         rows[p] = kept
         Cq.add(p)
+        stack.append(p)
 
     # Newman's gcd/lcm exchange: afterwards each factor divides the next.
     for s in range(len(factors)):

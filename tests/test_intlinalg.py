@@ -81,6 +81,15 @@ class TestSmithNormalForm:
         assert smith_of([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
         # Unit-free from the start.
         assert smith_of(2 * np.eye(64, dtype=np.int64)) == (2,) * 64
+        # The last row pivots on its 3, above the first row's 2 in column
+        # 0, so the first row's multiplier is 0 and its update is skipped.
+        assert smith_of([[2, 0], [3, 7]]) == (1, 14)
+        # Unimodular by Cassini's identity, with no unit anywhere: 57
+        # non-unit pivots run the Euclid chain down to a unit.
+        F = [0, 1]
+        while len(F) < 62:
+            F.append(F[-1] + F[-2])
+        assert smith_of([[F[61], F[60]], [F[60], F[59]]]) == (1, 1)
 
     def test_period_six_shift_block(self):
         # I minus the signed shift matrix of the period-6 fixture word.
@@ -305,7 +314,10 @@ class TestSparseUnitPass:
     @given(sparse_matrices(st.one_of(st.sampled_from([-2, -1, 1, 2]), HUGE)))
     @settings(max_examples=150, deadline=None)
     def test_property_sparse(self, M):
-        assert smith_of(M) == smith_normal_form(M).diagonal
+        # Each row picks its pivot at its own turn, so the row order alone
+        # decides the pivot sequence: reversing the rows must not matter.
+        D = smith_normal_form(M).diagonal
+        assert smith_of(M) == smith_of(M[::-1]) == D
 
     @given(
         sparse_matrices(
@@ -314,9 +326,10 @@ class TestSparseUnitPass:
     )
     @settings(max_examples=150, deadline=None)
     def test_property_no_units(self, M):
-        # No unit entry at all: the first pivot is the least |entry|, and
-        # units appear only as remainders.
-        assert smith_of(M) == smith_normal_form(M).diagonal
+        # No unit entry at all: the first pivot is the last row's least
+        # |entry|, and units appear only as remainders.
+        D = smith_normal_form(M).diagonal
+        assert smith_of(M) == smith_of(M[::-1]) == D
 
 
 class TestDeterminant:
