@@ -19,15 +19,21 @@ covering matrix.  Every elimination is one call of
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
-import numpy as np
-
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
-from .markov import OrbitModel, build_matrices, build_orbit, transition_intervals
+from .markov import OrbitModel, _family_stack, build_orbit, transition_intervals
 from .symbolic import DomainError, KneadingWord, enumerate_admissible
+
+_log = logging.getLogger(__name__)
+
+#: Words per matrix-family stack in :func:`verify`.  A stack spreads
+#: numpy's per-call cost over its words; a cap keeps its arrays from
+#: growing with the number of words of a period.
+_STACK = 32
 
 
 class TheoremViolationError(RuntimeError):
@@ -142,11 +148,17 @@ class VerifyReport:
 def verify(n_max: int) -> VerifyReport:
     """Check every admissible word of period 2 to ``n_max``.
 
-    Only checks a word can fail are scored.  The identities that
-    ``build_matrices`` defines or raises :class:`ConstructionError` on are
+    Only checks a word can fail are scored.  The identities that the
+    family builder defines or raises :class:`ConstructionError` on are
     not counted again; ``block_form`` with ``construction_equivalence``
     carries the kneading determinant ``det(I - tA) = sum theta_k t^k``.
-    Two Smith eliminations run per word, of ``(I - A) D`` and ``I - theta``.
+    The family is built as stacks of up to ``_STACK`` (32) words of one
+    period (see :func:`~kneadck.markov.build_matrices`), and
+    ``identity_A_eta`` and ``block_form`` are decided for a whole stack by
+    one batched comparison each; every word still gets every check, in
+    the same order.  Two Smith eliminations run per word, of
+    ``(I - A) D`` and ``I - theta``.  One INFO record per period goes to
+    this module's logger.
     """
     if n_max < 2:
         raise DomainError("verification sweep requires n_max >= 2")
@@ -161,105 +173,123 @@ def verify(n_max: int) -> VerifyReport:
     a_zero = {"reducible": [], "irreducible": []}
 
     for n in range(2, n_max + 1):
-        for word in enumerate_admissible(n):
-            words_checked += 1
-            a = closed_form_a(word)
-            model = build_orbit(word)
-            t = build_matrices(model)
-            runs = transition_intervals(model)
-
-            def record(name: str, ok: bool, detail) -> None:
-                # detail() builds the failure text, only for a failing check.
-                counts.setdefault(name, 0)
-                if ok:
-                    counts[name] += 1
-                else:
-                    violations.append({"word": str(word), "check": name, "detail": detail()})
-
-            diag_a, closed_form_checks = _closed_form_checks(a, runs)
-            for check in closed_form_checks:
-                record(*check)
-
-            lhs, rhs = t.A @ t.eta, t.eta @ t.theta
-            record(
-                "identity_A_eta",
-                np.array_equal(lhs, rhs),
-                lambda: f"lhs {lhs.tolist()} vs rhs {rhs.tolist()}",
-            )
-
+        words = enumerate_admissible(n)
+        for start in range(0, len(words), _STACK):
+            models = [build_orbit(word) for word in words[start : start + _STACK]]
+            t = _family_stack(models)
+            A_eta, eta_theta = t.A @ t.eta, t.eta @ t.theta
+            identity_A_eta = (A_eta == eta_theta).all(axis=(1, 2)).tolist()
             tp = t.thetaprime
-            record(
-                "block_form",
-                not tp[n - 1, :].any() and np.array_equal(tp[: n - 1, : n - 1], t.Aprime),
-                lambda: f"thetaprime {tp.tolist()} vs top-left block {t.Aprime.tolist()}",
-            )
+            zero_last_row = ~tp[:, n - 1, :].any(axis=1)
+            block_form = (
+                zero_last_row & (tp[:, : n - 1, : n - 1] == t.Aprime).all(axis=(1, 2))
+            ).tolist()
+            A_rows, theta_rows = t.A.tolist(), t.theta.tolist()
 
-            # Row k of the covering A is 1 on the k-th run and 0 elsewhere.
-            signed = t.A.tolist()
-            record(
-                "construction_equivalence",
-                all(
-                    row[lo:hi] == [1] * (hi - lo) and not any(row[:lo] + row[hi:])
-                    for row, (lo, hi) in zip(signed, runs)
-                ),
-                lambda: f"covering runs {runs} vs signed route {signed}",
-            )
+            for b, model in enumerate(models):
+                word = model.word
+                words_checked += 1
+                a = closed_form_a(word)
+                runs = transition_intervals(model)
 
-            # One SNF of I - theta feeds both the multiset and the bridge.
-            # Its row i is row i of theta, less 1 at i, negated.
-            rows = []
-            for i, row in enumerate(t.theta.tolist()):
-                row[i] -= 1
-                rows.append({j: -e for j, e in enumerate(row) if e})
-            diag = smith_diagonal(rows, n)
-            expected_diag = sorted([a] + [1] * (n - 1))
-            record(
-                "snf_multiset",
-                sorted(diag) == expected_diag,
-                lambda: f"SNF diagonal {sorted(diag)} vs expected {expected_diag}",
-            )
+                def record(name: str, ok: bool, detail) -> None:
+                    # detail() builds the failure text, only for a failing check.
+                    counts.setdefault(name, 0)
+                    if ok:
+                        counts[name] += 1
+                    else:
+                        violations.append({"word": str(word), "check": name, "detail": detail()})
 
-            # The bridge reuses the diagonal of (I - A) D: once
-            # construction_equivalence holds, A == t.A, and that diagonal
-            # is the Smith form of I - t.A.
-            bridge_lhs = AbelianGroup.from_diagonal(diag_a)
-            bridge_rhs = AbelianGroup.from_diagonal(diag)
-            record(
-                "cokernel_bridge",
-                bridge_lhs == bridge_rhs,
-                lambda: f"from A: {bridge_lhs}, from theta: {bridge_rhs}",
-            )
+                diag_a, closed_form_checks = _closed_form_checks(a, runs)
+                for check in closed_form_checks:
+                    record(*check)
 
-            # A zero row of A is an empty run, a zero column one no run covers.
-            empty = [k for k, (lo, hi) in enumerate(runs) if lo >= hi]
-            covered = {j for run in runs for j in range(*run)}
-            record(
-                "zero_rows_cols",
-                not empty and len(covered) == n - 1,
-                lambda: f"A has zero rows {empty} and zero columns "
-                f"{sorted(set(range(n - 1)) - covered)}: runs {runs}",
-            )
-
-            # For n >= 3 the two intervals adjacent to the turning point
-            # map onto spans sharing the top interval, so A cannot be a
-            # permutation matrix; the single-interval partition (n = 2)
-            # forces A = [[1]] and is skipped with a report.  A is 0-1 by
-            # construction, so one nonzero per row and column decides it:
-            # runs of length 1 with distinct starts.
-            if n == 2:
-                counts.setdefault("not_permutation", 0)
-                skipped.setdefault("not_permutation", []).append(str(word))
-            else:
-                permutation = len({lo for lo, hi in runs if hi - lo == 1}) == n - 1
                 record(
-                    "not_permutation",
-                    not permutation,
-                    lambda: f"A is a permutation matrix: runs {runs}",
+                    "identity_A_eta",
+                    identity_A_eta[b],
+                    lambda: f"lhs {A_eta[b].tolist()} vs rhs {eta_theta[b].tolist()}",
                 )
 
-            if a == 0:
-                irreducible = _strongly_connected([range(*run) for run in runs])
-                a_zero["irreducible" if irreducible else "reducible"].append(str(word))
+                record(
+                    "block_form",
+                    block_form[b],
+                    lambda: f"thetaprime {tp[b].tolist()} vs top-left block "
+                    f"{t.Aprime[b].tolist()}",
+                )
+
+                # Row k of the covering A is 1 on the k-th run and 0 elsewhere.
+                signed = A_rows[b]
+                record(
+                    "construction_equivalence",
+                    all(
+                        row[lo:hi] == [1] * (hi - lo) and not any(row[:lo] + row[hi:])
+                        for row, (lo, hi) in zip(signed, runs)
+                    ),
+                    lambda: f"covering runs {runs} vs signed route {signed}",
+                )
+
+                # One SNF of I - theta feeds both the multiset and the bridge.
+                # Its row i is row i of theta, less 1 at i, negated.
+                rows = []
+                for i, row in enumerate(theta_rows[b]):
+                    row[i] -= 1
+                    rows.append({j: -e for j, e in enumerate(row) if e})
+                diag = smith_diagonal(rows, n)
+                expected_diag = sorted([a] + [1] * (n - 1))
+                record(
+                    "snf_multiset",
+                    sorted(diag) == expected_diag,
+                    lambda: f"SNF diagonal {sorted(diag)} vs expected {expected_diag}",
+                )
+
+                # The bridge reuses the diagonal of (I - A) D: once
+                # construction_equivalence holds, A == t.A[b], and that
+                # diagonal is the Smith form of I - t.A[b].
+                bridge_lhs = AbelianGroup.from_diagonal(diag_a)
+                bridge_rhs = AbelianGroup.from_diagonal(diag)
+                record(
+                    "cokernel_bridge",
+                    bridge_lhs == bridge_rhs,
+                    lambda: f"from A: {bridge_lhs}, from theta: {bridge_rhs}",
+                )
+
+                # A zero row of A is an empty run, a zero column one no run covers.
+                empty = [k for k, (lo, hi) in enumerate(runs) if lo >= hi]
+                covered = {j for run in runs for j in range(*run)}
+                record(
+                    "zero_rows_cols",
+                    not empty and len(covered) == n - 1,
+                    lambda: f"A has zero rows {empty} and zero columns "
+                    f"{sorted(set(range(n - 1)) - covered)}: runs {runs}",
+                )
+
+                # For n >= 3 the two intervals adjacent to the turning point
+                # map onto spans sharing the top interval, so A cannot be a
+                # permutation matrix; the single-interval partition (n = 2)
+                # forces A = [[1]] and is skipped with a report.  A is 0-1 by
+                # construction, so one nonzero per row and column decides it:
+                # runs of length 1 with distinct starts.
+                if n == 2:
+                    counts.setdefault("not_permutation", 0)
+                    skipped.setdefault("not_permutation", []).append(str(word))
+                else:
+                    permutation = len({lo for lo, hi in runs if hi - lo == 1}) == n - 1
+                    record(
+                        "not_permutation",
+                        not permutation,
+                        lambda: f"A is a permutation matrix: runs {runs}",
+                    )
+
+                if a == 0:
+                    irreducible = _strongly_connected([range(*run) for run in runs])
+                    a_zero["irreducible" if irreducible else "reducible"].append(str(word))
+
+            # Free this stack before the next one is built.
+            del t, A_eta, eta_theta, tp
+
+        _log.info(
+            "period %d: %d words checked, %d violations", n, words_checked, len(violations)
+        )
 
     return VerifyReport(
         n_max=n_max,

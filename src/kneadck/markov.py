@@ -10,11 +10,13 @@ the transition matrix and its runs, and the unimodular matrices X and Y
 that relate the two chain-level descriptions.
 
 Everything here is exact integer arithmetic; no floats and no fractions.
-The matrices are ``np.int64`` arrays with entries in {-1, 0, 1}, a bound
-checked once per word (see :func:`_check_entry_bound`) under which no
-product of them can wrap.  The inverses the construction needs are
-written down in closed form and each is confirmed by an exact matrix
-product.
+The family is built as stacks, one slice per word, for any number of
+words of one period (see :func:`_family_stack`); one word's family is
+the one-slice stack.  The matrices are ``np.int64`` arrays with entries
+in {-1, 0, 1}, a bound that holds per slice (see
+:func:`_check_entry_bound`) and under which no product of them can wrap.
+The inverses the construction needs are written down in closed form and
+each is confirmed, slice by slice, by an exact matrix product.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
 
 
 class ConstructionError(RuntimeError):
-    """An internal invariant of the matrix construction failed."""
+    """An internal invariant of the matrix construction failed; the message
+    reads ``"<word>: <check>"``."""
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,13 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
     for k in range(n - 1):
         if keys[order[k]] >= keys[order[k + 1]]:
             raise ConstructionError(
-                f"orbit points {rho[k]} and {rho[k + 1]} of {w} do not compare strictly"
+                f"{w}: orbit points {rho[k]} and {rho[k + 1]} do not compare strictly"
             )
 
     nL = w.symbols.count(Symbol.L)
     # The turning point is the n-th orbit point and splits the partition.
     if rho[nL] != n:
-        raise ConstructionError("turning point is not at spatial rank nL+1")
+        raise ConstructionError(f"{w}: turning point is not at spatial rank nL+1")
     return OrbitModel(word=w, rho=rho, nL=nL)
 
 
@@ -108,51 +111,61 @@ class TheoremMatrices:
     thetaprime: np.ndarray
 
 
-def _check_entry_bound(n: int, mats) -> None:
-    """The int64 overflow guard of the matrix family, run once per word.
+def _check_entry_bound(n: int, words, mats) -> None:
+    """The int64 overflow guard of the matrix family, decided per slice.
 
-    Raises :class:`ConstructionError` unless ``n < 2**31`` and every matrix
-    in ``mats`` has its entries in {-1, 0, 1}.  Every product of the family,
-    here and in :func:`~kneadck.ktheory.verify`, has at most three factors
-    of size at most n, so under the bound a product of two factors is at
-    most n in magnitude and one of three at most n**2 < 2**62: none can
-    wrap.  Checking the finished family suffices.  The first products have
+    ``mats`` holds stacks of shape (B, rows, cols), slice b belonging to
+    ``words[b]``, and matrices shared by every slice.  Raises
+    :class:`ConstructionError` naming the first word whose slice fails,
+    unless ``n < 2**31`` and every matrix of the slice has its entries in
+    {-1, 0, 1}.  Every product of the family, here and in
+    :func:`~kneadck.ktheory.verify`, has at most three factors of size at
+    most n, so under the bound a product of two factors is at most n in
+    magnitude and one of three at most n**2 < 2**62: none can wrap.
+    Checking the finished family suffices.  The first products have
     factors set entry by entry to -1, 0 or 1, and every later factor is an
     earlier product, exact by induction, whose value this check bounds.
     """
     entries = np.concatenate([M.ravel() for M in mats])
-    if n >= 2**31 or entries.min() < -1 or entries.max() > 1:
-        raise ConstructionError(f"period {n} matrix family leaves the int64 bound")
+    if n < 2**31 and entries.min() >= -1 and entries.max() <= 1:
+        return
+    # Out of bound somewhere: find the first slice that is.
+    bad = np.full(len(words), n >= 2**31)
+    for M in mats:
+        bad |= (M.min(axis=(-2, -1)) < -1) | (M.max(axis=(-2, -1)) > 1)
+    raise ConstructionError(
+        f"{words[bad.argmax()]}: period {n} matrix family leaves the int64 bound"
+    )
 
 
-def build_matrices(m: OrbitModel) -> TheoremMatrices:
-    """Assemble every matrix of the construction from the ordered orbit.
+def _family_stack(models) -> TheoremMatrices:
+    """The matrix families of models that all have one period n, as stacks.
 
-    The transpose of ``eta`` must factor as ``Y @ inc @ X``, where ``X`` is
-    its top square block: the signed incidence matrix of the path of
-    spatial ranks with the turning point removed.  The inverse of ``X`` is
-    therefore a pair of running sums, one on each side of the turning
-    point, and ``Y`` is inverted by flipping the sign of its last row.
-    Together they give an integer right inverse ``R`` of ``eta`` and with
-    it ``alpha = eta @ omega @ R``.  Every matrix, including the unreturned
-    ``inc``, ``Xinv``, ``Yinv`` and ``R``, is ``int64`` and passes
-    :func:`_check_entry_bound` before any identity is checked.  Two exact
-    products then confirm the route: ``X @ Xinv == I``, which also proves
-    ``X`` unimodular, and ``alpha @ eta == eta @ omega``, which pins
-    ``alpha`` down uniquely because ``eta`` has full row rank.  Failure of
-    any of these is a bug, not bad input, and raises
-    :class:`ConstructionError`.
+    Every field has shape (B, rows, cols), slice b belonging to
+    ``models[b]``.  The formulas are those documented at
+    :func:`build_matrices`, with a leading batch axis: every product is one
+    batched product, and the entry bound and then the three identities
+    are decided per slice.  The first slice out of bound, or else the
+    first failing an identity, raises :class:`ConstructionError` with its
+    word and its first failed check.
+    ``omega``, ``phi``, ``Y``, ``Yinv`` and ``inc`` do not depend on the
+    word, so each is built once and shared by every product; the first
+    three are repeated over the stack only for the result.
     """
-    n = m.n
-    eps = np.array(m.word.symbols, dtype=np.int64)
-
+    words = [m.word for m in models]
+    n = models[0].n
+    B = len(models)
+    stack = np.arange(B)[:, None]
     ranks = np.arange(n)
+    eps = np.array([w.symbols for w in words], dtype=np.int64)
+    rho = np.array([m.rho for m in models])
+    nL = np.array([m.nL for m in models])
+
     omega = np.zeros((n, n), dtype=np.int64)
     omega[ranks, (ranks + 1) % n] = 1
 
-    rho = np.array(m.rho)
-    pi = np.zeros((n, n), dtype=np.int64)
-    pi[ranks, rho - 1] = 1
+    pi = np.zeros((B, n, n), dtype=np.int64)
+    pi[stack, ranks, rho - 1] = 1
 
     phi = np.eye(n - 1, n, 1, dtype=np.int64) - np.eye(n - 1, n, dtype=np.int64)
 
@@ -160,15 +173,17 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
 
     # Diagonal carries the symbol values, last column their negatives; the
     # two clauses overlap at (n, n) and agree because the final value is 0.
-    if eps[-1] != 0:
-        raise ConstructionError("final symbol value must be 0")
-    gamma = np.diag(eps)
-    gamma[: n - 1, n - 1] = -eps[: n - 1]
+    nonzero = eps[:, -1] != 0
+    if nonzero.any():
+        raise ConstructionError(f"{words[nonzero.argmax()]}: final symbol value must be 0")
+    gamma = np.zeros((B, n, n), dtype=np.int64)
+    gamma[:, ranks, ranks] = eps
+    gamma[:, : n - 1, n - 1] = -eps[:, : n - 1]
 
     theta = gamma @ omega
 
-    beta = np.eye(n - 1, dtype=np.int64)
-    beta[m.nL :] *= -1
+    beta = np.zeros((B, n - 1, n - 1), dtype=np.int64)
+    beta[:, ranks[:-1], ranks[:-1]] = np.where(ranks[:-1] < nL[:, None], 1, -1)
 
     Y = np.eye(n, dtype=np.int64)
     Y[n - 1, : n - 1] = -1
@@ -177,50 +192,82 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
 
     inc = np.eye(n, n - 1, dtype=np.int64)
 
-    etaT = eta.T.copy()
-    X = etaT[: n - 1, :]
+    etaT = eta.transpose(0, 2, 1).copy()
+    X = etaT[:, : n - 1, :]
 
     # Interval k joins spatial ranks k+1 and k+2.  Left of the turning point
     # (rank c) it is undone by the points at or below its left end, right of
     # it by the points above its right end.
-    c = m.nL + 1
+    c = nL[:, None, None] + 1
     k = ranks[: n - 1, None]
-    p = np.empty(n, dtype=np.int64)
-    p[rho - 1] = ranks + 1  # p[j] is the spatial rank of orbit point j+1
-    p = p[None, : n - 1]
+    p = np.empty((B, n), dtype=np.int64)
+    p[stack, rho - 1] = ranks + 1  # p[b, j] is the spatial rank of orbit point j+1
+    p = p[:, None, : n - 1]
     Xinv = ((k >= c - 1) & (p >= k + 2)).astype(np.int64) - ((k <= c - 2) & (p <= k + 1))
 
-    R = Yinv.T @ inc @ Xinv.T
+    R = Yinv.T @ inc @ Xinv.transpose(0, 2, 1)
     eta_omega = eta @ omega
     alpha = eta_omega @ R
     A = beta @ alpha
-    Aprime = X @ A.T @ Xinv
-    thetaprime = Yinv @ theta.T @ Y
+    Aprime = X @ A.transpose(0, 2, 1) @ Xinv
+    thetaprime = Yinv @ theta.transpose(0, 2, 1) @ Y
 
-    t = TheoremMatrices(
+    family = [A, theta, omega, phi, pi, eta, alpha, beta, gamma, Y, X, Aprime, thetaprime]
+    _check_entry_bound(n, words, [*family, inc, Xinv, Yinv, R])
+
+    identity = np.eye(n - 1, dtype=np.int64)
+    checks = (
+        ("eta-transpose does not factor as Y inc X", etaT != Y @ inc @ X),
+        ("top block of eta-transpose fails X Xinv = I", X @ Xinv != identity),
+        ("alpha fails alpha eta = eta omega", alpha @ eta != eta_omega),
+    )
+    failed = np.array([unequal.any(axis=(1, 2)) for _, unequal in checks])
+    if failed.any():
+        b = failed.any(axis=0).argmax()
+        raise ConstructionError(f"{words[b]}: {checks[failed[:, b].argmax()][0]}")
+
+    def shared(M):
+        return M[None].repeat(B, axis=0)
+
+    return TheoremMatrices(
         A=A,
         theta=theta,
-        omega=omega,
-        phi=phi,
+        omega=shared(omega),
+        phi=shared(phi),
         pi=pi,
         eta=eta,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        Y=Y,
+        Y=shared(Y),
         X=X,
         Aprime=Aprime,
         thetaprime=thetaprime,
     )
-    _check_entry_bound(n, [*vars(t).values(), inc, Xinv, Yinv, R])
 
-    if not np.array_equal(etaT, Y @ inc @ X):
-        raise ConstructionError("eta-transpose does not factor as Y inc X")
-    if not np.array_equal(X @ Xinv, np.eye(n - 1, dtype=np.int64)):
-        raise ConstructionError("top block of eta-transpose fails X Xinv = I")
-    if not np.array_equal(alpha @ eta, eta_omega):
-        raise ConstructionError("alpha fails alpha eta = eta omega")
-    return t
+
+def build_matrices(m: OrbitModel) -> TheoremMatrices:
+    """Assemble every matrix of the construction from the ordered orbit.
+
+    The family is built as the one-word slice of a stack; see
+    :func:`_family_stack`, which builds it for many words of one period
+    at once.  The transpose of ``eta`` must factor as ``Y @ inc @ X``, where
+    ``X`` is its top square block: the signed incidence matrix of the path
+    of spatial ranks with the turning point removed.  The inverse of ``X``
+    is therefore a pair of running sums, one on each side of the turning
+    point, and ``Y`` is inverted by flipping the sign of its last row.
+    Together they give an integer right inverse ``R`` of ``eta`` and with
+    it ``alpha = eta @ omega @ R``.  Every matrix, including the unreturned
+    ``inc``, ``Xinv``, ``Yinv`` and ``R``, is ``int64`` and passes
+    :func:`_check_entry_bound`, per slice, before any identity is checked.
+    Two exact products then confirm the route: ``X @ Xinv == I``, which
+    also proves ``X`` unimodular, and ``alpha @ eta == eta @ omega``, which
+    pins ``alpha`` down uniquely because ``eta`` has full row rank.  Failure
+    of any of these is a bug, not bad input, and raises
+    :class:`ConstructionError` with the word, ``"<word>: <check>"``.
+    """
+    t = _family_stack([m])
+    return TheoremMatrices(**{name: M[0] for name, M in vars(t).items()})
 
 
 def transition_intervals(m: OrbitModel) -> list[tuple[int, int]]:

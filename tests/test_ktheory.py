@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import logging
 import os
 import pathlib
 import random
@@ -274,6 +275,81 @@ class TestKGroups:
         report = ktheory.verify(8)
         assert report.words_checked == 37
         assert sorted(calls) == sorted(str(w) for w in all_words(8))
+
+    def test_verify_stacks_words_and_never_builds_one(self, monkeypatch):
+        calls = []
+        stack = ktheory._family_stack
+
+        def spy(models):
+            calls.append([m.word for m in models])
+            return stack(models)
+
+        def single(model):
+            raise AssertionError(f"verify built the family of {model.word} alone")
+
+        monkeypatch.setattr(ktheory, "_family_stack", spy)
+        monkeypatch.setattr(markov, "build_matrices", single)
+        report = ktheory.verify(12)
+        assert report.ok and report.words_checked == 379
+        assert all(1 <= len(words) <= 32 for words in calls)
+        assert all(len({w.n for w in words}) == 1 for words in calls)
+        expected = [w for n in range(2, 13) for w in enumerate_admissible(n)]
+        assert [w for words in calls for w in words] == expected
+
+    def test_verify_reads_each_failure_off_its_slice(self, monkeypatch):
+        # One word in the middle of a stack of period 6 gets a bad
+        # thetaprime, one in the second stack of period 12 a bad A.
+        bad_tp = enumerate_admissible(6)[2]
+        bad_A = enumerate_admissible(12)[40]
+        stack = ktheory._family_stack
+        expected = {}
+
+        def corrupt(models):
+            t = stack(models)
+            for b, m in enumerate(models):
+                if m.word == bad_tp:
+                    t.thetaprime[b, -1, 0] = 7
+                    expected[bad_tp] = t.thetaprime[b].tolist()
+                elif m.word == bad_A:
+                    t.A[b, 0, 0] += 1
+                    expected[bad_A] = (t.A[b] @ t.eta[b]).tolist()
+            return t
+
+        monkeypatch.setattr(ktheory, "_family_stack", corrupt)
+        report = ktheory.verify(12)
+        assert [(v["word"], v["check"]) for v in report.violations] == [
+            (str(bad_tp), "block_form"),
+            (str(bad_A), "identity_A_eta"),
+            (str(bad_A), "construction_equivalence"),
+        ]
+        tp, A_eta, _ = (v["detail"] for v in report.violations)
+        assert tp.startswith(f"thetaprime {expected[bad_tp]} vs top-left block ")
+        assert A_eta.startswith(f"lhs {expected[bad_A]} vs rhs ")
+        assert report.checks["block_form"] == report.checks["identity_A_eta"] == 378
+
+    def test_verify_logs_each_period(self, caplog, capsys):
+        with caplog.at_level(logging.INFO, logger="kneadck.ktheory"):
+            report = ktheory.verify(12)
+        records = [r for r in caplog.records if r.name == "kneadck.ktheory"]
+        assert len(records) == 11
+        assert all(r.levelno == logging.INFO for r in records)
+        checked = list(itertools.accumulate(len(enumerate_admissible(n)) for n in range(2, 13)))
+        assert checked[-1] == report.words_checked
+        assert [r.getMessage() for r in records] == [
+            f"period {n}: {k} words checked, 0 violations" for n, k in zip(range(2, 13), checked)
+        ]
+        assert capsys.readouterr() == ("", "")
+
+    def test_verify_prints_nothing_without_logging_configured(self):
+        done = subprocess.run(
+            [sys.executable, "-c", "import kneadck; assert kneadck.verify(8).ok"],
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(kneadck.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (done.stdout, done.stderr) == ("", "")
 
     def test_verify_scores_only_checks_a_word_can_fail(self):
         # The report of verify 12 before the five checks that build_matrices

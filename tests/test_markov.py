@@ -11,6 +11,7 @@ from kneadck.markov import (
     ConstructionError,
     OrbitModel,
     _check_entry_bound,
+    _family_stack,
     build_matrices,
     build_orbit,
     transition_intervals,
@@ -432,8 +433,45 @@ class TestIntegerRoute:
             build_matrices(bad)
 
 
+class TestFamilyStack:
+    """The stack builder behind ``build_matrices`` and ``verify``."""
+
+    @staticmethod
+    def assert_slices_match(words):
+        models = [build_orbit(w) for w in words]
+        stack = _family_stack(models)
+        for b, m in enumerate(models):
+            single = build_matrices(m)
+            for name, M in vars(single).items():
+                S = getattr(stack, name)
+                assert S.shape == (len(models), *M.shape), (str(m.word), name)
+                assert S[b].dtype == M.dtype == np.int64, (str(m.word), name)
+                assert np.array_equal(S[b], M), (str(m.word), name)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_slices_of_forced_words_match_build_matrices(self, n):
+        self.assert_slices_match(every_word(n))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_slices_of_admissible_words_match_build_matrices(self, n):
+        self.assert_slices_match(enumerate_admissible(n))
+
+    def test_refusal_names_the_first_failing_word(self):
+        # The off-rank RLLRRC model of test_turning_point_off_its_rank_is_refused,
+        # third in a stack of sound period-6 models.
+        m = build_orbit(parse_word("RLLRRC"))
+        bad = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
+        good = [build_orbit(w) for w in enumerate_admissible(6) if str(w) != "RLLRRC"]
+        assert len(good) >= 3
+        message = "^RLLRRC: top block of eta-transpose fails X Xinv = I$"
+        with pytest.raises(ConstructionError, match=message):
+            _family_stack([good[0], good[1], bad, *good[2:]])
+        with pytest.raises(ConstructionError, match=message):
+            build_matrices(bad)
+
+
 class TestInt64Family:
-    """The family is exact int64 under the per-word entry bound."""
+    """The family is exact int64 under the entry bound, which holds per slice."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_every_matrix_is_int64_in_unit_range(self, n):
@@ -446,15 +484,21 @@ class TestInt64Family:
                 assert set(np.unique(M).tolist()) <= {-1, 0, 1}, (str(w), name)
 
     def test_guard_refuses_an_entry_beyond_the_bound(self):
+        # A stack of three slices and a shared matrix; the bad entry sits
+        # in the middle slice, whose word the refusal names.
+        words = ["RLC", "RRC", "LRC"]
         ok = np.eye(3, dtype=np.int64)
-        _check_entry_bound(3, [ok, -ok])
+        stack = np.stack([ok, -ok, ok])
+        _check_entry_bound(3, words, [ok, stack])
         for bad in (2**40, -(2**40), 2, -2):
-            M = np.eye(3, dtype=np.int64)
-            M[1, 2] = bad
-            with pytest.raises(ConstructionError, match="int64 bound"):
-                _check_entry_bound(3, [ok, M])
+            M = stack.copy()
+            M[1, 1, 2] = bad
+            with pytest.raises(ConstructionError, match="^RRC: .*int64 bound"):
+                _check_entry_bound(3, words, [ok, M])
+            with pytest.raises(ConstructionError, match="^RLC: .*int64 bound"):
+                _check_entry_bound(3, words, [M[1], stack])
 
     def test_guard_refuses_a_period_beyond_the_bound(self):
-        _check_entry_bound(2**31 - 1, [np.eye(2, dtype=np.int64)])
-        with pytest.raises(ConstructionError, match="int64 bound"):
-            _check_entry_bound(2**31, [np.eye(2, dtype=np.int64)])
+        _check_entry_bound(2**31 - 1, ["RC"], [np.eye(2, dtype=np.int64)])
+        with pytest.raises(ConstructionError, match="^RC: .*int64 bound"):
+            _check_entry_bound(2**31, ["RC"], [np.eye(2, dtype=np.int64)])
