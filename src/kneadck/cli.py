@@ -38,11 +38,7 @@ def _real(x, precision: int) -> str:
 
 def _matrix_payload(M) -> dict:
     r, c = M.shape
-    return {
-        "rows": int(r),
-        "cols": int(c),
-        "entries": [[int(e) for e in row] for row in M],
-    }
+    return {"rows": r, "cols": c, "entries": M.tolist()}
 
 
 def _group_payload(g: AbelianGroup) -> dict:
@@ -50,7 +46,7 @@ def _group_payload(g: AbelianGroup) -> dict:
 
 
 def _grid_lines(M) -> list[str]:
-    cells = [[str(int(e)) for e in row] for row in M]
+    cells = [[str(e) for e in row] for row in M.tolist()]
     width = max(len(s) for row in cells for s in row)
     return ["  " + " ".join(s.rjust(width) for s in row) for row in cells]
 
@@ -116,16 +112,15 @@ def _cmd_matrices(args):
                 )
     mats = build_matrices(model)
     inputs = {"word": str(word), "which": which, "force": bool(args.force)}
-    results = {
-        "word": str(word),
-        "n": word.n,
-        "admissible": model.admissible,
-        "matrices": {name: _matrix_payload(getattr(mats, name)) for name in which},
-    }
+    results = {"word": str(word), "n": word.n, "admissible": model.admissible}
+    # Each format reads the matrices in its own shape; only the one printed is built.
     text = [f"word: {word}"]
-    for name in which:
-        text.append(f"{name} =")
-        text.extend(_grid_lines(getattr(mats, name)))
+    if args.format == "machine":
+        results["matrices"] = {name: _matrix_payload(getattr(mats, name)) for name in which}
+    else:
+        for name in which:
+            text.append(f"{name} =")
+            text.extend(_grid_lines(getattr(mats, name)))
     return inputs, results, text, 0
 
 

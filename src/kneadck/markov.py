@@ -14,14 +14,18 @@ The family is built as stacks, one slice per word, for any number of
 words of one period (see :func:`_family_stack`); one word's family is
 the one-slice stack.  The matrices are ``np.int64`` arrays with entries
 in {-1, 0, 1}, a bound that holds per slice (see
-:func:`_check_entry_bound`) and under which no product of them can wrap.
-The inverses the construction needs are written down in closed form and
-each is confirmed, slice by slice, by an exact matrix product.
+:func:`_check_entry_bound`).  Every factor is a permutation, a signed
+diagonal, a bidiagonal or a matrix of running sums, so no matrix product
+is formed: each product of the construction is an index map on the
+stack, a gather, a difference or a running sum, in O(n^2) per word.  The
+inverses the construction needs are written down in closed form and each
+is confirmed, slice by slice, by the same index maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -112,30 +116,61 @@ class TheoremMatrices:
 
 
 def _check_entry_bound(n: int, words, mats) -> None:
-    """The int64 overflow guard of the matrix family, decided per slice.
+    """The entry bound of the matrix family, decided per slice.
 
     ``mats`` holds stacks of shape (B, rows, cols), slice b belonging to
     ``words[b]``, and matrices shared by every slice.  Raises
     :class:`ConstructionError` naming the first word whose slice fails,
     unless ``n < 2**31`` and every matrix of the slice has its entries in
-    {-1, 0, 1}.  Every product of the family, here and in
-    :func:`~kneadck.ktheory.verify`, has at most three factors of size at
-    most n, so under the bound a product of two factors is at most n in
-    magnitude and one of three at most n**2 < 2**62: none can wrap.
-    Checking the finished family suffices.  The first products have
-    factors set entry by entry to -1, 0 or 1, and every later factor is an
-    earlier product, exact by induction, whose value this check bounds.
+    {-1, 0, 1}.  No matrix product is formed, so nothing can wrap while
+    the family is built: every entry is a gathered entry, a difference of
+    two or a running sum of at most n of them.  The bound is a property
+    check on the finished family, which the construction promises; the
+    identity checks of :func:`_family_stack` then sum at most n entries of
+    it, at most n < 2**31 in magnitude.  Each matrix is decided on its
+    own, with no concatenated copy of the family.
     """
-    entries = np.concatenate([M.ravel() for M in mats])
-    if n < 2**31 and entries.min() >= -1 and entries.max() <= 1:
-        return
-    # Out of bound somewhere: find the first slice that is.
     bad = np.full(len(words), n >= 2**31)
     for M in mats:
-        bad |= (M.min(axis=(-2, -1)) < -1) | (M.max(axis=(-2, -1)) > 1)
-    raise ConstructionError(
-        f"{words[bad.argmax()]}: period {n} matrix family leaves the int64 bound"
-    )
+        if M.min() < -1 or M.max() > 1:
+            bad |= (M.min(axis=(-2, -1)) < -1) | (M.max(axis=(-2, -1)) > 1)
+    if bad.any():
+        raise ConstructionError(
+            f"{words[bad.argmax()]}: period {n} matrix family leaves the int64 bound"
+        )
+
+
+def _eta_T_times(N, rank):
+    """``eta^T @ N`` for a stack N with n - 1 rows, one row per orbit point.
+
+    Row k of ``eta`` is +1 at ``rank[k + 1]`` and -1 at ``rank[k]``, where
+    ``rank[b, t]`` is the 0-based orbit index of the point at spatial
+    rank t (``rho - 1``).  So row ``rank[t]`` of the product is N's row
+    t - 1 less its row t, read as zero off N.  Its top n - 1 rows are
+    ``X @ N``, and its transpose is ``N^T @ eta``.
+    """
+    B, r, c = N.shape
+    P = np.zeros((B, r + 2, c), dtype=np.int64)
+    P[:, 1:-1] = N
+    out = np.empty((B, r + 1, c), dtype=np.int64)
+    out[np.arange(B)[:, None], rank] = P[:, :-1] - P[:, 1:]
+    return out
+
+
+def _Xinv_T_times(N, pos, nL):
+    """``Xinv^T @ N`` for a stack N with n - 1 rows.
+
+    ``pos[b, j]`` is the 0-based spatial rank of orbit point j + 1 and
+    ``nL[b]`` that of the turning point.  With ``T[m]`` the sum of N's
+    rows 0 to m - 1, row j of the product is ``T[pos[j]] - T[nL]``: the
+    sum of rows nL to pos[j] - 1, or minus that of rows pos[j] to nL - 1.
+    Its transpose is ``N^T @ Xinv``.
+    """
+    B, r, c = N.shape
+    T = np.zeros((B, r + 1, c), dtype=np.int64)
+    np.cumsum(N, axis=1, out=T[:, 1:])
+    stack = np.arange(B)[:, None]
+    return T[stack, pos[:, :r]] - T[stack, nL[:, None]]
 
 
 def _family_stack(models) -> TheoremMatrices:
@@ -143,33 +178,39 @@ def _family_stack(models) -> TheoremMatrices:
 
     Every field has shape (B, rows, cols), slice b belonging to
     ``models[b]``.  The formulas are those documented at
-    :func:`build_matrices`, with a leading batch axis: every product is one
-    batched product, and the entry bound and then the three identities
-    are decided per slice.  The first slice out of bound, or else the
-    first failing an identity, raises :class:`ConstructionError` with its
-    word and its first failed check.
-    ``omega``, ``phi``, ``Y``, ``Yinv`` and ``inc`` do not depend on the
-    word, so each is built once and shared by every product; the first
-    three are repeated over the stack only for the result.
+    :func:`build_matrices`, with a leading batch axis, and every product
+    of them is an index map on the stack: a gather of rows or columns, a
+    difference of two, or a running sum.  The entry bound and then the
+    three identities are decided per slice.  The first slice out of
+    bound, or else the first failing an identity, raises
+    :class:`ConstructionError` with its word and its first failed check.
+    ``omega``, ``phi`` and ``Y`` do not depend on the word, so each is
+    built once and repeated over the stack for the result.
     """
     words = [m.word for m in models]
     n = models[0].n
     B = len(models)
     stack = np.arange(B)[:, None]
     ranks = np.arange(n)
-    eps = np.array([w.symbols for w in words], dtype=np.int64)
-    rho = np.array([m.rho for m in models])
+    eps = np.fromiter(chain.from_iterable(w.symbols for w in words), np.int64, B * n)
+    eps = eps.reshape(B, n)
+    rank = np.fromiter(chain.from_iterable(m.rho for m in models), np.int64, B * n)
+    rank = rank.reshape(B, n) - 1  # rank[b, t] = rho[t] - 1
     nL = np.array([m.nL for m in models])
+    pos = np.empty((B, n), dtype=np.int64)
+    pos[stack, rank] = ranks  # pos[b, j] is the 0-based spatial rank of orbit point j+1
 
     omega = np.zeros((n, n), dtype=np.int64)
     omega[ranks, (ranks + 1) % n] = 1
+    # M @ omega moves column j - 1 of M to column j.
+    shift = (ranks - 1) % n
 
     pi = np.zeros((B, n, n), dtype=np.int64)
-    pi[stack, ranks, rho - 1] = 1
+    pi[stack, ranks, rank] = 1
 
     phi = np.eye(n - 1, n, 1, dtype=np.int64) - np.eye(n - 1, n, dtype=np.int64)
 
-    eta = phi @ pi
+    eta = pi[:, 1:] - pi[:, :-1]
 
     # Diagonal carries the symbol values, last column their negatives; the
     # two clauses overlap at (n, n) and agree because the final value is 0.
@@ -180,48 +221,58 @@ def _family_stack(models) -> TheoremMatrices:
     gamma[:, ranks, ranks] = eps
     gamma[:, : n - 1, n - 1] = -eps[:, : n - 1]
 
-    theta = gamma @ omega
+    theta = gamma[..., shift]
 
+    sign = np.where(ranks[:-1] < nL[:, None], 1, -1)
     beta = np.zeros((B, n - 1, n - 1), dtype=np.int64)
-    beta[:, ranks[:-1], ranks[:-1]] = np.where(ranks[:-1] < nL[:, None], 1, -1)
+    beta[:, ranks[:-1], ranks[:-1]] = sign
 
     Y = np.eye(n, dtype=np.int64)
     Y[n - 1, : n - 1] = -1
-    Yinv = np.eye(n, dtype=np.int64)
-    Yinv[n - 1, : n - 1] = 1
 
-    inc = np.eye(n, n - 1, dtype=np.int64)
+    X = eta[..., : n - 1].transpose(0, 2, 1).copy()
 
-    etaT = eta.transpose(0, 2, 1).copy()
-    X = etaT[:, : n - 1, :]
+    # R = Yinv^T inc Xinv^T is Xinv^T over a zero row.  Interval k joins
+    # spatial ranks k and k+1, 0-based.  Left of the turning point (rank
+    # nL) it is undone by the points at or below its left end, right of it
+    # by the points above its right end: R[j, k] is +1 for nL <= k <
+    # pos[j] and -1 for pos[j] <= k < nL, that is [k < pos[j]] - [k < nL].
+    k = ranks[: n - 1]
+    R = np.subtract(k < pos[:, :, None], k < nL[:, None, None], dtype=np.int64)
+    R[:, n - 1] = 0
 
-    # Interval k joins spatial ranks k+1 and k+2.  Left of the turning point
-    # (rank c) it is undone by the points at or below its left end, right of
-    # it by the points above its right end.
-    c = nL[:, None, None] + 1
-    k = ranks[: n - 1, None]
-    p = np.empty((B, n), dtype=np.int64)
-    p[stack, rho - 1] = ranks + 1  # p[b, j] is the spatial rank of orbit point j+1
-    p = p[:, None, : n - 1]
-    Xinv = ((k >= c - 1) & (p >= k + 2)).astype(np.int64) - ((k <= c - 2) & (p <= k + 1))
-
-    R = Yinv.T @ inc @ Xinv.transpose(0, 2, 1)
-    eta_omega = eta @ omega
-    alpha = eta_omega @ R
-    A = beta @ alpha
-    Aprime = X @ A.transpose(0, 2, 1) @ Xinv
-    thetaprime = Yinv @ theta.transpose(0, 2, 1) @ Y
+    # Row k of eta omega is +1 at rho[k+1] % n and -1 at rho[k] % n, so
+    # alpha = eta omega R differences the rows of R in that order.
+    eta_omega = eta[..., shift]
+    G = R[stack, (rank + 1) % n]
+    alpha = G[:, 1:] - G[:, :-1]
+    A = alpha * sign[:, :, None]
+    # Aprime = X A^T Xinv, the transpose of Xinv^T (X A^T)^T.
+    XAT = _eta_T_times(A.transpose(0, 2, 1), rank)[:, : n - 1]
+    Aprime = _Xinv_T_times(XAT.transpose(0, 2, 1), pos, nL).transpose(0, 2, 1).copy()
+    # Yinv theta^T Y: theta^T less its last column, then the column sums
+    # as the last row.
+    thetaprime = theta.transpose(0, 2, 1).copy()
+    thetaprime[..., : n - 1] -= thetaprime[..., n - 1 :]
+    thetaprime[:, n - 1] = thetaprime.sum(axis=1)
 
     family = [A, theta, omega, phi, pi, eta, alpha, beta, gamma, Y, X, Aprime, thetaprime]
-    _check_entry_bound(n, words, [*family, inc, Xinv, Yinv, R])
+    _check_entry_bound(n, words, [*family, R])
 
     identity = np.eye(n - 1, dtype=np.int64)
+    XT = X.transpose(0, 2, 1)
     checks = (
-        ("eta-transpose does not factor as Y inc X", etaT != Y @ inc @ X),
-        ("top block of eta-transpose fails X Xinv = I", X @ Xinv != identity),
-        ("alpha fails alpha eta = eta omega", alpha @ eta != eta_omega),
+        # Y inc X is X over minus its column sums.
+        ("eta-transpose does not factor as Y inc X", eta[..., n - 1] != -XT.sum(axis=2)),
+        # X Xinv = I, transposed: Xinv^T X^T = I.
+        ("top block of eta-transpose fails X Xinv = I", _Xinv_T_times(XT, pos, nL) != identity),
+        # alpha eta = eta omega, transposed: eta^T alpha^T = (eta omega)^T.
+        (
+            "alpha fails alpha eta = eta omega",
+            _eta_T_times(alpha.transpose(0, 2, 1), rank) != eta_omega.transpose(0, 2, 1),
+        ),
     )
-    failed = np.array([unequal.any(axis=(1, 2)) for _, unequal in checks])
+    failed = np.array([unequal.reshape(B, -1).any(axis=1) for _, unequal in checks])
     if failed.any():
         b = failed.any(axis=0).argmax()
         raise ConstructionError(f"{words[b]}: {checks[failed[:, b].argmax()][0]}")
@@ -251,20 +302,27 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
 
     The family is built as the one-word slice of a stack; see
     :func:`_family_stack`, which builds it for many words of one period
-    at once.  The transpose of ``eta`` must factor as ``Y @ inc @ X``, where
-    ``X`` is its top square block: the signed incidence matrix of the path
-    of spatial ranks with the turning point removed.  The inverse of ``X``
-    is therefore a pair of running sums, one on each side of the turning
-    point, and ``Y`` is inverted by flipping the sign of its last row.
-    Together they give an integer right inverse ``R`` of ``eta`` and with
-    it ``alpha = eta @ omega @ R``.  Every matrix, including the unreturned
-    ``inc``, ``Xinv``, ``Yinv`` and ``R``, is ``int64`` and passes
-    :func:`_check_entry_bound`, per slice, before any identity is checked.
-    Two exact products then confirm the route: ``X @ Xinv == I``, which
-    also proves ``X`` unimodular, and ``alpha @ eta == eta @ omega``, which
-    pins ``alpha`` down uniquely because ``eta`` has full row rank.  Failure
-    of any of these is a bug, not bad input, and raises
-    :class:`ConstructionError` with the word, ``"<word>: <check>"``.
+    at once.  The transpose of ``eta = phi pi`` must factor as
+    ``Y inc X``, where ``X`` is its top square block: the signed
+    incidence matrix of the path of spatial ranks with the turning point
+    removed.  The inverse of ``X`` is therefore a pair of running sums,
+    one on each side of the turning point, and ``Y`` is inverted by
+    flipping the sign of its last row.  Together they give an integer
+    right inverse ``R = Yinv^T inc Xinv^T`` of ``eta`` and with it
+    ``alpha = eta omega R``; then ``theta = gamma omega``,
+    ``A = beta alpha``, ``Aprime = X A^T Xinv`` and
+    ``thetaprime = Yinv theta^T Y``.  No product is formed: each factor
+    is a permutation, a signed diagonal, a bidiagonal or a matrix of
+    running sums, so each product is a gather of rows or columns, a
+    difference of two, or a running sum.  Every matrix, including the
+    unreturned ``R``, is ``int64`` and passes :func:`_check_entry_bound`,
+    per slice, before any identity is checked.  Three identities then
+    confirm the route, each in the same sparse form: ``eta^T = Y inc X``,
+    ``X Xinv = I``, which also proves ``X`` unimodular, and
+    ``alpha eta = eta omega``, which pins ``alpha`` down uniquely because
+    ``eta`` has full row rank.  Failure of any of these is a bug, not bad
+    input, and raises :class:`ConstructionError` with the word,
+    ``"<word>: <check>"``.
     """
     t = _family_stack([m])
     return TheoremMatrices(**{name: M[0] for name, M in vars(t).items()})

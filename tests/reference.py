@@ -16,7 +16,9 @@ finite depth, for the pairwise checks of the signed order.
 package never computes.  :func:`reference_superstable_mu` bisects on the
 string key of the whole critical orbit at every step, where the package
 reads the orbit's invariant coordinate against the word's and stops at the
-first coordinate that disagrees.
+first coordinate that disagrees.  :func:`family_by_products` builds the
+matrix family by batched dense products of its factors, where the package
+gathers rows and columns by index maps.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from kneadck.dynamics import C_TOL, QuadMap, SolverError, SuperstableResult, numeric_itinerary
 from kneadck.intlinalg import smith_diagonal
-from kneadck.markov import transition_intervals
+from kneadck.markov import TheoremMatrices, transition_intervals
 from kneadck.symbolic import DomainError, Symbol, is_admissible, order_key
 
 
@@ -159,6 +161,81 @@ def covering_matrix(m) -> np.ndarray:
     for k, (lo, hi) in enumerate(transition_intervals(m)):
         A[k, lo:hi] = 1
     return A
+
+
+def family_by_products(models) -> TheoremMatrices:
+    """The matrix families of models of one period n as stacks, every
+    product a batched dense ``@`` of its factors.
+
+    Each factor is written down entry by entry: the cyclic shift
+    ``omega``, the ordering permutation ``pi``, the boundary difference
+    ``phi``, the signed diagonals ``gamma`` and ``beta``, ``Y`` and its
+    inverse, the inclusion ``inc`` and the closed-form inverse ``Xinv``
+    of the top block ``X`` of ``eta^T``.  Then ``eta = phi pi``,
+    ``theta = gamma omega``, ``R = Yinv^T inc Xinv^T``,
+    ``alpha = eta omega R``, ``A = beta alpha``, ``Aprime = X A^T Xinv``
+    and ``thetaprime = Yinv theta^T Y``.  No identity is checked.
+    """
+    n = models[0].n
+    B = len(models)
+    stack = np.arange(B)[:, None]
+    ranks = np.arange(n)
+    eps = np.array([m.word.symbols for m in models], dtype=np.int64)
+    rho = np.array([m.rho for m in models])
+    nL = np.array([m.nL for m in models])
+
+    omega = np.zeros((n, n), dtype=np.int64)
+    omega[ranks, (ranks + 1) % n] = 1
+    pi = np.zeros((B, n, n), dtype=np.int64)
+    pi[stack, ranks, rho - 1] = 1
+    phi = np.eye(n - 1, n, 1, dtype=np.int64) - np.eye(n - 1, n, dtype=np.int64)
+    eta = phi @ pi
+
+    gamma = np.zeros((B, n, n), dtype=np.int64)
+    gamma[:, ranks, ranks] = eps
+    gamma[:, : n - 1, n - 1] = -eps[:, : n - 1]
+    theta = gamma @ omega
+
+    beta = np.zeros((B, n - 1, n - 1), dtype=np.int64)
+    beta[:, ranks[:-1], ranks[:-1]] = np.where(ranks[:-1] < nL[:, None], 1, -1)
+
+    Y = np.eye(n, dtype=np.int64)
+    Y[n - 1, : n - 1] = -1
+    Yinv = np.eye(n, dtype=np.int64)
+    Yinv[n - 1, : n - 1] = 1
+    inc = np.eye(n, n - 1, dtype=np.int64)
+
+    X = eta.transpose(0, 2, 1)[:, : n - 1, :].copy()
+    # Interval k joins spatial ranks k+1 and k+2; c is the turning point's.
+    c = nL[:, None, None] + 1
+    k = ranks[: n - 1, None]
+    p = np.empty((B, n), dtype=np.int64)
+    p[stack, rho - 1] = ranks + 1
+    p = p[:, None, : n - 1]
+    Xinv = ((k >= c - 1) & (p >= k + 2)).astype(np.int64) - ((k <= c - 2) & (p <= k + 1))
+
+    R = Yinv.T @ inc @ Xinv.transpose(0, 2, 1)
+    alpha = eta @ omega @ R
+    A = beta @ alpha
+
+    def shared(M):
+        return M[None].repeat(B, axis=0)
+
+    return TheoremMatrices(
+        A=A,
+        theta=theta,
+        omega=shared(omega),
+        phi=shared(phi),
+        pi=pi,
+        eta=eta,
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
+        Y=shared(Y),
+        X=X,
+        Aprime=X @ A.transpose(0, 2, 1) @ Xinv,
+        thetaprime=Yinv @ theta.transpose(0, 2, 1) @ Y,
+    )
 
 
 def is_irreducible_dense(A) -> bool:

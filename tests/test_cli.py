@@ -6,14 +6,18 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kneadck.ktheory
 import kneadck.markov
 import kneadck.symbolic
 from kneadck.cli import main
-from kneadck.markov import TheoremMatrices
+from kneadck.markov import TheoremMatrices, build_orbit
 from kneadck.symbolic import is_admissible, parse_word
+
+from reference import covering_matrix
+from test_ktheory import random_word
 
 
 def run(capsys, argv):
@@ -242,6 +246,17 @@ class TestMatricesCommand:
             [0, 0, 1, 1, 0],
             [1, 1, 0, 0, 0],
         ]
+
+
+    def test_transition_matrix_at_period_1024(self, capsys):
+        # Index maps build the family of a period-1024 word in about a
+        # second; dense products of its factors took about 90 s.
+        word = random_word(1024)
+        code, doc, _ = run_machine(capsys, ["matrices", str(word), "--which", "A"])
+        assert code == 0
+        A = doc["results"]["matrices"]["A"]
+        assert (A["rows"], A["cols"]) == (1023, 1023)
+        assert np.array_equal(np.array(A["entries"]), covering_matrix(build_orbit(word)))
 
 
 class TestEnumerateCommand:

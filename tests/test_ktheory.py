@@ -327,6 +327,53 @@ class TestKGroups:
         assert A_eta.startswith(f"lhs {expected[bad_A]} vs rhs ")
         assert report.checks["block_form"] == report.checks["identity_A_eta"] == 378
 
+    def test_verify_reports_crafted_runs_inside_a_stack(self, monkeypatch):
+        # RLLLLRRLRLLC is word 49 of period 12, the 18th of its stack of 32.
+        # Emptying its last run (0, 2) leaves row 10 and column 0 of the
+        # covering A zero and keeps the Smith form of I - A (a = 2), so
+        # only the two checks on the covering matrix fail.
+        word = enumerate_admissible(12)[49]
+        assert str(word) == "RLLLLRRLRLLC"
+        model = build_orbit(word)
+        runs = markov.transition_intervals
+        assert runs(model)[10] == (0, 2)
+        crafted = runs(model)[:10] + [(0, 0)]
+
+        def crafting(m):
+            return list(crafted) if m.word == word else runs(m)
+
+        monkeypatch.setattr(ktheory, "transition_intervals", crafting)
+        report = ktheory.verify(12)
+        text = (
+            "[(1, 3), (3, 4), (4, 5), (5, 7), (7, 8), (8, 10), (10, 11), (9, 11), "
+            "(6, 9), (2, 6), (0, 0)]"
+        )
+        assert str(crafted) == text
+        assert report.violations == [
+            {
+                "word": "RLLLLRRLRLLC",
+                "check": "construction_equivalence",
+                "detail": f"covering runs {text} vs signed route "
+                f"{covering_matrix(model).tolist()}",
+            },
+            {
+                "word": "RLLLLRRLRLLC",
+                "check": "zero_rows_cols",
+                "detail": f"A has zero rows [10] and zero columns [0]: runs {text}",
+            },
+        ]
+        assert report.checks == {
+            "closed_form_k0": 379,
+            "k1_rank": 379,
+            "identity_A_eta": 379,
+            "block_form": 379,
+            "construction_equivalence": 378,
+            "snf_multiset": 379,
+            "cokernel_bridge": 379,
+            "zero_rows_cols": 378,
+            "not_permutation": 378,
+        }
+
     def test_verify_logs_each_period(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="kneadck.ktheory"):
             report = ktheory.verify(12)

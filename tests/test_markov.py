@@ -32,6 +32,7 @@ from reference import (
     coordinate_by_int,
     covering_matrix,
     determinant,
+    family_by_products,
     mt_compare,
     rotation,
     smith_of,
@@ -468,6 +469,35 @@ class TestFamilyStack:
             _family_stack([good[0], good[1], bad, *good[2:]])
         with pytest.raises(ConstructionError, match=message):
             build_matrices(bad)
+
+
+class TestIndexMaps:
+    """The stack built by index maps equals the one built by dense
+    products of the factors, field by field, with one dtype and shape."""
+
+    @staticmethod
+    def assert_stacks_match(words):
+        models = [build_orbit(w) for w in words]
+        maps, products = _family_stack(models), family_by_products(models)
+        for name, M in vars(products).items():
+            S = getattr(maps, name)
+            assert S.dtype == M.dtype == np.int64, name
+            assert S.shape == M.shape, name
+            assert np.array_equal(S, M), (name, [str(w) for w in words])
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_admissible_words_in_stacks_of_32(self, n):
+        words = enumerate_admissible(n)
+        for start in range(0, len(words), 32):
+            self.assert_stacks_match(words[start : start + 32])
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_forced_words(self, n):
+        self.assert_stacks_match(every_word(n))
+
+    @pytest.mark.parametrize("n,count,seed", [(64, 4, 11), (128, 3, 12), (256, 2, 13)])
+    def test_random_words(self, n, count, seed):
+        self.assert_stacks_match(random_words(n, count, seed))
 
 
 class TestInt64Family:

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import kneadck
 
 # The public names of the package.  A name leaves this list only with its
@@ -44,3 +47,39 @@ def test_all_is_sorted_without_duplicates():
 def test_every_name_resolves():
     for name in kneadck.__all__:
         assert hasattr(kneadck, name), name
+
+
+# Calls that multiply matrices; the package builds its matrix family by
+# index maps instead, in O(n^2) per word.
+PRODUCTS = {"matmul", "dot", "einsum", "tensordot"}
+
+
+def matrix_products(source: str, name: str) -> list[str]:
+    """Every ``@`` and every call of a product function in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{name}:{node.lineno}: @")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in PRODUCTS
+        ):
+            found.append(f"{name}:{node.lineno}: {node.func.attr}")
+    return found
+
+
+def test_scan_finds_every_kind_of_product():
+    source = "C = A @ B\nC @= B\nnp.matmul(A, B)\nnp.dot(A, B)\nnp.einsum('ij,jk', A, B)\n"
+    source += "np.tensordot(A, B, 1)\nA.dot(B)\n"
+    assert [f.split(": ")[1] for f in matrix_products(source, "probe")] == [
+        "@", "@", "matmul", "dot", "einsum", "tensordot", "dot",
+    ]
+
+
+def test_no_matrix_product_in_the_package():
+    package = pathlib.Path(kneadck.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += matrix_products(path.read_text(), path.name)
+    assert found == []
