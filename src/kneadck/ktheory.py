@@ -6,33 +6,31 @@ t = 1 summed over the invariant coordinates ``theta_k = e_1 ... e_k``,
 predicting K0 = Z_a (with Z_0 = Z, Z_1 = 0) and K1 = Z exactly when a = 0;
 and the Smith-normal-form route, which reads K0 as the cokernel and K1 as
 the kernel of I - A^T over the integers.  Both checks are stated once, in
-:func:`_closed_form_checks`: :func:`k_groups`, given the ordered orbit of
-:func:`~kneadck.markov.build_orbit`, raises :class:`TheoremViolationError`
-with the first one an admissible word fails, and :func:`verify` records
-both beside the checks on the matrix family for every admissible word up
-to a period.  Both read the Smith rows, of (I - A) D with D unimodular,
-and irreducibility off the runs of ones that make up the rows of A, so
-``k_groups`` forms no dense matrix.  ``verify`` spells the runs out as
-one stack of covering matrices per stack of families, to compare the
-two routes to A entry by entry.  Every elimination is one call of
+:func:`_closed_form_failures`, on the Smith diagonal of the rows that
+:func:`_differenced_rows` builds from the runs of ones that make up the
+rows of A: (I - A) D with D unimodular.  :func:`k_groups`, given the
+ordered orbit of :func:`~kneadck.markov.build_orbit`, raises
+:class:`TheoremViolationError` with the first one an admissible word
+fails, and reads irreducibility off the same runs, so it forms no dense
+matrix.  :func:`verify` scores both beside the checks on the matrix
+family for every admissible word up to a period, in one table per stack
+of families (:func:`_stack_checks`), which spells the runs out as one
+stack of covering matrices to compare the two routes to A entry by
+entry.  Every elimination is one call of
 :func:`~kneadck.intlinalg.smith_diagonal` on rows.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from operator import mul
 
 import numpy as np
 
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
-from .markov import OrbitModel, _eta_T_times, _family_stack, build_orbit, transition_intervals
+from .markov import OrbitModel, _family_stack, _times_eta, build_orbit, transition_intervals
 from .symbolic import DomainError, KneadingWord, enumerate_admissible
-
-_log = logging.getLogger(__name__)
 
 #: Words per matrix-family stack in :func:`verify`.  A stack spreads
 #: numpy's per-call cost over its words; a cap keeps its arrays from
@@ -79,14 +77,14 @@ def closed_form_a(w: KneadingWord) -> int:
     return abs(sum(accumulate(w.symbols[:-1], mul, initial=1)))
 
 
-def _closed_form_checks(a: int, runs):
-    """The Smith diagonal of I - A^T and the closed form's two checks on it.
+def _differenced_rows(runs) -> list[dict[int, int]]:
+    """The rows of (I - A) D, as :func:`~kneadck.intlinalg.smith_diagonal`
+    takes them, from the runs of A.
 
-    D, 1 on the diagonal and -1 just above it, is unimodular, so the rows
-    of (I - A) D have that Smith form: row k is +1 at k, -1 at k + 1, -1 at
+    D, 1 on the diagonal and -1 just above it, is unimodular, so (I - A) D
+    has the Smith form of I - A^T: row k is +1 at k, -1 at k + 1, -1 at
     ``lo`` and +1 at ``hi`` for the k-th run ``(lo, hi)`` of A, summed where
-    they meet, less column n - 1.  Each check is ``(name, passed,
-    detail)``; ``detail()`` builds the failure text only when it fails.
+    they meet, less column n - 1.
     """
     c = len(runs)
     rows = []
@@ -100,23 +98,22 @@ def _closed_form_checks(a: int, runs):
                 del R[j]
         R.pop(c, None)
         rows.append(R)
-    diag = smith_diagonal(rows, c)
-    K0 = AbelianGroup.from_diagonal(diag)
-    expected_K0 = AbelianGroup.cyclic(a)
-    kr = diag.count(0)
-    expected_kr = 1 if a == 0 else 0
-    return diag, (
-        (
-            "closed_form_k0",
-            K0 == expected_K0,
-            lambda: f"closed form a={a} predicts K0={expected_K0}, SNF route gives {K0}",
-        ),
-        (
-            "k1_rank",
-            kr == expected_kr,
-            lambda: f"a={a} predicts kernel rank {expected_kr}, SNF route gives {kr}",
-        ),
-    )
+    return rows
+
+
+def _closed_form_failures(a: int, diag) -> dict[str, str]:
+    """The closed form's checks that the Smith diagonal of I - A^T fails,
+    each with its failure text, in check order."""
+    failures = {}
+    K0, expected_K0 = AbelianGroup.from_diagonal(diag), AbelianGroup.cyclic(a)
+    if K0 != expected_K0:
+        failures["closed_form_k0"] = (
+            f"closed form a={a} predicts K0={expected_K0}, SNF route gives {K0}"
+        )
+    kr, expected_kr = diag.count(0), 1 if a == 0 else 0
+    if kr != expected_kr:
+        failures["k1_rank"] = f"a={a} predicts kernel rank {expected_kr}, SNF route gives {kr}"
+    return failures
 
 
 def k_groups(m: OrbitModel) -> KGroupReport:
@@ -132,11 +129,10 @@ def k_groups(m: OrbitModel) -> KGroupReport:
     runs = transition_intervals(m)
     # One Smith diagonal, of (I - A) D, gives K0 and K1; BF = coker(I - A)
     # is K0 again, since I - A and I - A^T share a Smith form.
-    diag, checks = _closed_form_checks(a, runs)
-    if m.admissible:
-        for _, passed, detail in checks:
-            if not passed:
-                raise TheoremViolationError(f"{m.word}: {detail()}")
+    diag = smith_diagonal(_differenced_rows(runs), len(runs))
+    failures = _closed_form_failures(a, diag)
+    if m.admissible and failures:
+        raise TheoremViolationError(f"{m.word}: {next(iter(failures.values()))}")
     K0 = AbelianGroup.from_diagonal(diag)
     return KGroupReport(
         word=m.word,
@@ -163,50 +159,64 @@ class VerifyReport:
     ok: bool
 
 
-def _stack_checks(n: int, t, runs):
-    """The checks of :func:`verify` that one stack decides for all its
-    words at once.
+def _stack_checks(n: int, t, runs, a):
+    """The nine checks of :func:`verify` on one stack of words of period n.
 
-    ``t`` is the family stack of words of period n and ``runs[b]`` the
-    runs of ``transition_intervals`` for word b.  Returns ``(passed,
-    details)``: ``passed[name]`` lists one bool per word, and
-    ``details[name](b)`` builds the failure text of word b.  Every check
-    reads the returned stack.  The products are index maps: ``eta`` has
-    +1 at column ``rank[k + 1]`` and -1 at ``rank[k]`` in row k, where
-    ``rank`` (``rho - 1``) is read off ``t.eta``, so row k of
-    ``eta theta`` is theta's row ``rank[k + 1]`` less row ``rank[k]``.
-    The covering matrices of the runs are one stack, +1 at ``lo``, -1 at
-    ``hi`` and a running sum along each row, so a row is 1 exactly on
-    ``lo <= j < hi``.  ``not_permutation`` applies from n = 3 on.
+    ``t`` is the family stack, and ``runs[b]`` and ``a[b]`` are the runs of
+    ``transition_intervals`` and the closed form of word b.  Returns
+    ``(passed, details)``: ``passed[name]`` lists one bool per word, in
+    ``_CHECKS`` order, and ``details[name](b)`` builds the failure text of
+    word b.  Per word run two Smith eliminations, of the rows of
+    ``(I - A) D`` built from the runs and of ``I - theta``; the bridge
+    reuses the first, since once ``construction_equivalence`` holds its
+    diagonal is the Smith form of ``I - t.A[b]``.  The checks on the
+    family read the returned stack.  The products are index maps: row k of
+    ``eta theta`` is theta's row ``rank[k + 1]`` less row ``rank[k]``,
+    where ``rank`` (``rho - 1``) is read off ``t.eta``.  The covering
+    matrices of the runs are one stack, 1 exactly on ``lo <= j < hi`` in
+    row k.  ``not_permutation`` applies from n = 3 on.
     """
     stack = np.arange(len(runs))[:, None]
     rank = np.concatenate([t.eta.argmin(axis=2), t.eta[:, -1:].argmax(axis=2)], axis=1)
-    A_eta = _eta_T_times(t.A.transpose(0, 2, 1), rank).transpose(0, 2, 1)
+    A_eta = _times_eta(t.A, rank.argsort(axis=1))
     G = t.theta[stack, rank]
     eta_theta = G[:, 1:] - G[:, :-1]
     tp = t.thetaprime
+    lohi = np.array(runs, dtype=np.int64)[..., None]
+    cols = np.arange(n - 1)
+    cover = (lohi[:, :, 0] <= cols) & (cols < lohi[:, :, 1])
 
-    lohi = np.array(runs, dtype=np.int64)
-    steps = np.zeros((len(runs), n - 1, n), dtype=np.int64)
-    rows = np.arange(n - 1)
-    steps[stack, rows, lohi[..., 0]] = 1
-    steps[stack, rows, lohi[..., 1]] -= 1
-    cover = steps.cumsum(axis=2)[..., : n - 1] > 0
+    theta_rows = _rows_of_i_minus(t.theta)
+    diags = []  # per word, the Smith diagonals of (I - A) D and of I - theta
+    for b, word_runs in enumerate(runs):
+        rows = theta_rows[b * n : (b + 1) * n]
+        diags.append((smith_diagonal(_differenced_rows(word_runs), n - 1), smith_diagonal(rows, n)))
+    closed = [_closed_form_failures(ab, d) for ab, (d, _) in zip(a, diags)]
+    expected = [sorted([ab] + [1] * (n - 1)) for ab in a]
+    bridge = [tuple(map(AbelianGroup.from_diagonal, pair)) for pair in diags]
 
     passed = {
+        "closed_form_k0": ["closed_form_k0" not in f for f in closed],
+        "k1_rank": ["k1_rank" not in f for f in closed],
         "identity_A_eta": (A_eta == eta_theta).all(axis=(1, 2)),
         "block_form": ~tp[:, n - 1].any(axis=1)
         & (tp[:, : n - 1, : n - 1] == t.Aprime).all(axis=(1, 2)),
         "construction_equivalence": (t.A == cover).all(axis=(1, 2)),
+        "snf_multiset": [sorted(d) == e for (_, d), e in zip(diags, expected)],
+        "cokernel_bridge": [lhs == rhs for lhs, rhs in bridge],
         # A zero row of A is an empty run, a zero column one no run covers.
         "zero_rows_cols": cover.any(axis=2).all(axis=1) & cover.any(axis=1).all(axis=1),
     }
     details = {
+        "closed_form_k0": lambda b: closed[b]["closed_form_k0"],
+        "k1_rank": lambda b: closed[b]["k1_rank"],
         "identity_A_eta": lambda b: f"lhs {A_eta[b].tolist()} vs rhs {eta_theta[b].tolist()}",
         "block_form": lambda b: f"thetaprime {tp[b].tolist()} vs top-left block "
         f"{t.Aprime[b].tolist()}",
         "construction_equivalence": lambda b: f"covering runs {runs[b]} vs signed route "
         f"{t.A[b].tolist()}",
+        "snf_multiset": lambda b: f"SNF diagonal {sorted(diags[b][1])} vs expected {expected[b]}",
+        "cokernel_bridge": lambda b: "from A: {}, from theta: {}".format(*bridge[b]),
         "zero_rows_cols": lambda b: _zero_rows_cols_detail(n, runs[b]),
         "not_permutation": lambda b: f"A is a permutation matrix: runs {runs[b]}",
     }
@@ -218,7 +228,7 @@ def _stack_checks(n: int, t, runs):
         passed["not_permutation"] = ~(
             (cover.sum(axis=2) == 1).all(axis=1) & (cover.sum(axis=1) == 1).all(axis=1)
         )
-    return {name: ok.tolist() for name, ok in passed.items()}, details
+    return {name: np.asarray(ok).tolist() for name, ok in passed.items()}, details
 
 
 def _zero_rows_cols_detail(n: int, runs) -> str:
@@ -253,17 +263,15 @@ def verify(n_max: int) -> VerifyReport:
     not counted again; ``block_form`` with ``construction_equivalence``
     carries the kneading determinant ``det(I - tA) = sum theta_k t^k``.
     The family is built as stacks of up to ``_STACK`` (32) words of one
-    period (see :func:`~kneadck.markov.build_matrices`), and
-    ``identity_A_eta``, ``block_form``, ``construction_equivalence``,
-    ``zero_rows_cols`` and ``not_permutation`` are decided for a whole
-    stack at once (see :func:`_stack_checks`), against the covering
-    matrices of the runs, built as one stack too.  Every word still gets
+    period (see :func:`~kneadck.markov.build_matrices`), and all nine
+    checks of a stack, its two Smith eliminations per word included, come
+    from one table (see :func:`_stack_checks`).  Every word still gets
     every check; counts are added per stack, and failure texts are built
-    only for failing words, in word-then-check order.  Per word run the
-    closed form, the runs and two Smith eliminations, of ``(I - A) D``
-    and ``I - theta``.  One INFO record per period goes to this module's
-    logger.
+    only for failing words, in word-then-check order.  One INFO record per
+    period goes to this module's logger.
     """
+    import logging  # only verify logs; a deferred import keeps it off start-up
+
     if n_max < 2:
         raise DomainError("verification sweep requires n_max >= 2")
     counts = dict.fromkeys(_CHECKS, 0)
@@ -282,63 +290,30 @@ def verify(n_max: int) -> VerifyReport:
             models = [build_orbit(word) for word in words[start : start + _STACK]]
             t = _family_stack(models)
             runs = [transition_intervals(model) for model in models]
-            passed, details = _stack_checks(n, t, runs)
+            a = [closed_form_a(model.word) for model in models]
+            passed, details = _stack_checks(n, t, runs, a)
             for name, ok in passed.items():
                 counts[name] += sum(ok)
+            words_checked += len(models)
             if n == 2:
                 # The single-interval partition forces A = [[1]].
                 skipped.setdefault("not_permutation", []).extend(str(m.word) for m in models)
-            theta_rows = _rows_of_i_minus(t.theta)
 
             for b, model in enumerate(models):
-                word = model.word
-                words_checked += 1
-                a = closed_form_a(word)
-                diag_a, closed_form_checks = _closed_form_checks(a, runs[b])
-
-                # One SNF of I - theta feeds both the multiset and the bridge.
-                diag = smith_diagonal(theta_rows[b * n : (b + 1) * n], n)
-                expected_diag = sorted([a] + [1] * (n - 1))
-                # The bridge reuses the diagonal of (I - A) D: once
-                # construction_equivalence holds, A == t.A[b], and that
-                # diagonal is the Smith form of I - t.A[b].
-                bridge_lhs = AbelianGroup.from_diagonal(diag_a)
-                bridge_rhs = AbelianGroup.from_diagonal(diag)
-                word_checks = (
-                    *closed_form_checks,
-                    (
-                        "snf_multiset",
-                        sorted(diag) == expected_diag,
-                        lambda: f"SNF diagonal {sorted(diag)} vs expected {expected_diag}",
-                    ),
-                    (
-                        "cokernel_bridge",
-                        bridge_lhs == bridge_rhs,
-                        lambda: f"from A: {bridge_lhs}, from theta: {bridge_rhs}",
-                    ),
-                )
-                failed = {}
-                for name, ok, detail in word_checks:
-                    counts[name] += ok
-                    if not ok:
-                        failed[name] = detail
-                for name, ok in passed.items():
-                    if not ok[b]:
-                        failed[name] = partial(details[name], b)
+                word = str(model.word)
                 violations.extend(
-                    {"word": str(word), "check": name, "detail": failed[name]()}
-                    for name in _CHECKS
-                    if name in failed
+                    {"word": word, "check": name, "detail": details[name](b)}
+                    for name, ok in passed.items()
+                    if not ok[b]
                 )
-
-                if a == 0:
+                if a[b] == 0:
                     irreducible = _strongly_connected([range(*run) for run in runs[b]])
-                    a_zero["irreducible" if irreducible else "reducible"].append(str(word))
+                    a_zero["irreducible" if irreducible else "reducible"].append(word)
 
             # Free this stack before the next one is built.
-            del t, passed, details, theta_rows
+            del t, passed, details
 
-        _log.info(
+        logging.getLogger(__name__).info(
             "period %d: %d words checked, %d violations", n, words_checked, len(violations)
         )
 

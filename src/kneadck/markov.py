@@ -140,37 +140,34 @@ def _check_entry_bound(n: int, words, mats) -> None:
         )
 
 
-def _eta_T_times(N, rank):
-    """``eta^T @ N`` for a stack N with n - 1 rows, one row per orbit point.
+def _times_eta(M, pos):
+    """``M @ eta`` for a stack M with n - 1 columns, one per interval.
 
-    Row k of ``eta`` is +1 at ``rank[k + 1]`` and -1 at ``rank[k]``, where
-    ``rank[b, t]`` is the 0-based orbit index of the point at spatial
-    rank t (``rho - 1``).  So row ``rank[t]`` of the product is N's row
-    t - 1 less its row t, read as zero off N.  Its top n - 1 rows are
-    ``X @ N``, and its transpose is ``N^T @ eta``.
+    Row k of ``eta`` is +1 at ``rank[k + 1]`` and -1 at ``rank[k]``, with
+    ``rank = rho - 1``, and ``pos[b, j]``, the 0-based spatial rank of
+    orbit point j + 1, inverts ``rank``.  So column j of the product is
+    M's column ``pos[j] - 1`` less its column ``pos[j]``, read as zero off
+    M.
     """
-    B, r, c = N.shape
-    P = np.zeros((B, r + 2, c), dtype=np.int64)
-    P[:, 1:-1] = N
-    out = np.empty((B, r + 1, c), dtype=np.int64)
-    out[np.arange(B)[:, None], rank] = P[:, :-1] - P[:, 1:]
-    return out
+    B, r, c = M.shape
+    P = np.zeros((B, r, c + 2), dtype=np.int64)
+    P[..., 1:-1] = M
+    return np.take_along_axis(P[..., :-1] - P[..., 1:], pos[:, None], axis=2)
 
 
-def _Xinv_T_times(N, pos, nL):
-    """``Xinv^T @ N`` for a stack N with n - 1 rows.
+def _times_Xinv(M, pos, nL):
+    """``M @ Xinv`` for a stack M with n - 1 columns.
 
-    ``pos[b, j]`` is the 0-based spatial rank of orbit point j + 1 and
-    ``nL[b]`` that of the turning point.  With ``T[m]`` the sum of N's
-    rows 0 to m - 1, row j of the product is ``T[pos[j]] - T[nL]``: the
-    sum of rows nL to pos[j] - 1, or minus that of rows pos[j] to nL - 1.
-    Its transpose is ``N^T @ Xinv``.
+    ``pos`` is as at :func:`_times_eta` and ``nL[b]`` is the spatial rank
+    of the turning point.  With ``S[:, m]`` the sum of M's columns 0 to
+    m - 1, column j of the product is ``S[:, pos[j]] - S[:, nL]``: the sum
+    of columns nL to pos[j] - 1, or minus that of columns pos[j] to nL - 1.
     """
-    B, r, c = N.shape
-    T = np.zeros((B, r + 1, c), dtype=np.int64)
-    np.cumsum(N, axis=1, out=T[:, 1:])
-    stack = np.arange(B)[:, None]
-    return T[stack, pos[:, :r]] - T[stack, nL[:, None]]
+    B, r, c = M.shape
+    S = np.zeros((B, r, c + 1), dtype=np.int64)
+    np.cumsum(M, axis=2, out=S[..., 1:])
+    left = np.take_along_axis(S, nL[:, None, None], axis=2)
+    return np.take_along_axis(S, pos[:, None, :c], axis=2) - left
 
 
 def _family_stack(models) -> TheoremMatrices:
@@ -247,9 +244,9 @@ def _family_stack(models) -> TheoremMatrices:
     G = R[stack, (rank + 1) % n]
     alpha = G[:, 1:] - G[:, :-1]
     A = alpha * sign[:, :, None]
-    # Aprime = X A^T Xinv, the transpose of Xinv^T (X A^T)^T.
-    XAT = _eta_T_times(A.transpose(0, 2, 1), rank)[:, : n - 1]
-    Aprime = _Xinv_T_times(XAT.transpose(0, 2, 1), pos, nL).transpose(0, 2, 1).copy()
+    # Aprime = X A^T Xinv, where X A^T is the transpose of A X^T, the top
+    # block of A eta.
+    Aprime = _times_Xinv(_times_eta(A, pos)[..., : n - 1].transpose(0, 2, 1), pos, nL)
     # Yinv theta^T Y: theta^T less its last column, then the column sums
     # as the last row.
     thetaprime = theta.transpose(0, 2, 1).copy()
@@ -260,17 +257,11 @@ def _family_stack(models) -> TheoremMatrices:
     _check_entry_bound(n, words, [*family, R])
 
     identity = np.eye(n - 1, dtype=np.int64)
-    XT = X.transpose(0, 2, 1)
     checks = (
         # Y inc X is X over minus its column sums.
-        ("eta-transpose does not factor as Y inc X", eta[..., n - 1] != -XT.sum(axis=2)),
-        # X Xinv = I, transposed: Xinv^T X^T = I.
-        ("top block of eta-transpose fails X Xinv = I", _Xinv_T_times(XT, pos, nL) != identity),
-        # alpha eta = eta omega, transposed: eta^T alpha^T = (eta omega)^T.
-        (
-            "alpha fails alpha eta = eta omega",
-            _eta_T_times(alpha.transpose(0, 2, 1), rank) != eta_omega.transpose(0, 2, 1),
-        ),
+        ("eta-transpose does not factor as Y inc X", eta[..., n - 1] != -X.sum(axis=1)),
+        ("top block of eta-transpose fails X Xinv = I", _times_Xinv(X, pos, nL) != identity),
+        ("alpha fails alpha eta = eta omega", _times_eta(alpha, pos) != eta_omega),
     )
     failed = np.array([unequal.reshape(B, -1).any(axis=1) for _, unequal in checks])
     if failed.any():

@@ -374,6 +374,50 @@ class TestKGroups:
             "not_permutation": 378,
         }
 
+    def test_verify_reports_a_wrong_theta_diagonal_inside_a_stack(self, monkeypatch):
+        # RLLLLRRLRLLC (a = 2) is word 49 of period 12, the 18th of its stack
+        # of 32.  Only the Smith form of its I - theta goes wrong, so only
+        # the two checks that read that diagonal fail, and only for it.
+        word = enumerate_admissible(12)[49]
+        assert str(word) == "RLLLLRRLRLLC"
+        target = rows_of(np.eye(12, dtype=np.int64) - build_matrices(build_orbit(word)).theta)
+        loop = intlinalg.smith_diagonal
+        hits = []
+
+        def wrong_for_target(rows, c):
+            if c == 12 and [dict(R) for R in rows] == target:
+                hits.append(c)
+                return (1,) * 11 + (4,)
+            return loop(rows, c)
+
+        monkeypatch.setattr(ktheory, "smith_diagonal", wrong_for_target)
+        report = ktheory.verify(12)
+        assert hits == [12]
+        assert report.violations == [
+            {
+                "word": "RLLLLRRLRLLC",
+                "check": "snf_multiset",
+                "detail": "SNF diagonal [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 4] vs expected "
+                "[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2]",
+            },
+            {
+                "word": "RLLLLRRLRLLC",
+                "check": "cokernel_bridge",
+                "detail": "from A: Z_2, from theta: Z_4",
+            },
+        ]
+        assert report.checks == {
+            "closed_form_k0": 379,
+            "k1_rank": 379,
+            "identity_A_eta": 379,
+            "block_form": 379,
+            "construction_equivalence": 379,
+            "snf_multiset": 378,
+            "cokernel_bridge": 378,
+            "zero_rows_cols": 379,
+            "not_permutation": 378,
+        }
+
     def test_verify_logs_each_period(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="kneadck.ktheory"):
             report = ktheory.verify(12)
@@ -398,6 +442,17 @@ class TestKGroups:
         assert done.returncode == 0, done.stderr
         assert (done.stdout, done.stderr) == ("", "")
 
+    def test_cli_import_leaves_logging_unloaded(self):
+        # Only verify logs, so it imports logging itself, when it runs.
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, kneadck.cli; print('logging' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(kneadck.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
     def test_verify_scores_only_checks_a_word_can_fail(self):
         # The report of verify 12 before the five checks that build_matrices
         # decides (identity_beta_eta, identity_alpha_eta,
@@ -416,6 +471,8 @@ class TestKGroups:
             ("zero_rows_cols", 379),
             ("not_permutation", 378),
         ]
+        # Plain ints, as json.dumps needs them; == would pass np.int64 too.
+        assert all(type(count) is int for count in report.checks.values())
         assert report.words_checked == 379
         assert report.skipped == {"not_permutation": ["RC"]}
         assert report.violations == []
@@ -509,7 +566,7 @@ class TestKGroups:
         for word in runs_corpus():
             model = build_orbit(word)
             runs = markov.transition_intervals(model)
-            diag, _ = ktheory._closed_form_checks(closed_form_a(word), runs)
+            diag = ktheory.smith_diagonal(ktheory._differenced_rows(runs), len(runs))
             M = np.eye(word.n - 1, dtype=np.int64) - covering_matrix(model).T
             assert diag == smith_normal_form(M).diagonal, word
 
