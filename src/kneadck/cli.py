@@ -5,9 +5,12 @@ Subcommands: ``kgroups``, ``matrices``, ``enumerate``, ``verify``,
 (default) or a machine-readable JSON document with a stable schema:
 ``{"command", "inputs", "results"}``, matrices carried as
 ``{"rows", "cols", "entries"}``, groups as ``{"free_rank", "torsion"}``,
-and reals as decimal strings.  The text of ``kgroups``, ``find-mu`` and
-``itinerary`` is their ``results``, one ``key: value`` line per entry; a
-forced inadmissible word is flagged ``admissible: no``, never warned.
+and reals as decimal strings.  The document is byte-identical to
+``json.dumps(doc, indent=2)``; ``_machine_json`` writes each container of
+scalars, and each list of them, with one C-encoder call.  The text of
+``kgroups``, ``find-mu`` and ``itinerary`` is their ``results``, one
+``key: value`` line per entry; a forced inadmissible word is flagged
+``admissible: no``, never warned.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 domain
 violation, 4 solver failure.
@@ -20,6 +23,7 @@ import dataclasses
 import functools
 import json
 import sys
+from itertools import chain
 
 from .dynamics import C_TOL, QuadMap, SolverError, find_superstable_mu, numeric_itinerary
 from .intlinalg import AbelianGroup
@@ -43,6 +47,41 @@ def _matrix_payload(M) -> dict:
 
 def _group_payload(g: AbelianGroup) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
+
+
+# Writes containers flat with "\0" between items; ``ensure_ascii`` escapes a
+# "\0" inside a string, so every raw "\0" is a separator to re-indent.
+_FLAT = json.JSONEncoder(separators=("\0", ": "))
+_SCALARS = (str, int, float, type(None))
+_SCALAR_TYPES = {*_SCALARS, bool}  # exact types, so a container's set of them is built in C
+
+
+def _machine_json(o, indent: str = "\n") -> str:
+    """``json.dumps(o, indent=2, default=_group_payload)``, byte for byte, for
+    str keys.  Python walks down to containers of scalars, and to lists of
+    them, and writes each with one C-encoder call."""
+    if not isinstance(o, (dict, list, tuple, *_SCALARS)):
+        return _machine_json(_group_payload(o), indent)
+    if isinstance(o, _SCALARS) or not o:
+        return _FLAT.encode(o)
+    inner = indent + "  "
+    kinds = set(map(type, o.values() if isinstance(o, dict) else o))
+    if kinds <= _SCALAR_TYPES:
+        text = _FLAT.encode(o)
+        return text[0] + inner + text[1:-1].replace("\0", "," + inner) + indent + text[-1]
+    if isinstance(o, dict):
+        items = (f"{_FLAT.encode(k)}: {_machine_json(v, inner)}" for k, v in o.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    leaves = all(o) and (kinds == {dict} or kinds <= {list, tuple})
+    members = map(dict.values, o) if kinds == {dict} else o
+    if not (leaves and set(map(type, chain.from_iterable(members))) <= _SCALAR_TYPES):
+        return "[" + inner + ("," + inner).join(_machine_json(v, inner) for v in o) + indent + "]"
+    # No scalar's text ends in a bracket: a "\0" after one separates members.
+    text, deeper = _FLAT.encode(o), inner + "  "
+    opening, closing = text[1], text[-2]
+    body = text[2:-2].replace(f"{closing}\0{opening}", f"{inner}{closing},{inner}{opening}{deeper}")
+    body = body.replace("\0", "," + deeper)
+    return f"[{inner}{opening}{deeper}{body}{inner}{closing}{indent}]"
 
 
 def _grid_lines(M) -> list[str]:
@@ -130,10 +169,10 @@ def _cmd_enumerate(args):
     results = {"n": args.n, "count": len(words)}
     text = []
     if not args.count_only:
-        listing = [{"word": str(w), "a": closed_form_a(w)} for w in words]
-        results["words"] = listing
+        results["words"] = listing = [{"word": str(w), "a": closed_form_a(w)} for w in words]
         # Every word has length n, so the word column needs no padding.
-        text.extend(f"{e['word']}  a={e['a']}" for e in listing)
+        if args.format == "text":
+            text.extend(f"{e['word']}  a={e['a']}" for e in listing)
     text.append(f"count: {len(words)}")
     return inputs, results, text, 0
 
@@ -320,7 +359,7 @@ def main(argv=None) -> int:
 
     if args.format == "machine":
         doc = {"command": args.command, "inputs": inputs, "results": results}
-        print(json.dumps(doc, indent=2, default=_group_payload))
+        print(_machine_json(doc))
     else:
         print("\n".join(_result_lines(results) if text is None else text))
     return code

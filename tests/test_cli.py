@@ -8,11 +8,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kneadck.ktheory
 import kneadck.markov
 import kneadck.symbolic
-from kneadck.cli import main
+from kneadck.cli import _group_payload, _machine_json, main
+from kneadck.intlinalg import AbelianGroup
 from kneadck.markov import TheoremMatrices, build_orbit
 from kneadck.symbolic import is_admissible, parse_word
 
@@ -497,3 +499,52 @@ class TestMachineFormat:
         assert json.dumps(doc, indent=2) + "\n" == out
         assert set(doc) == {"command", "inputs", "results"}
         assert doc["command"] == argv[0]
+
+    def test_violations_are_written_as_json_dumps_writes_them(self, capsys, monkeypatch):
+        # Crafted runs for RLC give a violation text full of brackets, in the
+        # list of violation dicts that the writer passes to one encoder call.
+        real = kneadck.ktheory.transition_intervals
+
+        def crafted(model):
+            return [(0, 2), (0, 2)] if str(model.word) == "RLC" else real(model)
+
+        monkeypatch.setattr(kneadck.ktheory, "transition_intervals", crafted)
+        code, out, _ = run(capsys, ["verify", "6", "--format", "machine"])
+        assert code == 1
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out)["results"]["violations"] == [{
+            "word": "RLC",
+            "check": "construction_equivalence",
+            "detail": "covering runs [(0, 2), (0, 2)] vs signed route [[0, 1], [1, 1]]",
+        }]
+
+
+# Strings full of what the writer splits on or escapes: its "\0" separator,
+# quotes, backslashes, brackets, separators, non-ASCII text and U+2028.
+TEXT = st.text(st.sampled_from('\0"\\[]{},: a\u00e9\u2028\n\U0001d11e') | st.characters(), max_size=5)
+SCALARS = st.one_of(
+    TEXT,
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False, None]),
+)
+GROUPS = st.builds(AbelianGroup, st.integers(0, 3), st.sampled_from([(), (2,), (2, 6), (3, 3)]))
+DICTS = st.dictionaries(TEXT, SCALARS, min_size=1, max_size=3)
+LISTS = st.lists(SCALARS, min_size=1, max_size=3)
+TREES = st.recursive(
+    SCALARS | GROUPS | st.lists(DICTS, max_size=4) | st.lists(LISTS, max_size=4).map(tuple)
+    | st.lists(DICTS | LISTS | SCALARS, max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestMachineJson:
+    @settings(max_examples=200, deadline=None)
+    @given(TREES)
+    def test_equals_json_dumps(self, tree):
+        assert _machine_json(tree) == json.dumps(tree, indent=2, default=_group_payload)
+
+    def test_lists_of_leaves_at_depth(self):
+        tree = {"a": [{"w": "]\0{", "x": 1}, {"w": "}", "x": None}], "b": [[1, 2], [3], ()], "c": {}}
+        assert _machine_json(tree) == json.dumps(tree, indent=2)

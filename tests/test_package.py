@@ -83,3 +83,29 @@ def test_no_matrix_product_in_the_package():
     for path in sorted(package.glob("*.py")):
         found += matrix_products(path.read_text(), path.name)
     assert found == []
+
+
+def indented_dumps(source: str, name: str) -> list[str]:
+    """Every ``dump`` or ``dumps`` call in ``source`` that passes ``indent``;
+    machine output has one writer, ``cli._machine_json``."""
+    return [
+        f"{name}:{node.lineno}: {node.func.attr}"
+        for node in ast.walk(ast.parse(source, name))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"dump", "dumps"}
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+
+
+def test_scan_finds_indented_dumps():
+    source = "json.dumps(doc, indent=2)\njson.dump(doc, f, indent=None)\njson.dumps(doc)\n"
+    assert indented_dumps(source, "probe") == ["probe:1: dumps", "probe:2: dump"]
+
+
+def test_no_indented_dumps_in_the_package():
+    package = pathlib.Path(kneadck.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += indented_dumps(path.read_text(), path.name)
+    assert found == []
