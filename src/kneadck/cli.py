@@ -241,19 +241,6 @@ def _cmd_itinerary(args):
     return inputs, results, None, 0
 
 
-# Each handler returns (inputs, results, text, exit code); text None means
-# one ``key: value`` line per entry of results.
-_HANDLERS = {
-    "kgroups": _cmd_kgroups,
-    "matrices": _cmd_matrices,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-    "find-mu": _cmd_find_mu,
-    "admissible": _cmd_admissible,
-    "itinerary": _cmd_itinerary,
-}
-
-
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # The same flags are accepted before and after the subcommand; the
     # subcommand copies default to SUPPRESS so an absent flag never
@@ -298,9 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
+    # Each handler returns (inputs, results, text, exit code); text None
+    # means one ``key: value`` line per entry of results.
     sp = sub.add_parser("kgroups", help="K-groups and Bowen-Franks group of a word")
     sp.add_argument("word")
-    _add_global_flags(sp, suppress=True)
+    sp.set_defaults(handler=_cmd_kgroups)
 
     sp = sub.add_parser("matrices", help="print the matrix family of a word")
     sp.add_argument("word")
@@ -310,52 +299,55 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma-separated subset of: {', '.join(_MATRIX_NAMES)} (default: all)",
     )
-    _add_global_flags(sp, suppress=True)
+    sp.set_defaults(handler=_cmd_matrices)
 
     sp = sub.add_parser("enumerate", help="list admissible words of a given length")
     sp.add_argument("n", type=int)
     sp.add_argument("--count-only", action="store_true")
-    _add_global_flags(sp, suppress=True)
+    sp.set_defaults(handler=_cmd_enumerate)
 
     sp = sub.add_parser("verify", help="exhaustive consistency sweep up to n_max")
     sp.add_argument("n_max", type=int, nargs="?", default=6)
-    _add_global_flags(sp, suppress=True)
+    sp.set_defaults(handler=_cmd_verify)
 
     sp = sub.add_parser("find-mu", help="superstable parameter realizing a word")
     sp.add_argument("word")
-    _add_global_flags(sp, suppress=True)
+    sp.set_defaults(handler=_cmd_find_mu)
 
     sp = sub.add_parser("admissible", help="test a word for admissibility")
     sp.add_argument("word")
-    _add_global_flags(sp, suppress=True)
+    sp.set_defaults(handler=_cmd_admissible)
 
     sp = sub.add_parser("itinerary", help="numeric itinerary of a point")
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--x0", type=float, default=None, help="default: the image of c")
     sp.add_argument("--depth", type=_positive_int, default=20)
     sp.add_argument("--tol", type=float, default=C_TOL)
-    _add_global_flags(sp, suppress=True)
+    sp.set_defaults(handler=_cmd_itinerary)
 
+    for sp in sub.choices.values():
+        _add_global_flags(sp, suppress=True)
     return parser
+
+
+# The exit code of each error a handler may raise.
+_EXIT_CODES = {
+    ParseError: 2,
+    DomainError: 3,
+    SolverError: 4,
+    TheoremViolationError: 1,
+    ConstructionError: 1,
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs, results, text, code = _HANDLERS[args.command](args)
-    except ParseError as e:
+        inputs, results, text, code = args.handler(args)
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except SolverError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (TheoremViolationError, ConstructionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _EXIT_CODES[type(e)]
 
     if args.format == "machine":
         doc = {"command": args.command, "inputs": inputs, "results": results}

@@ -13,13 +13,15 @@ Everything here is exact integer arithmetic; no floats and no fractions.
 The family is built as stacks, one slice per word, for any number of
 words of one period (see :func:`_family_stack`); one word's family is
 the one-slice stack.  The matrices are ``np.int64`` arrays with entries
-in {-1, 0, 1}, a bound that holds per slice (see
-:func:`_check_entry_bound`).  Every factor is a permutation, a signed
-diagonal, a bidiagonal or a matrix of running sums, so no matrix product
-is formed: each product of the construction is an index map on the
-stack, a gather, a difference or a running sum, in O(n^2) per word.  The
-inverses the construction needs are written down in closed form and each
-is confirmed, slice by slice, by the same index maps.
+in {-1, 0, 1}.  Every factor is a permutation, a signed diagonal, a
+bidiagonal or a matrix of running sums, so no matrix product is formed:
+each product of the construction is an index map on the stack, a
+gather, a difference or a running sum, in O(n^2) per word.  The largest
+value any step computes is a running sum of at most n entries of size
+at most 2, so nothing can overflow int64.  The inverses the construction
+needs are written down in closed form, and one table decides, slice by
+slice, in this order: the final symbol, the entry range, and the three
+identities that confirm them.
 """
 
 from __future__ import annotations
@@ -115,31 +117,6 @@ class TheoremMatrices:
     thetaprime: np.ndarray
 
 
-def _check_entry_bound(n: int, words, mats) -> None:
-    """The entry bound of the matrix family, decided per slice.
-
-    ``mats`` holds stacks of shape (B, rows, cols), slice b belonging to
-    ``words[b]``, and matrices shared by every slice.  Raises
-    :class:`ConstructionError` naming the first word whose slice fails,
-    unless ``n < 2**31`` and every matrix of the slice has its entries in
-    {-1, 0, 1}.  No matrix product is formed, so nothing can wrap while
-    the family is built: every entry is a gathered entry, a difference of
-    two or a running sum of at most n of them.  The bound is a property
-    check on the finished family, which the construction promises; the
-    identity checks of :func:`_family_stack` then sum at most n entries of
-    it, at most n < 2**31 in magnitude.  Each matrix is decided on its
-    own, with no concatenated copy of the family.
-    """
-    bad = np.full(len(words), n >= 2**31)
-    for M in mats:
-        if M.min() < -1 or M.max() > 1:
-            bad |= (M.min(axis=(-2, -1)) < -1) | (M.max(axis=(-2, -1)) > 1)
-    if bad.any():
-        raise ConstructionError(
-            f"{words[bad.argmax()]}: period {n} matrix family leaves the int64 bound"
-        )
-
-
 def _times_eta(M, pos):
     """``M @ eta`` for a stack M with n - 1 columns, one per interval.
 
@@ -177,12 +154,12 @@ def _family_stack(models) -> TheoremMatrices:
     ``models[b]``.  The formulas are those documented at
     :func:`build_matrices`, with a leading batch axis, and every product
     of them is an index map on the stack: a gather of rows or columns, a
-    difference of two, or a running sum.  The entry bound and then the
-    three identities are decided per slice.  The first slice out of
-    bound, or else the first failing an identity, raises
-    :class:`ConstructionError` with its word and its first failed check.
-    ``omega``, ``phi`` and ``Y`` do not depend on the word, so each is
-    built once and repeated over the stack for the result.
+    difference of two, or a running sum.  One table then decides every
+    slice, row by row: the final symbol value is 0; every entry of the
+    13 fields and of the unreturned ``R`` is in {-1, 0, 1};
+    ``eta^T = Y inc X``; ``X Xinv = I``; ``alpha eta = eta omega``.  The
+    first failing slice raises :class:`ConstructionError` with its word
+    and its first failing row, ``"<word>: <row>"``.
     """
     words = [m.word for m in models]
     n = models[0].n
@@ -197,23 +174,25 @@ def _family_stack(models) -> TheoremMatrices:
     pos = np.empty((B, n), dtype=np.int64)
     pos[stack, rank] = ranks  # pos[b, j] is the 0-based spatial rank of orbit point j+1
 
-    omega = np.zeros((n, n), dtype=np.int64)
-    omega[ranks, (ranks + 1) % n] = 1
+    omega = np.zeros((B, n, n), dtype=np.int64)
+    omega[:, ranks, (ranks + 1) % n] = 1
     # M @ omega moves column j - 1 of M to column j.
     shift = (ranks - 1) % n
 
     pi = np.zeros((B, n, n), dtype=np.int64)
     pi[stack, ranks, rank] = 1
 
-    phi = np.eye(n - 1, n, 1, dtype=np.int64) - np.eye(n - 1, n, dtype=np.int64)
+    # phi differences the rows of I, eta = phi pi those of pi; Y is I with
+    # minus ones left of its last diagonal entry.
+    Y = np.zeros((B, n, n), dtype=np.int64)
+    Y[:, ranks, ranks] = 1
+    phi = Y[:, 1:] - Y[:, :-1]
+    Y[:, n - 1, : n - 1] = -1
 
     eta = pi[:, 1:] - pi[:, :-1]
 
     # Diagonal carries the symbol values, last column their negatives; the
     # two clauses overlap at (n, n) and agree because the final value is 0.
-    nonzero = eps[:, -1] != 0
-    if nonzero.any():
-        raise ConstructionError(f"{words[nonzero.argmax()]}: final symbol value must be 0")
     gamma = np.zeros((B, n, n), dtype=np.int64)
     gamma[:, ranks, ranks] = eps
     gamma[:, : n - 1, n - 1] = -eps[:, : n - 1]
@@ -223,9 +202,6 @@ def _family_stack(models) -> TheoremMatrices:
     sign = np.where(ranks[:-1] < nL[:, None], 1, -1)
     beta = np.zeros((B, n - 1, n - 1), dtype=np.int64)
     beta[:, ranks[:-1], ranks[:-1]] = sign
-
-    Y = np.eye(n, dtype=np.int64)
-    Y[n - 1, : n - 1] = -1
 
     X = eta[..., : n - 1].transpose(0, 2, 1).copy()
 
@@ -254,38 +230,26 @@ def _family_stack(models) -> TheoremMatrices:
     thetaprime[:, n - 1] = thetaprime.sum(axis=1)
 
     family = [A, theta, omega, phi, pi, eta, alpha, beta, gamma, Y, X, Aprime, thetaprime]
-    _check_entry_bound(n, words, [*family, R])
-
+    # The range row decides each matrix on its own, with no concatenated
+    # copy of the family, and slice by slice only if the whole stack fails.
+    out_of_range = np.zeros(B, dtype=bool)
+    for M in (*family, R):
+        if M.min() < -1 or M.max() > 1:
+            out_of_range |= (M.min(axis=(1, 2)) < -1) | (M.max(axis=(1, 2)) > 1)
     identity = np.eye(n - 1, dtype=np.int64)
-    checks = (
+    table = (
+        ("final symbol value must be 0", eps[:, -1] != 0),
+        ("matrix family has an entry outside {-1, 0, 1}", out_of_range),
         # Y inc X is X over minus its column sums.
         ("eta-transpose does not factor as Y inc X", eta[..., n - 1] != -X.sum(axis=1)),
         ("top block of eta-transpose fails X Xinv = I", _times_Xinv(X, pos, nL) != identity),
         ("alpha fails alpha eta = eta omega", _times_eta(alpha, pos) != eta_omega),
     )
-    failed = np.array([unequal.reshape(B, -1).any(axis=1) for _, unequal in checks])
+    failed = np.array([fails.reshape(B, -1).any(axis=1) for _, fails in table])
     if failed.any():
         b = failed.any(axis=0).argmax()
-        raise ConstructionError(f"{words[b]}: {checks[failed[:, b].argmax()][0]}")
-
-    def shared(M):
-        return M[None].repeat(B, axis=0)
-
-    return TheoremMatrices(
-        A=A,
-        theta=theta,
-        omega=shared(omega),
-        phi=shared(phi),
-        pi=pi,
-        eta=eta,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        Y=shared(Y),
-        X=X,
-        Aprime=Aprime,
-        thetaprime=thetaprime,
-    )
+        raise ConstructionError(f"{words[b]}: {table[failed[:, b].argmax()][0]}")
+    return TheoremMatrices(*family)
 
 
 def build_matrices(m: OrbitModel) -> TheoremMatrices:
@@ -305,15 +269,15 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     ``thetaprime = Yinv theta^T Y``.  No product is formed: each factor
     is a permutation, a signed diagonal, a bidiagonal or a matrix of
     running sums, so each product is a gather of rows or columns, a
-    difference of two, or a running sum.  Every matrix, including the
-    unreturned ``R``, is ``int64`` and passes :func:`_check_entry_bound`,
-    per slice, before any identity is checked.  Three identities then
-    confirm the route, each in the same sparse form: ``eta^T = Y inc X``,
-    ``X Xinv = I``, which also proves ``X`` unimodular, and
-    ``alpha eta = eta omega``, which pins ``alpha`` down uniquely because
-    ``eta`` has full row rank.  Failure of any of these is a bug, not bad
-    input, and raises :class:`ConstructionError` with the word,
-    ``"<word>: <check>"``.
+    difference of two, or a running sum.  Every matrix is ``int64``.
+    The table of :func:`_family_stack` checks the final symbol and the
+    entry range of every matrix, the unreturned ``R`` included, and then
+    confirms the route by three identities, each in the same sparse form:
+    ``eta^T = Y inc X``, ``X Xinv = I``, which also proves ``X``
+    unimodular, and ``alpha eta = eta omega``, which pins ``alpha`` down
+    uniquely because ``eta`` has full row rank.  Failure of any row is a
+    bug, not bad input, and raises :class:`ConstructionError` with the
+    word, ``"<word>: <row>"``.
     """
     t = _family_stack([m])
     return TheoremMatrices(**{name: M[0] for name, M in vars(t).items()})

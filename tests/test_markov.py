@@ -2,16 +2,18 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from kneadck import markov
 from kneadck.markov import (
     ConstructionError,
     OrbitModel,
-    _check_entry_bound,
     _family_stack,
+    _times_Xinv,
     build_matrices,
     build_orbit,
     transition_intervals,
@@ -501,7 +503,10 @@ class TestIndexMaps:
 
 
 class TestInt64Family:
-    """The family is exact int64 under the entry bound, which holds per slice."""
+    """The family is int64 with entries in {-1, 0, 1}, decided per slice
+    by the range row of its table."""
+
+    RANGE = re.escape("matrix family has an entry outside {-1, 0, 1}")
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_every_matrix_is_int64_in_unit_range(self, n):
@@ -513,22 +518,48 @@ class TestInt64Family:
                 assert M.dtype == np.int64, (str(w), name)
                 assert set(np.unique(M).tolist()) <= {-1, 0, 1}, (str(w), name)
 
-    def test_guard_refuses_an_entry_beyond_the_bound(self):
-        # A stack of three slices and a shared matrix; the bad entry sits
-        # in the middle slice, whose word the refusal names.
-        words = ["RLC", "RRC", "LRC"]
-        ok = np.eye(3, dtype=np.int64)
-        stack = np.stack([ok, -ok, ok])
-        _check_entry_bound(3, words, [ok, stack])
-        for bad in (2**40, -(2**40), 2, -2):
-            M = stack.copy()
-            M[1, 1, 2] = bad
-            with pytest.raises(ConstructionError, match="^RRC: .*int64 bound"):
-                _check_entry_bound(3, words, [ok, M])
-            with pytest.raises(ConstructionError, match="^RLC: .*int64 bound"):
-                _check_entry_bound(3, words, [M[1], stack])
+    @staticmethod
+    def push_out_of_range(monkeypatch, b, bad):
+        """Make the first ``_times_Xinv`` of the next family, which builds
+        ``Aprime``, return ``bad`` at one entry of slice ``b``."""
+        first = iter([True])
 
-    def test_guard_refuses_a_period_beyond_the_bound(self):
-        _check_entry_bound(2**31 - 1, ["RC"], [np.eye(2, dtype=np.int64)])
-        with pytest.raises(ConstructionError, match="^RC: .*int64 bound"):
-            _check_entry_bound(2**31, ["RC"], [np.eye(2, dtype=np.int64)])
+        def wrapped(*args):
+            out = _times_Xinv(*args)
+            if next(first, False):
+                out[b, 0, 0] = bad
+            return out
+
+        monkeypatch.setattr(markov, "_times_Xinv", wrapped)
+
+    def test_guard_refuses_an_entry_beyond_the_bound(self, monkeypatch):
+        # The bad entry sits in the middle slice of three, whose word the
+        # refusal names with the range row.
+        models = [build_orbit(w) for w in enumerate_admissible(6)[:3]]
+        _family_stack(models)
+        message = f"^{models[1].word}: {self.RANGE}$"
+        for bad in (2, -2, 2**40, -(2**40)):
+            self.push_out_of_range(monkeypatch, 1, bad)
+            with pytest.raises(ConstructionError, match=message):
+                _family_stack(models)
+
+    def test_rows_are_decided_in_table_order(self, monkeypatch):
+        # The off-rank RLLRRC model of test_turning_point_off_its_rank_is_refused
+        # fails X Xinv = I and nothing before it.
+        m = build_orbit(parse_word("RLLRRC"))
+        off_rank = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
+        good = [build_orbit(w) for w in enumerate_admissible(6) if str(w) != "RLLRRC"]
+        # Slice 0 fails an identity, slice 1 the range: the first slice wins.
+        self.push_out_of_range(monkeypatch, 1, 2)
+        with pytest.raises(ConstructionError, match="^RLLRRC: top block of eta-transpose"):
+            _family_stack([off_rank, good[0]])
+        # A slice that fails both is named with the range row.
+        self.push_out_of_range(monkeypatch, 1, 2)
+        with pytest.raises(ConstructionError, match=f"^RLLRRC: {self.RANGE}$"):
+            _family_stack([good[0], off_rank])
+        # A final symbol other than C comes before the range.
+        word = object.__new__(KneadingWord)
+        object.__setattr__(word, "symbols", (*m.word.symbols[:-1], Symbol.R))
+        self.push_out_of_range(monkeypatch, 0, 2)
+        with pytest.raises(ConstructionError, match="^RLLRRR: final symbol value must be 0$"):
+            _family_stack([OrbitModel(word=word, rho=m.rho, nL=m.nL)])

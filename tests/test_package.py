@@ -109,3 +109,28 @@ def test_no_indented_dumps_in_the_package():
     for path in sorted(package.glob("*.py")):
         found += indented_dumps(path.read_text(), path.name)
     assert found == []
+
+
+def raises_in(source: str, function: str) -> list[int]:
+    """The line of every ``raise`` in the top-level ``function`` of
+    ``source``, nested blocks included; none if there is no such function."""
+    return [
+        node.lineno
+        for top in ast.parse(source).body
+        if isinstance(top, ast.FunctionDef) and top.name == function
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+    ]
+
+
+def test_scan_finds_every_raise_of_a_function():
+    source = "def f(x):\n    if x:\n        raise ValueError\n    for y in x:\n        raise\n"
+    source += "def g():\n    raise KeyError\n"
+    assert raises_in(source, "f") == [3, 5]
+    assert raises_in(source, "h") == []
+
+
+def test_family_stack_fails_through_one_raise():
+    # Every failure of the matrix family is a row of one table.
+    source = pathlib.Path(kneadck.markov.__file__).read_text()
+    assert len(raises_in(source, "_family_stack")) == 1
