@@ -152,7 +152,7 @@ def _cmd_matrices(args):
     mats = build_matrices(model)
     inputs = {"word": str(word), "which": which, "force": bool(args.force)}
     results = {"word": str(word), "n": word.n, "admissible": model.admissible}
-    # Each format reads the matrices in its own shape; only the one printed is built.
+    # Each format reads the matrices in its own shape; only the chosen one is assembled.
     text = [f"word: {word}"]
     if args.format == "machine":
         results["matrices"] = {name: _matrix_payload(getattr(mats, name)) for name in which}

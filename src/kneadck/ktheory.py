@@ -14,9 +14,9 @@ ordered orbit of :func:`~kneadck.markov.build_orbit`, raises
 fails, and reads irreducibility off the same runs, so it forms no dense
 matrix.  :func:`verify` scores both beside the checks on the matrix
 family for every admissible word up to a period, in one table per stack
-of families (:func:`_stack_checks`), which spells the runs out as one
-stack of covering matrices to compare the two routes to A entry by
-entry.  Every elimination is one call of
+of families (:func:`~kneadck.family._stack_checks`), which spells the
+runs out as one stack of covering matrices to compare the two routes to
+A entry by entry.  Every elimination is one call of
 :func:`~kneadck.intlinalg.smith_diagonal` on rows.
 """
 
@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
-import numpy as np
-
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
-from .markov import OrbitModel, _family_stack, _times_eta, build_orbit, transition_intervals
+from .markov import OrbitModel, build_orbit, transition_intervals
 from .symbolic import DomainError, KneadingWord, enumerate_admissible
 
 #: Words per matrix-family stack in :func:`verify`.  A stack spreads
@@ -159,103 +157,6 @@ class VerifyReport:
     ok: bool
 
 
-def _stack_checks(n: int, t, runs, a):
-    """The nine checks of :func:`verify` on one stack of words of period n.
-
-    ``t`` is the family stack, and ``runs[b]`` and ``a[b]`` are the runs of
-    ``transition_intervals`` and the closed form of word b.  Returns
-    ``(passed, details)``: ``passed[name]`` lists one bool per word, in
-    ``_CHECKS`` order, and ``details[name](b)`` builds the failure text of
-    word b.  Per word run two Smith eliminations, of the rows of
-    ``(I - A) D`` built from the runs and of ``I - theta``; the bridge
-    reuses the first, since once ``construction_equivalence`` holds its
-    diagonal is the Smith form of ``I - t.A[b]``.  The checks on the
-    family read the returned stack.  The products are index maps: row k of
-    ``eta theta`` is theta's row ``rank[k + 1]`` less row ``rank[k]``,
-    where ``rank`` (``rho - 1``) is read off ``t.eta``.  The covering
-    matrices of the runs are one stack, 1 exactly on ``lo <= j < hi`` in
-    row k.  For n = 2 the table has no ``not_permutation`` row, which
-    :func:`verify` records as a skip.
-    """
-    stack = np.arange(len(runs))[:, None]
-    rank = np.concatenate([t.eta.argmin(axis=2), t.eta[:, -1:].argmax(axis=2)], axis=1)
-    A_eta = _times_eta(t.A, rank.argsort(axis=1))
-    G = t.theta[stack, rank]
-    eta_theta = G[:, 1:] - G[:, :-1]
-    tp = t.thetaprime
-    lohi = np.array(runs, dtype=np.int64)[..., None]
-    cols = np.arange(n - 1)
-    cover = (lohi[:, :, 0] <= cols) & (cols < lohi[:, :, 1])
-
-    theta_rows = _rows_of_i_minus(t.theta)
-    diags = []  # per word, the Smith diagonals of (I - A) D and of I - theta
-    for b, word_runs in enumerate(runs):
-        rows = theta_rows[b * n : (b + 1) * n]
-        diags.append((smith_diagonal(_differenced_rows(word_runs), n - 1), smith_diagonal(rows, n)))
-    closed = [_closed_form_failures(ab, d) for ab, (d, _) in zip(a, diags)]
-    expected = [sorted([ab] + [1] * (n - 1)) for ab in a]
-    bridge = [tuple(map(AbelianGroup.from_diagonal, pair)) for pair in diags]
-
-    passed = {
-        "closed_form_k0": ["closed_form_k0" not in f for f in closed],
-        "k1_rank": ["k1_rank" not in f for f in closed],
-        "identity_A_eta": (A_eta == eta_theta).all(axis=(1, 2)),
-        "block_form": ~tp[:, n - 1].any(axis=1)
-        & (tp[:, : n - 1, : n - 1] == t.Aprime).all(axis=(1, 2)),
-        "construction_equivalence": (t.A == cover).all(axis=(1, 2)),
-        "snf_multiset": [sorted(d) == e for (_, d), e in zip(diags, expected)],
-        "cokernel_bridge": [lhs == rhs for lhs, rhs in bridge],
-        # A zero row of A is an empty run, a zero column one no run covers.
-        "zero_rows_cols": cover.any(axis=2).all(axis=1) & cover.any(axis=1).all(axis=1),
-    }
-    details = {
-        "closed_form_k0": lambda b: closed[b]["closed_form_k0"],
-        "k1_rank": lambda b: closed[b]["k1_rank"],
-        "identity_A_eta": lambda b: f"lhs {A_eta[b].tolist()} vs rhs {eta_theta[b].tolist()}",
-        "block_form": lambda b: f"thetaprime {tp[b].tolist()} vs top-left block "
-        f"{t.Aprime[b].tolist()}",
-        "construction_equivalence": lambda b: f"covering runs {runs[b]} vs signed route "
-        f"{t.A[b].tolist()}",
-        "snf_multiset": lambda b: f"SNF diagonal {sorted(diags[b][1])} vs expected {expected[b]}",
-        "cokernel_bridge": lambda b: "from A: {}, from theta: {}".format(*bridge[b]),
-        "zero_rows_cols": lambda b: _zero_rows_cols_detail(n, runs[b]),
-        "not_permutation": lambda b: f"A is a permutation matrix: runs {runs[b]}",
-    }
-    if n > 2:
-        # For n >= 3 the two intervals adjacent to the turning point map
-        # onto spans sharing the top interval, so A cannot be a
-        # permutation matrix.  The covering A is 0-1, so one nonzero per
-        # row and column decides it.
-        passed["not_permutation"] = ~(
-            (cover.sum(axis=2) == 1).all(axis=1) & (cover.sum(axis=1) == 1).all(axis=1)
-        )
-    return {name: np.asarray(ok).tolist() for name, ok in passed.items()}, details
-
-
-def _zero_rows_cols_detail(n: int, runs) -> str:
-    empty = [k for k, (lo, hi) in enumerate(runs) if lo >= hi]
-    covered = {j for run in runs for j in range(*run)}
-    return (
-        f"A has zero rows {empty} and zero columns "
-        f"{sorted(set(range(n - 1)) - covered)}: runs {runs}"
-    )
-
-
-def _rows_of_i_minus(theta) -> list[dict[int, int]]:
-    """The rows of ``I - theta`` for a stack of n x n slices, as the
-    ``{col: value}`` dicts of :func:`~kneadck.intlinalg.smith_diagonal`,
-    slice after slice, each in ascending column order: one
-    ``np.nonzero`` of the whole stack."""
-    B, n, _ = theta.shape
-    M = -theta
-    M[:, range(n), range(n)] += 1
-    b, i, j = np.nonzero(M)
-    rows: list[dict[int, int]] = [{} for _ in range(B * n)]
-    for r, c, e in zip((b * n + i).tolist(), j.tolist(), M[b, i, j].tolist()):
-        rows[r][c] = e
-    return rows
-
-
 def verify(n_max: int) -> VerifyReport:
     """Check every admissible word of period 2 to ``n_max``.
 
@@ -266,12 +167,14 @@ def verify(n_max: int) -> VerifyReport:
     The family is built as stacks of up to ``_STACK`` (32) words of one
     period (see :func:`~kneadck.markov.build_matrices`), and all nine
     checks of a stack, its two Smith eliminations per word included, come
-    from one table (see :func:`_stack_checks`).  Every word still gets
-    every check; counts are added per stack, and failure texts are built
-    only for failing words, in word-then-check order.  One INFO record per
-    period goes to this module's logger.
+    from one table (see :func:`~kneadck.family._stack_checks`).  Every
+    word still gets every check; counts are added per stack, and failure
+    texts are built only for failing words, in word-then-check order.
+    One INFO record per period goes to this module's logger.
     """
     import logging  # only verify logs; a deferred import keeps it off start-up
+
+    from .family import _family_stack, _stack_checks  # numpy loads with the first stack
 
     if n_max < 2:
         raise DomainError("verification sweep requires n_max >= 2")

@@ -10,28 +10,18 @@ the transition matrix and its runs, and the unimodular matrices X and Y
 that relate the two chain-level descriptions.
 
 Everything here is exact integer arithmetic; no floats and no fractions.
-The family is built as stacks, one slice per word, for any number of
-words of one period (see :func:`_family_stack`); one word's family is
-the one-slice stack.  The matrices are ``np.int64`` arrays with entries
-in {-1, 0, 1}.  Every factor is a permutation, a signed diagonal, a
-bidiagonal or a matrix of running sums, so no matrix product is formed:
-each product of the construction is an index map on the stack, a
-gather, a difference or a running sum, in O(n^2) per word.  The largest
-value any step computes is a running sum of at most n entries of size
-at most 2, so nothing can overflow int64.  The inverses the construction
-needs are written down in closed form, and one table decides, slice by
-slice, in this order: the final symbol, the entry range, and the three
-identities that confirm them.
+:func:`build_matrices` builds the matrices in :mod:`kneadck.family`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConstructionError(RuntimeError):
@@ -117,168 +107,33 @@ class TheoremMatrices:
     thetaprime: np.ndarray
 
 
-def _times_eta(M, pos):
-    """``M @ eta`` for a stack M with n - 1 columns, one per interval.
-
-    Row k of ``eta`` is +1 at ``rank[k + 1]`` and -1 at ``rank[k]``, with
-    ``rank = rho - 1``, and ``pos[b, j]``, the 0-based spatial rank of
-    orbit point j + 1, inverts ``rank``.  So column j of the product is
-    M's column ``pos[j] - 1`` less its column ``pos[j]``, read as zero off
-    M.
-    """
-    B, r, c = M.shape
-    P = np.zeros((B, r, c + 2), dtype=np.int64)
-    P[..., 1:-1] = M
-    return np.take_along_axis(P[..., :-1] - P[..., 1:], pos[:, None], axis=2)
-
-
-def _times_Xinv(M, pos, nL):
-    """``M @ Xinv`` for a stack M with n - 1 columns.
-
-    ``pos`` is as at :func:`_times_eta` and ``nL[b]`` is the spatial rank
-    of the turning point.  With ``S[:, m]`` the sum of M's columns 0 to
-    m - 1, column j of the product is ``S[:, pos[j]] - S[:, nL]``: the sum
-    of columns nL to pos[j] - 1, or minus that of columns pos[j] to nL - 1.
-    """
-    B, r, c = M.shape
-    S = np.zeros((B, r, c + 1), dtype=np.int64)
-    np.cumsum(M, axis=2, out=S[..., 1:])
-    left = np.take_along_axis(S, nL[:, None, None], axis=2)
-    return np.take_along_axis(S, pos[:, None, :c], axis=2) - left
-
-
-def _family_stack(models) -> TheoremMatrices:
-    """The matrix families of models that all have one period n, as stacks.
-
-    Every field has shape (B, rows, cols), slice b belonging to
-    ``models[b]``.  The formulas are those documented at
-    :func:`build_matrices`, with a leading batch axis, and every product
-    of them is an index map on the stack: a gather of rows or columns, a
-    difference of two, or a running sum.  One table then decides every
-    slice, row by row: the final symbol value is 0; every entry of the
-    13 fields and of the unreturned ``R`` is in {-1, 0, 1};
-    ``eta^T = Y inc X``; ``X Xinv = I``; ``alpha eta = eta omega``.  The
-    first failing slice raises :class:`ConstructionError` with its word
-    and its first failing row, ``"<word>: <row>"``.
-    """
-    words = [m.word for m in models]
-    n = models[0].n
-    B = len(models)
-    stack = np.arange(B)[:, None]
-    ranks = np.arange(n)
-    eps = np.fromiter(chain.from_iterable(w.symbols for w in words), np.int64, B * n)
-    eps = eps.reshape(B, n)
-    rank = np.fromiter(chain.from_iterable(m.rho for m in models), np.int64, B * n)
-    rank = rank.reshape(B, n) - 1  # rank[b, t] = rho[t] - 1
-    nL = np.array([m.nL for m in models])
-    pos = np.empty((B, n), dtype=np.int64)
-    pos[stack, rank] = ranks  # pos[b, j] is the 0-based spatial rank of orbit point j+1
-
-    omega = np.zeros((B, n, n), dtype=np.int64)
-    omega[:, ranks, (ranks + 1) % n] = 1
-    # M @ omega moves column j - 1 of M to column j.
-    shift = (ranks - 1) % n
-
-    pi = np.zeros((B, n, n), dtype=np.int64)
-    pi[stack, ranks, rank] = 1
-
-    # phi differences the rows of I, eta = phi pi those of pi; Y is I with
-    # minus ones left of its last diagonal entry.
-    Y = np.zeros((B, n, n), dtype=np.int64)
-    Y[:, ranks, ranks] = 1
-    phi = Y[:, 1:] - Y[:, :-1]
-    Y[:, n - 1, : n - 1] = -1
-
-    eta = pi[:, 1:] - pi[:, :-1]
-
-    # Diagonal carries the symbol values, last column their negatives; the
-    # two clauses overlap at (n, n) and agree because the final value is 0.
-    gamma = np.zeros((B, n, n), dtype=np.int64)
-    gamma[:, ranks, ranks] = eps
-    gamma[:, : n - 1, n - 1] = -eps[:, : n - 1]
-
-    theta = gamma[..., shift]
-
-    sign = np.where(ranks[:-1] < nL[:, None], 1, -1)
-    beta = np.zeros((B, n - 1, n - 1), dtype=np.int64)
-    beta[:, ranks[:-1], ranks[:-1]] = sign
-
-    X = eta[..., : n - 1].transpose(0, 2, 1).copy()
-
-    # R = Yinv^T inc Xinv^T is Xinv^T over a zero row.  Interval k joins
-    # spatial ranks k and k+1, 0-based.  Left of the turning point (rank
-    # nL) it is undone by the points at or below its left end, right of it
-    # by the points above its right end: R[j, k] is +1 for nL <= k <
-    # pos[j] and -1 for pos[j] <= k < nL, that is [k < pos[j]] - [k < nL].
-    k = ranks[: n - 1]
-    R = np.subtract(k < pos[:, :, None], k < nL[:, None, None], dtype=np.int64)
-    R[:, n - 1] = 0
-
-    # Row k of eta omega is +1 at rho[k+1] % n and -1 at rho[k] % n, so
-    # alpha = eta omega R differences the rows of R in that order.
-    eta_omega = eta[..., shift]
-    G = R[stack, (rank + 1) % n]
-    alpha = G[:, 1:] - G[:, :-1]
-    A = alpha * sign[:, :, None]
-    # Aprime = X A^T Xinv, where X A^T is the transpose of A X^T, the top
-    # block of A eta.
-    Aprime = _times_Xinv(_times_eta(A, pos)[..., : n - 1].transpose(0, 2, 1), pos, nL)
-    # Yinv theta^T Y: theta^T less its last column, then the column sums
-    # as the last row.
-    thetaprime = theta.transpose(0, 2, 1).copy()
-    thetaprime[..., : n - 1] -= thetaprime[..., n - 1 :]
-    thetaprime[:, n - 1] = thetaprime.sum(axis=1)
-
-    family = [A, theta, omega, phi, pi, eta, alpha, beta, gamma, Y, X, Aprime, thetaprime]
-    # The range row decides each matrix on its own, with no concatenated
-    # copy of the family, and slice by slice only if the whole stack fails.
-    out_of_range = np.zeros(B, dtype=bool)
-    for M in (*family, R):
-        if M.min() < -1 or M.max() > 1:
-            out_of_range |= (M.min(axis=(1, 2)) < -1) | (M.max(axis=(1, 2)) > 1)
-    identity = np.eye(n - 1, dtype=np.int64)
-    table = (
-        ("final symbol value must be 0", eps[:, -1] != 0),
-        ("matrix family has an entry outside {-1, 0, 1}", out_of_range),
-        # Y inc X is X over minus its column sums.
-        ("eta-transpose does not factor as Y inc X", eta[..., n - 1] != -X.sum(axis=1)),
-        ("top block of eta-transpose fails X Xinv = I", _times_Xinv(X, pos, nL) != identity),
-        ("alpha fails alpha eta = eta omega", _times_eta(alpha, pos) != eta_omega),
-    )
-    failed = np.array([fails.reshape(B, -1).any(axis=1) for _, fails in table])
-    if failed.any():
-        b = failed.any(axis=0).argmax()
-        raise ConstructionError(f"{words[b]}: {table[failed[:, b].argmax()][0]}")
-    return TheoremMatrices(*family)
-
-
 def build_matrices(m: OrbitModel) -> TheoremMatrices:
     """Assemble every matrix of the construction from the ordered orbit.
 
     The family is built as the one-word slice of a stack; see
-    :func:`_family_stack`, which builds it for many words of one period
-    at once.  The transpose of ``eta = phi pi`` must factor as
-    ``Y inc X``, where ``X`` is its top square block: the signed
-    incidence matrix of the path of spatial ranks with the turning point
-    removed.  The inverse of ``X`` is therefore a pair of running sums,
-    one on each side of the turning point, and ``Y`` is inverted by
-    flipping the sign of its last row.  Together they give an integer
+    :func:`~kneadck.family._family_stack`, which builds it for many
+    words of one period at once.  The transpose of ``eta = phi pi`` must
+    factor as ``Y inc X``, where ``X`` is its top square block: the
+    signed incidence matrix of the path of spatial ranks with the turning
+    point removed.  The inverse of ``X`` is therefore a pair of running
+    sums, one on each side of the turning point, and ``Y`` is inverted
+    by flipping the sign of its last row.  Together they give an integer
     right inverse ``R = Yinv^T inc Xinv^T`` of ``eta`` and with it
     ``alpha = eta omega R``; then ``theta = gamma omega``,
     ``A = beta alpha``, ``Aprime = X A^T Xinv`` and
-    ``thetaprime = Yinv theta^T Y``.  No product is formed: each factor
-    is a permutation, a signed diagonal, a bidiagonal or a matrix of
-    running sums, so each product is a gather of rows or columns, a
-    difference of two, or a running sum.  Every matrix is ``int64``.
-    The table of :func:`_family_stack` checks the final symbol and the
-    entry range of every matrix, the unreturned ``R`` included, and then
-    confirms the route by three identities, each in the same sparse form:
-    ``eta^T = Y inc X``, ``X Xinv = I``, which also proves ``X``
+    ``thetaprime = Yinv theta^T Y``.  No product is formed (see
+    :mod:`kneadck.family`), and every matrix is ``int64``.  The table of
+    :func:`~kneadck.family._family_stack` checks the final symbol and
+    the entry range of every matrix, the unreturned ``R`` included, and
+    then confirms the route by three identities, each in the same sparse
+    form: ``eta^T = Y inc X``, ``X Xinv = I``, which also proves ``X``
     unimodular, and ``alpha eta = eta omega``, which pins ``alpha`` down
     uniquely because ``eta`` has full row rank.  Failure of any row is a
     bug, not bad input, and raises :class:`ConstructionError` with the
     word, ``"<word>: <row>"``.
     """
+    from .family import _family_stack  # numpy loads with the first family built
+
     t = _family_stack([m])
     return TheoremMatrices(**{name: M[0] for name, M in vars(t).items()})
 

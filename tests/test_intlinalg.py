@@ -525,7 +525,7 @@ class TestIrreducibility:
 
 
 def test_imports_no_numpy():
-    # Loaded on its own, apart from the package, whose other modules use numpy.
+    # Loaded on its own, apart from the package, so only its own imports count.
     code = (
         "import importlib.util, sys\n"
         f"spec = importlib.util.spec_from_file_location('intlinalg', {intlinalg.__file__!r})\n"

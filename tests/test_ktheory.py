@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kneadck
-from kneadck import intlinalg, ktheory, markov, symbolic
+from kneadck import family, intlinalg, ktheory, markov, symbolic
 from kneadck.intlinalg import AbelianGroup, _strongly_connected
 from kneadck.ktheory import TheoremViolationError, closed_form_a, k_groups
 from kneadck.markov import build_matrices, build_orbit
@@ -46,7 +46,7 @@ def bowen_franks(A) -> AbelianGroup:
 
 def spy_smith_loop(monkeypatch, record) -> list:
     """Collect ``record(rows, c)`` for every call of ``smith_diagonal``, the
-    one Smith loop, that ``kneadck.ktheory`` makes."""
+    one Smith loop, that ``kneadck.ktheory`` or ``kneadck.family`` makes."""
     seen = []
     loop = intlinalg.smith_diagonal
 
@@ -54,7 +54,8 @@ def spy_smith_loop(monkeypatch, record) -> list:
         seen.append(record(rows, c))
         return loop(rows, c)
 
-    monkeypatch.setattr(ktheory, "smith_diagonal", spying)
+    for module in (ktheory, family):
+        monkeypatch.setattr(module, "smith_diagonal", spying)
     return seen
 
 
@@ -278,7 +279,7 @@ class TestKGroups:
 
     def test_verify_stacks_words_and_never_builds_one(self, monkeypatch):
         calls = []
-        stack = ktheory._family_stack
+        stack = family._family_stack
 
         def spy(models):
             calls.append([m.word for m in models])
@@ -287,7 +288,7 @@ class TestKGroups:
         def single(model):
             raise AssertionError(f"verify built the family of {model.word} alone")
 
-        monkeypatch.setattr(ktheory, "_family_stack", spy)
+        monkeypatch.setattr(family, "_family_stack", spy)
         monkeypatch.setattr(markov, "build_matrices", single)
         report = ktheory.verify(12)
         assert report.ok and report.words_checked == 379
@@ -301,7 +302,7 @@ class TestKGroups:
         # thetaprime, one in the second stack of period 12 a bad A.
         bad_tp = enumerate_admissible(6)[2]
         bad_A = enumerate_admissible(12)[40]
-        stack = ktheory._family_stack
+        stack = family._family_stack
         expected = {}
 
         def corrupt(models):
@@ -315,7 +316,7 @@ class TestKGroups:
                     expected[bad_A] = (t.A[b] @ t.eta[b]).tolist()
             return t
 
-        monkeypatch.setattr(ktheory, "_family_stack", corrupt)
+        monkeypatch.setattr(family, "_family_stack", corrupt)
         report = ktheory.verify(12)
         assert [(v["word"], v["check"]) for v in report.violations] == [
             (str(bad_tp), "block_form"),
@@ -390,7 +391,7 @@ class TestKGroups:
                 return (1,) * 11 + (4,)
             return loop(rows, c)
 
-        monkeypatch.setattr(ktheory, "smith_diagonal", wrong_for_target)
+        monkeypatch.setattr(family, "smith_diagonal", wrong_for_target)
         report = ktheory.verify(12)
         assert hits == [12]
         assert report.violations == [
@@ -443,15 +444,31 @@ class TestKGroups:
         assert (done.stdout, done.stderr) == ("", "")
 
     def test_cli_import_leaves_logging_unloaded(self):
-        # Only verify logs, so it imports logging itself, when it runs.
+        # Only verify logs, so it imports logging itself, when it runs; and
+        # only the matrix family uses numpy, so the commands that build no
+        # matrix never load it.
+        code = (
+            "import contextlib, io, sys\n"
+            "import kneadck, kneadck.cli\n"
+            "def loaded(*calls):\n"
+            "    for argv in calls:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert kneadck.cli.main(argv) == 0, argv\n"
+            "    print(sorted({'logging', 'numpy'} & set(sys.modules)))\n"
+            "loaded(['kgroups', 'RLLRC'], ['find-mu', 'RLLRC'], ['enumerate', '8'],\n"
+            "       ['admissible', 'RLC'], ['itinerary', '--mu', '3.5'])\n"
+            "loaded(['matrices', 'RLC'])\n"
+            "loaded(['verify', '4'])\n"
+        )
         done = subprocess.run(
-            [sys.executable, "-c", "import sys, kneadck.cli; print('logging' in sys.modules)"],
+            [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": str(pathlib.Path(kneadck.__file__).parents[1])},
             capture_output=True,
             text=True,
             timeout=60,
         )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+        expected = "[]\n['numpy']\n['logging', 'numpy']\n"
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
     def test_verify_scores_only_checks_a_word_can_fail(self):
         # The report of verify 12 before the five checks that build_matrices

@@ -8,12 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from kneadck import markov
+from kneadck import family
+from kneadck.family import _family_stack, _times_Xinv
 from kneadck.markov import (
     ConstructionError,
     OrbitModel,
-    _family_stack,
-    _times_Xinv,
     build_matrices,
     build_orbit,
     transition_intervals,
@@ -530,7 +529,7 @@ class TestInt64Family:
                 out[b, 0, 0] = bad
             return out
 
-        monkeypatch.setattr(markov, "_times_Xinv", wrapped)
+        monkeypatch.setattr(family, "_times_Xinv", wrapped)
 
     def test_guard_refuses_an_entry_beyond_the_bound(self, monkeypatch):
         # The bad entry sits in the middle slice of three, whose word the

@@ -2,6 +2,7 @@ import ast
 import pathlib
 
 import kneadck
+import kneadck.family
 
 # The public names of the package.  A name leaves this list only with its
 # removal from the API, so a deleted function cannot quietly come back.
@@ -111,6 +112,47 @@ def test_no_indented_dumps_in_the_package():
     assert found == []
 
 
+def numpy_imports(source: str, name: str) -> list[str]:
+    """Every import of numpy in ``source`` that runs; one in the body of
+    ``if TYPE_CHECKING:`` only names types for annotations."""
+    tree = ast.parse(source, name)
+    typing_only = {
+        id(node)
+        for top in ast.walk(tree)
+        if isinstance(top, ast.If) and ast.unparse(top.test).endswith("TYPE_CHECKING")
+        for statement in top.body
+        for node in ast.walk(statement)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if id(node) not in typing_only and any(m.split(".")[0] == "numpy" for m in modules):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_scan_finds_every_numpy_import_that_runs():
+    source = "import numpy as np\nfrom numpy import zeros\nimport os, numpy.linalg\n"
+    source += "from .numpy import x\nimport numpyro\nif typing.TYPE_CHECKING:\n    import numpy\n"
+    source += "if TYPE_CHECKING:\n    import numpy as np\nelse:\n    import numpy\n"
+    source += "def f():\n    import numpy\n"
+    assert numpy_imports(source, "probe") == [f"probe:{k}" for k in (1, 2, 3, 11, 13)]
+
+
+def test_only_the_family_imports_numpy():
+    # Every call that builds no matrix starts without numpy.
+    package = pathlib.Path(kneadck.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += numpy_imports(path.read_text(), path.name)
+    assert {f.split(":")[0] for f in found} == {"family.py"}
+
+
 def raises_in(source: str, function: str) -> list[int]:
     """The line of every ``raise`` in the top-level ``function`` of
     ``source``, nested blocks included; none if there is no such function."""
@@ -132,5 +174,5 @@ def test_scan_finds_every_raise_of_a_function():
 
 def test_family_stack_fails_through_one_raise():
     # Every failure of the matrix family is a row of one table.
-    source = pathlib.Path(kneadck.markov.__file__).read_text()
+    source = pathlib.Path(kneadck.family.__file__).read_text()
     assert len(raises_in(source, "_family_stack")) == 1
