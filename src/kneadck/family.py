@@ -194,9 +194,9 @@ def _stack_checks(n: int, t, runs, a):
     for b, word_runs in enumerate(runs):
         rows = theta_rows[b * n : (b + 1) * n]
         diags.append((smith_diagonal(_differenced_rows(word_runs), n - 1), smith_diagonal(rows, n)))
-    closed = [_closed_form_failures(ab, d) for ab, (d, _) in zip(a, diags)]
     expected = [sorted([ab] + [1] * (n - 1)) for ab in a]
     bridge = [tuple(map(AbelianGroup.from_diagonal, pair)) for pair in diags]
+    closed = [_closed_form_failures(ab, K0) for ab, (K0, _) in zip(a, bridge)]
 
     passed = {
         "closed_form_k0": ["closed_form_k0" not in f for f in closed],

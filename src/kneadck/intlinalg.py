@@ -6,10 +6,11 @@ its successor lists.  One elimination answers every integer question of
 the package: a cokernel is read off the diagonal, a kernel rank is its
 number of zeros, and a square matrix is unimodular exactly when its
 diagonal is all ones.  It is one sparse loop on rows stored as
-``{col: value}`` dicts, exact at any size, in which unit and non-unit
-pivots take the same step; for the package's sparse matrices nearly
-every pivot is a unit.  :mod:`kneadck.ktheory` builds its rows, and the
-successor lists, from the runs of ``A`` and the rows of ``theta``.
+``{col: value}`` dicts, exact at any size.  For the package's sparse
+matrices nearly every pivot is a unit, and a unit pivot takes a sweep of
+its own, with no division; only the rest take Euclid's floor-division
+steps.  :mod:`kneadck.ktheory` builds its rows, and the successor lists,
+from the runs of ``A`` and the rows of ``theta``.
 """
 
 from __future__ import annotations
@@ -30,26 +31,32 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
     nonempty row pivots on its first entry of least |value| in dict order,
     a +-1 if it has one.  That order makes little fill on the
     column-differenced rows of ``I - A`` (at most 4 nonzeros each), but may
-    make much more on others.  The row sweep subtracts floor multiples of
-    the pivot row ``d`` from each row of its column; rows with a nonzero
-    remainder go back on the stack above it.  Once the column is clear,
-    the column sweep reduces the pivot row mod ``d``: it drops out as one
-    factor when nothing is left beside the pivot, as for a unit, and goes
-    back on the stack otherwise.  By Newman's Euclid argument this ends:
-    after a step that emits no factor, the next row popped holds an entry
-    below ``|d|``, so the pivots strictly decrease between factors, of
-    which there are at most ``r``.  Newman's gcd/lcm exchange then puts
-    the factors into divisibility order.
+    make much more on others.  A unit pivot ``d`` clears its column by
+    subtracting ``x * d`` times the pivot row from each row holding ``x``
+    there, and the pivot row drops out as a 1.  Any other pivot takes
+    Euclid's steps: the row sweep subtracts floor multiples of the pivot
+    row from each row of its column, and rows with a nonzero remainder go
+    back on the stack above it.  Once the column is clear, the column
+    sweep reduces the pivot row mod ``d``: it drops out as one factor when
+    nothing is left beside the pivot, and goes back on the stack
+    otherwise.  Each column keeps an append-only list of the rows that
+    have held it, so a cancellation leaves the list alone: a sweep skips
+    a listed row that has since lost the column and sweeps a row listed
+    twice once.  By Newman's Euclid argument this ends: after a step that
+    emits no factor, the next row popped holds an entry below ``|d|``, so
+    the pivots strictly decrease between factors, of which there are at
+    most ``r``.  Newman's gcd/lcm exchange then puts the factors into
+    divisibility order.
     """
     r = len(rows)
-    cols: list[set[int]] = [set() for _ in range(c)]
+    cols: list[list[int]] = [[] for _ in range(c)]
     for i, R in enumerate(rows):
         for j, e in R.items():
             if type(j) is not int or not 0 <= j < c:
                 raise ValueError(f"column {j!r} of row {i} is not in range({c})")
             if type(e) is not int or not e:
                 raise ValueError(f"non-integer or zero entry {e!r} at ({i}, {j})")
-            cols[j].add(i)
+            cols[j].append(i)
 
     stack = list(range(r))
     units = 0
@@ -66,19 +73,28 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
             least = min(map(abs, P.values()))
             q = next(j for j, e in P.items() if abs(e) == least)
         d = P.pop(q)
-        Cq = cols[q]
-        Cq.discard(p)
-        # Row sweep.  The pivot is least in its own row only, so f may be 0.
+        # Row sweep.  A unit pivot clears q from each row by x*d times the
+        # pivot row, with no division, and then drops out as a 1.  Any
+        # other pivot is least in its own row only, so f may be 0; a row
+        # keeps its remainder in q, so a row listed twice is taken once.
+        # A listed row that no longer holds q, the pivot row among them,
+        # pops 0 and is skipped.
+        unit = d == 1 or d == -1
         left = []
-        for i in Cq:
+        for i in cols[q] if unit else dict.fromkeys(cols[q]):
             R = rows[i]
-            x = R.pop(q)
-            f, x = x // d, x % d
-            if x:
-                R[q] = x
-                left.append(i)
-            if not f:
+            x = R.pop(q, 0)
+            if not x:
                 continue
+            if unit:
+                f = x * d
+            else:
+                f, x = x // d, x % d
+                if x:
+                    R[q] = x
+                    left.append(i)
+                if not f:
+                    continue
             for j, e in P.items():
                 if j in R:
                     v = R[j] - f * e
@@ -86,37 +102,31 @@ def smith_diagonal(rows: list[dict[int, int]], c: int) -> tuple[int, ...]:
                         R[j] = v
                     else:
                         del R[j]
-                        cols[j].discard(i)
                 else:
                     R[j] = -f * e
-                    cols[j].add(i)
+                    cols[j].append(i)
+        if unit:
+            rows[p] = {}
+            units += 1
+            continue
         if left:
             # The remainders are smaller pivots; the column sweep waits
             # until they are gone.
             P[q] = d
-            cols[q] = {p, *left}
+            cols[q] = [p, *left]
             stack.append(p)
             stack += left
             continue
         # Column sweep: q holds only the pivot, so reducing the pivot row
         # mod d is a column operation.
-        Cq.clear()
-        kept = {}
-        for j, e in P.items():
-            if e % d:
-                kept[j] = e % d
-            else:
-                cols[j].discard(p)
+        kept = {j: e % d for j, e in P.items() if e % d}
         if not kept:
             rows[p] = {}
-            if d == 1 or d == -1:
-                units += 1
-            else:
-                factors.append(abs(d))
+            factors.append(abs(d))
             continue
         kept[q] = d
         rows[p] = kept
-        Cq.add(p)
+        cols[q] = [p]
         stack.append(p)
 
     # Newman's gcd/lcm exchange: afterwards each factor divides the next.
@@ -158,7 +168,7 @@ class AbelianGroup:
     @classmethod
     def from_diagonal(cls, diag) -> "AbelianGroup":
         """The cokernel of a square matrix, read off its Smith diagonal."""
-        return cls(sum(1 for d in diag if d == 0), tuple(d for d in diag if d >= 2))
+        return cls(diag.count(0), tuple(d for d in diag if d >= 2))
 
     def __str__(self) -> str:
         parts = []

@@ -6,9 +6,9 @@ t = 1 summed over the invariant coordinates ``theta_k = e_1 ... e_k``,
 predicting K0 = Z_a (with Z_0 = Z, Z_1 = 0) and K1 = Z exactly when a = 0;
 and the Smith-normal-form route, which reads K0 as the cokernel and K1 as
 the kernel of I - A^T over the integers.  Both checks are stated once, in
-:func:`_closed_form_failures`, on the Smith diagonal of the rows that
-:func:`_differenced_rows` builds from the runs of ones that make up the
-rows of A: (I - A) D with D unimodular.  :func:`k_groups`, given the
+:func:`_closed_form_failures`, on the cokernel read off the Smith
+diagonal of the rows that :func:`_differenced_rows` builds from the runs
+of ones that make up the rows of A: (I - A) D with D unimodular.  :func:`k_groups`, given the
 ordered orbit of :func:`~kneadck.markov.build_orbit`, raises
 :class:`TheoremViolationError` with the first one an admissible word
 fails, and reads irreducibility off the same runs, so it forms no dense
@@ -88,27 +88,32 @@ def _differenced_rows(runs) -> list[dict[int, int]]:
     rows = []
     for k, (lo, hi) in enumerate(runs):
         R = {k: 1, k + 1: -1}
-        for j, e in ((lo, -1), (hi, 1)):
-            e += R.get(j, 0)
-            if e:
-                R[j] = e
-            else:
-                del R[j]
+        e = R.get(lo, 0) - 1
+        if e:
+            R[lo] = e
+        else:
+            del R[lo]
+        e = R.get(hi, 0) + 1
+        if e:
+            R[hi] = e
+        else:
+            del R[hi]
         R.pop(c, None)
         rows.append(R)
     return rows
 
 
-def _closed_form_failures(a: int, diag) -> dict[str, str]:
-    """The closed form's checks that the Smith diagonal of I - A^T fails,
-    each with its failure text, in check order."""
+def _closed_form_failures(a: int, K0: AbelianGroup) -> dict[str, str]:
+    """The closed form's checks that K0 = coker(I - A^T), read off its
+    Smith diagonal, fails, each with its failure text, in check order.
+    The kernel rank of the square I - A^T is K0's free rank."""
     failures = {}
-    K0, expected_K0 = AbelianGroup.from_diagonal(diag), AbelianGroup.cyclic(a)
+    expected_K0 = AbelianGroup.cyclic(a)
     if K0 != expected_K0:
         failures["closed_form_k0"] = (
             f"closed form a={a} predicts K0={expected_K0}, SNF route gives {K0}"
         )
-    kr, expected_kr = diag.count(0), 1 if a == 0 else 0
+    kr, expected_kr = K0.free_rank, 1 if a == 0 else 0
     if kr != expected_kr:
         failures["k1_rank"] = f"a={a} predicts kernel rank {expected_kr}, SNF route gives {kr}"
     return failures
@@ -125,18 +130,18 @@ def k_groups(m: OrbitModel) -> KGroupReport:
     """
     a = closed_form_a(m.word)
     runs = transition_intervals(m)
-    # One Smith diagonal, of (I - A) D, gives K0 and K1; BF = coker(I - A)
-    # is K0 again, since I - A and I - A^T share a Smith form.
-    diag = smith_diagonal(_differenced_rows(runs), len(runs))
-    failures = _closed_form_failures(a, diag)
+    # One Smith diagonal, of (I - A) D, gives K0 and, as its free rank,
+    # K1; BF = coker(I - A) is K0 again, since I - A and I - A^T share a
+    # Smith form.
+    K0 = AbelianGroup.from_diagonal(smith_diagonal(_differenced_rows(runs), len(runs)))
+    failures = _closed_form_failures(a, K0)
     if m.admissible and failures:
         raise TheoremViolationError(f"{m.word}: {next(iter(failures.values()))}")
-    K0 = AbelianGroup.from_diagonal(diag)
     return KGroupReport(
         word=m.word,
         a_closed_form=a,
         K0=K0,
-        K1=AbelianGroup(diag.count(0), ()),
+        K1=AbelianGroup(K0.free_rank, ()),
         BF=K0,
         irreducible=_strongly_connected([range(*run) for run in runs]),
         admissible=m.admissible,

@@ -156,5 +156,5 @@ def transition_intervals(m: OrbitModel) -> list[tuple[int, int]]:
     for rank, orbit in enumerate(m.rho):
         pos[orbit] = rank
     image = [pos[orbit % n + 1] for orbit in m.rho]
-    return [(min(u, v), max(u, v)) for u, v in zip(image, image[1:])]
+    return [(u, v) if u < v else (v, u) for u, v in zip(image, image[1:])]
 

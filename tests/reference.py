@@ -4,7 +4,7 @@ Each one takes a different route from the code under test: the signed
 order by a direct pairwise scan instead of string keys, the determinant
 by Bareiss elimination instead of the Smith diagonal, the Smith form with
 its unimodular transforms by extended-gcd (Bezout) steps instead of the
-sparse floor-division sweeps and gcd/lcm exchange of ``smith_diagonal``,
+sparse unit and Euclid sweeps and gcd/lcm exchange of ``smith_diagonal``,
 and strong connectivity by a dense transitive closure instead of graph
 searches.  :func:`rows_of` and :func:`covering_matrix` are the dense
 adapters the package no longer has: a dense matrix as the rows that

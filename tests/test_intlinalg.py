@@ -311,6 +311,27 @@ class TestSparseUnitPass:
                 assert smith_of(M) == smith_normal_form(M).diagonal, tail
         assert beyond > 0
 
+    def test_rows_listed_twice_or_no_longer_in_the_column(self):
+        # Rows pivot last first; rows 4, 3 and 2 pivot on columns 0, 1 and
+        # 3.  Row 0 loses column 3 by cancellation at the first pivot and
+        # gets it back by fill at the second, so column 3 lists it twice
+        # when the third pivot sweeps it; row 1 loses column 3 at the first
+        # pivot and is still listed there.  Each must be swept once and only
+        # while it holds the column: row 1 keeps only a 2, whose factor must
+        # survive.
+        rows = [
+            {0: 1, 3: 1, 1: 1},
+            {0: 1, 3: 1, 4: 2},
+            {3: 1, 5: 1},
+            {1: 1, 3: 1},
+            {0: 1, 3: 1},
+        ]
+        M = np.zeros((5, 6), dtype=np.int64)
+        for i, R in enumerate(rows):
+            for j, e in R.items():
+                M[i, j] = e
+        assert smith_diagonal(rows, 6) == smith_normal_form(M).diagonal == (1, 1, 1, 1, 2)
+
     @given(sparse_matrices(st.one_of(st.sampled_from([-2, -1, 1, 2]), HUGE)))
     @settings(max_examples=150, deadline=None)
     def test_property_sparse(self, M):

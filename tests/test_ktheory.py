@@ -578,6 +578,46 @@ class TestKGroups:
             assert fed == [rows_of((eye - covering_matrix(model)) @ D)], word
             assert max(map(len, fed[0])) <= 4, word
 
+    @pytest.mark.parametrize(
+        "runs, items",
+        [
+            # Row k against c = 5: lo == hi == k (an empty run), lo == k + 1
+            # with hi == c, lo == k with hi == k + 1 (an empty row), hi == k,
+            # and hi == c == k + 1.
+            (
+                [(0, 0), (2, 5), (2, 3), (0, 3), (1, 5)],
+                [[(1, -1), (0, 1)], [(1, 1), (2, -2)], [], [(3, 2), (4, -1), (0, -1)],
+                 [(4, 1), (1, -1)]],
+            ),
+            # Empty runs off k, at k + 1 and at c; lo == k; hi == k + 1.
+            (
+                [(3, 3), (1, 4), (0, 3), (4, 4), (5, 5)],
+                [[(0, 1), (1, -1)], [(2, -1), (4, 1)], [(2, 1), (0, -1)], [(3, 1), (4, -1)],
+                 [(4, 1)]],
+            ),
+            # Every run covers every column.
+            (
+                [(0, 5)] * 5,
+                [[(1, -1)], [(1, 1), (2, -1), (0, -1)], [(2, 1), (3, -1), (0, -1)],
+                 [(3, 1), (4, -1), (0, -1)], [(4, 1), (0, -1)]],
+            ),
+        ],
+    )
+    def test_differenced_rows_of_crafted_runs(self, runs, items):
+        # Runs no word of the corpus makes, against (I - A) D of the 0-1
+        # matrix they describe.  The column order of each row, which picks
+        # the Smith loop's pivots, is pinned too: a cancelled entry that
+        # comes back goes to the end.
+        c = len(runs)
+        A = np.zeros((c, c), dtype=np.int64)
+        for k, (lo, hi) in enumerate(runs):
+            A[k, lo:hi] = 1
+        eye = np.eye(c, dtype=np.int64)
+        D = eye - np.eye(c, k=1, dtype=np.int64)
+        rows = ktheory._differenced_rows(runs)
+        assert rows == rows_of((eye - A) @ D)
+        assert [list(R.items()) for R in rows] == items
+
     def test_diagonal_is_the_certified_smith_form_of_i_minus_a_transpose(self):
         # The reference Smith form, with transforms, of I - A^T itself.
         for word in runs_corpus():

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kneadck import family
+from kneadck import family, markov
 from kneadck.family import _family_stack, _times_Xinv
 from kneadck.markov import (
     ConstructionError,
@@ -25,6 +25,7 @@ from kneadck.symbolic import (
     is_admissible,
     order_key,
     parse_word,
+    shift_keys,
 )
 
 from reference import (
@@ -241,6 +242,24 @@ class TestOrbitModel:
     def test_rejects_fixed_point(self):
         with pytest.raises(DomainError):
             build_orbit(parse_word("C"))
+
+    def test_tied_keys_are_refused_at_the_first_tie(self, monkeypatch):
+        # RLLRRC sorts as 2 < 3 < 6 < 4 < 5 < 1.  Giving point 3 the key of
+        # point 2 and point 1 the key of point 5 ties two pairs; the stable
+        # sort puts the lower orbit index first, and the refusal names the
+        # tie that comes first in spatial order.
+        real = list(shift_keys(parse_word("RLLRRC")))
+        keys = real.copy()
+        keys[2], keys[0] = real[1], real[4]
+        monkeypatch.setattr(markov, "shift_keys", lambda w: iter(keys))
+        with pytest.raises(ConstructionError) as info:
+            build_orbit(parse_word("RLLRRC"))
+        assert str(info.value) == "RLLRRC: orbit points 2 and 3 do not compare strictly"
+        # With the first tie undone, the refusal names the second one.
+        keys[2] = real[2]
+        with pytest.raises(ConstructionError) as info:
+            build_orbit(parse_word("RLLRRC"))
+        assert str(info.value) == "RLLRRC: orbit points 1 and 5 do not compare strictly"
 
     def test_inadmissible_warns_but_constructs(self):
         # Flagged by ``admissible`` alone: building the orbit warns nothing.
