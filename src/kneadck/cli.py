@@ -27,10 +27,10 @@ from itertools import chain
 
 from .dynamics import C_TOL, QuadMap, SolverError, find_superstable_mu, numeric_itinerary
 from .intlinalg import AbelianGroup
-from .ktheory import TheoremViolationError, closed_form_a, k_groups, verify
+from .ktheory import TheoremViolationError, _a_from_theta, k_groups, verify
 from .markov import ConstructionError, TheoremMatrices, build_matrices, build_orbit
-from .symbolic import _LETTER, DomainError, ParseError
-from .symbolic import enumerate_admissible, is_admissible, parse_word
+from .symbolic import DomainError, ParseError, _word_text
+from .symbolic import is_admissible, parse_word, search_admissible
 
 # Matrix selectors exposed by the matrices subcommand, in display order.
 _MATRIX_NAMES = tuple(f.name for f in dataclasses.fields(TheoremMatrices))
@@ -164,16 +164,18 @@ def _cmd_matrices(args):
 
 
 def _cmd_enumerate(args):
-    words = enumerate_admissible(args.n)
+    found = search_admissible(args.n)
     inputs = {"n": args.n, "count_only": bool(args.count_only)}
-    results = {"n": args.n, "count": len(words)}
+    results = {"n": args.n, "count": len(found)}
     text = []
     if not args.count_only:
-        results["words"] = listing = [{"word": str(w), "a": closed_form_a(w)} for w in words]
+        results["words"] = listing = [
+            {"word": _word_text(symbols), "a": _a_from_theta(theta)} for symbols, theta in found
+        ]
         # Every word has length n, so the word column needs no padding.
         if args.format == "text":
             text.extend(f"{e['word']}  a={e['a']}" for e in listing)
-    text.append(f"count: {len(words)}")
+    text.append(f"count: {len(found)}")
     return inputs, results, text, 0
 
 
@@ -208,7 +210,7 @@ def _cmd_find_mu(args):
         "mu": _real(result.mu, p),
         "residual": _real(result.residual, p),
         "word_confirmed": True,
-        "itinerary": "".join(map(_LETTER.__getitem__, result.itinerary)),
+        "itinerary": _word_text(result.itinerary),
     }
     return inputs, results, None, 0
 
@@ -236,7 +238,7 @@ def _cmd_itinerary(args):
     results = {
         "mu": _real(args.mu, p),
         "x0": _real(x0, p),
-        "itinerary": "".join(map(_LETTER.__getitem__, symbols)),
+        "itinerary": _word_text(symbols),
     }
     return inputs, results, None, 0
 

@@ -23,12 +23,10 @@ A entry by entry.  Every elimination is one call of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
 from .markov import OrbitModel, build_orbit, transition_intervals
-from .symbolic import DomainError, KneadingWord, enumerate_admissible
+from .symbolic import DomainError, KneadingWord, enumerate_admissible, invariant_coordinate
 
 #: Words per matrix-family stack in :func:`verify`.  A stack spreads
 #: numpy's per-call cost over its words; a cap keeps its arrays from
@@ -68,11 +66,18 @@ class KGroupReport:
 
 
 def closed_form_a(w: KneadingWord) -> int:
-    """Exact a = |1 + theta_1 + ... + theta_{n-1}|: its terms are the running
-    products, from 1, of the symbols before the final C."""
+    """Exact a of a word: :func:`_a_from_theta` of the invariant coordinates
+    of its symbols before the final C."""
     if w.n < 2:
         raise DomainError("closed form requires period >= 2")
-    return abs(sum(accumulate(w.symbols[:-1], mul, initial=1)))
+    return _a_from_theta(invariant_coordinate(w.symbols[:-1]))
+
+
+def _a_from_theta(theta) -> int:
+    """a = |1 + theta_1 + ... + theta_{n-1}| from the invariant coordinates
+    of a word's symbols before its C, as :func:`closed_form_a` and
+    :func:`~kneadck.symbolic.search_admissible` give them."""
+    return abs(1 + sum(theta))
 
 
 def _differenced_rows(runs) -> list[dict[int, int]]:

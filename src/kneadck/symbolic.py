@@ -18,9 +18,13 @@ The signed order is the reversed lexicographic order of the invariant
 coordinate ``theta_k = e_0 ... e_k`` (Milnor and Thurston, LNM 1342, 1988).
 So one string key per sequence, :func:`order_key`, replaces pairwise
 comparisons: the shifts of a word are sorted by keys ending at their ``C``,
-admissibility is a few string comparisons, and enumeration prunes a prefix
-once one of its shifts exceeds it.  Symbols are ints (an ``IntEnum``), so
-the per-symbol loops multiply them as they are and scan them with ``in``.
+and admissibility is a few string comparisons.  Enumeration is one depth
+first search, :func:`search_admissible`, which prunes a prefix once one of
+its shifts exceeds it and returns each admissible word's symbols with the
+invariant coordinates it computed on the way, so a listing of words and
+their ``a`` needs no word object and no second pass over the symbols.
+Symbols are ints (an ``IntEnum``), so the per-symbol loops multiply them as
+they are and scan them with ``in``.
 """
 
 from __future__ import annotations
@@ -78,7 +82,12 @@ class KneadingWord:
         return len(self.symbols)
 
     def __str__(self) -> str:
-        return "".join(map(_LETTER.__getitem__, self.symbols))
+        return _word_text(self.symbols)
+
+
+def _word_text(symbols) -> str:
+    """The letters of a symbol sequence, e.g. ``"RLLRRC"``."""
+    return "".join(map(_LETTER.__getitem__, symbols))
 
 
 def parse_word(text: str) -> KneadingWord:
@@ -163,35 +172,52 @@ def is_admissible(w: KneadingWord) -> bool:
     return all(k <= word for k in keys)
 
 
-def enumerate_admissible(n: int) -> list[KneadingWord]:
-    """All admissible words of length ``n``, in lexicographic text order.
+def search_admissible(n: int) -> list[tuple[tuple[Symbol, ...], tuple[int, ...]]]:
+    """The admissible words of length ``n`` in lexicographic text order, each
+    as its symbols and the invariant coordinates of the symbols before its C.
 
     An admissible word begins with R: the first critical image is the orbit
     maximum, and a word beginning with L is exceeded by its shift that
     starts with R (or with C, which also beats L).  The free positions
     between that R and the final C are filled depth first, L before R, so
-    the words come out in text order.  Along the way the generator keeps
-    the invariant coordinates of the prefix and the shifts whose
-    coordinates so far equal the word's.  A prefix is dropped as soon as
-    one of those tied shifts exceeds it, and a shift leaves the tie once it
-    falls below.  The final C gives each tied shift i the coordinate 0
-    against the word's ``theta_{n-1-i}``, so it exceeds the word exactly
-    when that coordinate is +1.
+    the words come out in text order.  Along the way the search keeps the
+    invariant coordinates of the prefix and the shifts whose coordinates
+    so far equal the word's.  A prefix is dropped as soon as one of those
+    tied shifts exceeds it, and a shift leaves the tie once it falls below.
+    The final C gives each tied shift i the coordinate 0 against the word's
+    ``theta_{n-1-i}``, so it exceeds the word exactly when that coordinate
+    is +1.  A prefix one symbol short of the C decides its two words in
+    place, L before R, instead of pushing them as frames.  The search
+    returns a list, not a generator, so a caller's timing of it is the
+    search's own.
     """
     if n < 2:
         raise DomainError("enumeration is defined for period >= 2")
     R, L, C = Symbol.R, Symbol.L, Symbol.C
+    if n == 2:
+        return [((R, C), (-1,))]
     last = n - 1
-    words = []
+    found = []
     # Frames: (prefix, its invariant coordinates, tied shifts).  R is
     # pushed before L so that L is popped, and extended, first.
     stack = [((R,), (-1,), ())]
     while stack:
         prefix, theta, tied = stack.pop()
         m = len(prefix)
-        if m == last:
-            if all([theta[last - i] < 0 for i in tied]):
-                words.append(KneadingWord(prefix + (C,)))
+        if m == last - 1:
+            # Each of the two words is decided here: a tied shift i now
+            # meets the C against the word's coordinate last - i.
+            for s in (L, R):
+                t = theta[-1] * s
+                coords = theta + (t,)
+                for i in tied:
+                    c = theta[i - 1] * t
+                    if c < theta[m - i] or c == theta[m - i] and coords[last - i] > 0:
+                        break
+                else:
+                    # Shift m, tied on its R, then meets the C against theta_1.
+                    if s is L or coords[1] < 0:
+                        found.append((prefix + (s, C), coords))
             continue
         for s in (R, L):
             t = theta[-1] * s
@@ -209,4 +235,10 @@ def enumerate_admissible(n: int) -> list[KneadingWord]:
                 if s is R:
                     still.append(m)
                 stack.append((prefix + (s,), theta + (t,), still))
-    return words
+    return found
+
+
+def enumerate_admissible(n: int) -> list[KneadingWord]:
+    """All admissible words of length ``n``, in lexicographic text order: one
+    :class:`KneadingWord` per word that :func:`search_admissible` finds."""
+    return [KneadingWord(symbols) for symbols, _ in search_admissible(n)]

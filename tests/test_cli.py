@@ -16,11 +16,13 @@ import kneadck.markov
 import kneadck.symbolic
 from kneadck.cli import _group_payload, _machine_json, main
 from kneadck.intlinalg import AbelianGroup
+from kneadck.ktheory import closed_form_a
 from kneadck.markov import TheoremMatrices, build_orbit
-from kneadck.symbolic import is_admissible, parse_word
+from kneadck.symbolic import KneadingWord, enumerate_admissible, is_admissible, parse_word
 
 from reference import covering_matrix
 from test_ktheory import random_word
+from test_symbolic import a000048
 
 
 def run(capsys, argv):
@@ -281,6 +283,59 @@ class TestEnumerateCommand:
             "count": 1,
             "words": [{"word": "RLC", "a": 1}],
         }
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_listing_is_each_words_text_and_closed_form(self, capsys, n):
+        code, doc, _ = run_machine(capsys, ["enumerate", str(n)])
+        assert code == 0
+        assert doc["results"]["words"] == [
+            {"word": str(w), "a": closed_form_a(w)} for w in enumerate_admissible(n)
+        ]
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_count_only_reads_a000048(self, capsys, n):
+        code, out, _ = run(capsys, ["enumerate", str(n), "--count-only"])
+        assert (code, out) == (0, f"count: {a000048(n)}\n")
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Counts the calls of the admissibility search, wherever a module of the
+    package binds it, and the :class:`KneadingWord` objects built."""
+    counts = {"search": 0, "words": 0}
+    search = kneadck.symbolic.search_admissible
+    post_init = KneadingWord.__post_init__
+
+    def counted_search(n):
+        counts["search"] += 1
+        return search(n)
+
+    def counted_post_init(self):
+        counts["words"] += 1
+        post_init(self)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "search_admissible", None)
+        if name.partition(".")[0] == "kneadck" and bound is search:
+            monkeypatch.setattr(module, "search_admissible", counted_search)
+    monkeypatch.setattr(KneadingWord, "__post_init__", counted_post_init)
+    return counts
+
+
+class TestEnumerateWork:
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--format", "machine"], ["--count-only"]],
+        ids=["text", "machine", "count-only"],
+    )
+    def test_one_search_and_no_word_objects(self, capsys, spies, flags):
+        code, out, _ = run(capsys, ["enumerate", "9", *flags])
+        assert code == 0 and out
+        assert spies == {"search": 1, "words": 0}
+
+    def test_enumerate_admissible_searches_once(self, spies):
+        words = kneadck.symbolic.enumerate_admissible(9)
+        assert spies == {"search": 1, "words": len(words)}
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from collections.abc import Iterator
@@ -5,6 +6,7 @@ from collections.abc import Iterator
 import pytest
 from hypothesis import given, strategies as st
 
+import kneadck.symbolic
 from kneadck.dynamics import QuadMap, numeric_itinerary
 from kneadck.symbolic import (
     DomainError,
@@ -16,6 +18,7 @@ from kneadck.symbolic import (
     is_admissible,
     order_key,
     parse_word,
+    search_admissible,
     shift_keys,
 )
 
@@ -370,6 +373,27 @@ class TestEnumeration:
     def test_too_short(self):
         with pytest.raises(DomainError):
             enumerate_admissible(1)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_search_too_short(self, n):
+        with pytest.raises(DomainError):
+            search_admissible(n)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_search_gives_coordinates_before_the_c(self, n):
+        assert all(
+            theta == invariant_coordinate(symbols[:-1]) for symbols, theta in search_admissible(n)
+        )
+
+    def test_search_is_a_public_list(self):
+        # The bench tracer wraps public functions and closes a span when a
+        # call returns: a generator would leave the search's time to its
+        # caller, and a private name would hide it.
+        assert kneadck.symbolic.search_admissible is search_admissible
+        assert search_admissible.__module__ == kneadck.symbolic.__name__
+        assert not search_admissible.__name__.startswith("_")
+        assert not inspect.isgeneratorfunction(search_admissible)
+        assert type(search_admissible(6)) is list
 
     @given(st.integers(0, 36))
     def test_parse_round_trip(self, i):
