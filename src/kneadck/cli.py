@@ -54,13 +54,16 @@ def _group_payload(g: AbelianGroup) -> dict:
 _FLAT = json.JSONEncoder(separators=("\0", ": "))
 _SCALARS = (str, int, float, type(None))
 _SCALAR_TYPES = {*_SCALARS, bool}  # exact types, so a container's set of them is built in C
+_ENCODABLE = (dict, list, tuple, *_SCALARS)
 
 
 def _machine_json(o, indent: str = "\n") -> str:
     """``json.dumps(o, indent=2, default=_group_payload)``, byte for byte, for
     str keys.  Python walks down to containers of scalars, and to lists of
     them, and writes each with one C-encoder call."""
-    if not isinstance(o, (dict, list, tuple, *_SCALARS)):
+    if type(o) in _SCALAR_TYPES:
+        return _FLAT.encode(o)
+    if not isinstance(o, _ENCODABLE):
         return _machine_json(_group_payload(o), indent)
     if isinstance(o, _SCALARS) or not o:
         return _FLAT.encode(o)
@@ -108,6 +111,16 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError("must be a positive integer")
 
 
+def _precision(text: str) -> int:
+    """A positive number of significant digits that ``format`` accepts."""
+    value = _positive_int(text)
+    try:
+        format(0.0, f".{value}g")
+    except ValueError:
+        raise argparse.ArgumentTypeError("too many digits to format a real with") from None
+    return value
+
+
 def _orbit_with_force_gate(args, what: str):
     """The ordered orbit of ``args.word``, refusing period 1 and, without
     ``--force``, inadmissible words."""
@@ -123,9 +136,10 @@ def _orbit_with_force_gate(args, what: str):
 def _cmd_kgroups(args):
     report = k_groups(_orbit_with_force_gate(args, "K-group computation"))
     word = report.word
-    inputs = {"word": str(word), "force": bool(args.force)}
+    spelled = str(word)
+    inputs = {"word": spelled, "force": bool(args.force)}
     results = {
-        "word": str(word),
+        "word": spelled,
         "n": word.n,
         "admissible": report.admissible,
         "a": report.a_closed_form,
@@ -150,10 +164,11 @@ def _cmd_matrices(args):
                     f"unknown matrix name {name!r}; choose from {', '.join(_MATRIX_NAMES)}"
                 )
     mats = build_matrices(model)
-    inputs = {"word": str(word), "which": which, "force": bool(args.force)}
-    results = {"word": str(word), "n": word.n, "admissible": model.admissible}
+    spelled = str(word)
+    inputs = {"word": spelled, "which": which, "force": bool(args.force)}
+    results = {"word": spelled, "n": word.n, "admissible": model.admissible}
     # Each format reads the matrices in its own shape; only the chosen one is assembled.
-    text = [f"word: {word}"]
+    text = [f"word: {spelled}"]
     if args.format == "machine":
         results["matrices"] = {name: _matrix_payload(getattr(mats, name)) for name in which}
     else:
@@ -170,7 +185,7 @@ def _cmd_enumerate(args):
     text = []
     if not args.count_only:
         results["words"] = listing = [
-            {"word": _word_text(symbols), "a": _a_from_theta(theta)} for symbols, theta in found
+            {"word": word, "a": _a_from_theta(theta)} for word, theta in found
         ]
         # Every word has length n, so the word column needs no padding.
         if args.format == "text":
@@ -203,10 +218,11 @@ def _cmd_find_mu(args):
     word = parse_word(args.word)
     result = find_superstable_mu(word)
     p = args.precision
-    inputs = {"word": str(word)}
+    spelled = str(word)
+    inputs = {"word": spelled}
     # find_superstable_mu raises unless its itinerary confirms the word.
     results = {
-        "word": str(word),
+        "word": spelled,
         "mu": _real(result.mu, p),
         "residual": _real(result.residual, p),
         "word_confirmed": True,
@@ -218,9 +234,10 @@ def _cmd_find_mu(args):
 def _cmd_admissible(args):
     word = parse_word(args.word)
     admissible = is_admissible(word)
-    inputs = {"word": str(word)}
-    results = {"word": str(word), "n": word.n, "admissible": admissible}
-    text = [f"{word}: {'admissible' if admissible else 'not admissible'}"]
+    spelled = str(word)
+    inputs = {"word": spelled}
+    results = {"word": spelled, "n": word.n, "admissible": admissible}
+    text = [f"{spelled}: {'admissible' if admissible else 'not admissible'}"]
     return inputs, results, text, 0
 
 
@@ -255,7 +272,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--precision",
-        type=_positive_int,
+        type=_precision,
         metavar="N",
         default=argparse.SUPPRESS if suppress else 10,
         help="significant digits for real numbers (default: 10)",

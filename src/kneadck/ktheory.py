@@ -75,8 +75,9 @@ def closed_form_a(w: KneadingWord) -> int:
 
 def _a_from_theta(theta) -> int:
     """a = |1 + theta_1 + ... + theta_{n-1}| from the invariant coordinates
-    of a word's symbols before its C, as :func:`closed_form_a` and
-    :func:`~kneadck.symbolic.search_admissible` give them."""
+    of a word's symbols before its C, as :func:`closed_form_a` computes them
+    and :func:`~kneadck.symbolic.search_admissible` gives them beside each
+    word's text."""
     return abs(1 + sum(theta))
 
 

@@ -20,9 +20,9 @@ So one string key per sequence, :func:`order_key`, replaces pairwise
 comparisons: the shifts of a word are sorted by keys ending at their ``C``,
 and admissibility is a few string comparisons.  Enumeration is one depth
 first search, :func:`search_admissible`, which prunes a prefix once one of
-its shifts exceeds it and returns each admissible word's symbols with the
+its shifts exceeds it and returns each admissible word's text with the
 invariant coordinates it computed on the way, so a listing of words and
-their ``a`` needs no word object and no second pass over the symbols.
+their ``a`` needs no word object and no second pass to spell the words.
 Symbols are ints (an ``IntEnum``), so the per-symbol loops multiply them as
 they are and scan them with ``in``.
 """
@@ -172,42 +172,42 @@ def is_admissible(w: KneadingWord) -> bool:
     return all(k <= word for k in keys)
 
 
-def search_admissible(n: int) -> list[tuple[tuple[Symbol, ...], tuple[int, ...]]]:
+def search_admissible(n: int) -> list[tuple[str, tuple[int, ...]]]:
     """The admissible words of length ``n`` in lexicographic text order, each
-    as its symbols and the invariant coordinates of the symbols before its C.
+    as its text and the invariant coordinates of the symbols before its C.
 
     An admissible word begins with R: the first critical image is the orbit
     maximum, and a word beginning with L is exceeded by its shift that
     starts with R (or with C, which also beats L).  The free positions
     between that R and the final C are filled depth first, L before R, so
     the words come out in text order.  Along the way the search keeps the
-    invariant coordinates of the prefix and the shifts whose coordinates
-    so far equal the word's.  A prefix is dropped as soon as one of those
-    tied shifts exceeds it, and a shift leaves the tie once it falls below.
-    The final C gives each tied shift i the coordinate 0 against the word's
-    ``theta_{n-1-i}``, so it exceeds the word exactly when that coordinate
-    is +1.  A prefix one symbol short of the C decides its two words in
-    place, L before R, instead of pushing them as frames.  The search
-    returns a list, not a generator, so a caller's timing of it is the
-    search's own.
+    text and the invariant coordinates of the prefix and the shifts whose
+    coordinates so far equal the word's.  A prefix is dropped as soon as
+    one of those tied shifts exceeds it, and a shift leaves the tie once it
+    falls below.  The final C gives each tied shift i the coordinate 0
+    against the word's ``theta_{n-1-i}``, so it exceeds the word exactly
+    when that coordinate is +1.  A prefix one symbol short of the C decides
+    its two words in place, L before R, instead of pushing them as frames.
+    The search returns a list, not a generator, so a caller's timing of it
+    is the search's own.
     """
     if n < 2:
         raise DomainError("enumeration is defined for period >= 2")
-    R, L, C = Symbol.R, Symbol.L, Symbol.C
     if n == 2:
-        return [((R, C), (-1,))]
+        return [("RC", (-1,))]
     last = n - 1
     found = []
-    # Frames: (prefix, its invariant coordinates, tied shifts).  R is
-    # pushed before L so that L is popped, and extended, first.
-    stack = [((R,), (-1,), ())]
+    # Frames: (text of the prefix, its invariant coordinates, tied shifts).
+    # R is pushed before L so that L is popped, and extended, first.  The
+    # symbol values are plain ints: R is -1 and L is +1.
+    stack = [("R", (-1,), ())]
     while stack:
         prefix, theta, tied = stack.pop()
         m = len(prefix)
         if m == last - 1:
             # Each of the two words is decided here: a tied shift i now
             # meets the C against the word's coordinate last - i.
-            for s in (L, R):
+            for s, ending in ((1, "LC"), (-1, "RC")):
                 t = theta[-1] * s
                 coords = theta + (t,)
                 for i in tied:
@@ -216,10 +216,10 @@ def search_admissible(n: int) -> list[tuple[tuple[Symbol, ...], tuple[int, ...]]
                         break
                 else:
                     # Shift m, tied on its R, then meets the C against theta_1.
-                    if s is L or coords[1] < 0:
-                        found.append((prefix + (s, C), coords))
+                    if s > 0 or coords[1] < 0:
+                        found.append((prefix + ending, coords))
             continue
-        for s in (R, L):
+        for s, letter in ((-1, "R"), (1, "L")):
             t = theta[-1] * s
             still = []
             for i in tied:
@@ -232,13 +232,15 @@ def search_admissible(n: int) -> list[tuple[tuple[Symbol, ...], tuple[int, ...]]
                     still.append(i)
             else:
                 # Shift m starts with s against the word's R: tied iff s is R.
-                if s is R:
+                if s < 0:
                     still.append(m)
-                stack.append((prefix + (s,), theta + (t,), still))
+                stack.append((prefix + letter, theta + (t,), still))
     return found
 
 
 def enumerate_admissible(n: int) -> list[KneadingWord]:
     """All admissible words of length ``n``, in lexicographic text order: one
-    :class:`KneadingWord` per word that :func:`search_admissible` finds."""
-    return [KneadingWord(symbols) for symbols, _ in search_admissible(n)]
+    :class:`KneadingWord` per word that :func:`search_admissible` finds,
+    read from its text through the parse table."""
+    symbol = _TOKENS.__getitem__
+    return [KneadingWord(tuple(map(symbol, text))) for text, _ in search_admissible(n)]

@@ -18,7 +18,7 @@ from kneadck.cli import _group_payload, _machine_json, main
 from kneadck.intlinalg import AbelianGroup
 from kneadck.ktheory import closed_form_a
 from kneadck.markov import TheoremMatrices, build_orbit
-from kneadck.symbolic import KneadingWord, enumerate_admissible, is_admissible, parse_word
+from kneadck.symbolic import KneadingWord, Symbol, enumerate_admissible, is_admissible, parse_word
 
 from reference import covering_matrix
 from test_ktheory import random_word
@@ -109,6 +109,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a positive integer" in err
         assert "_positive_int" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["find-mu", "RLC"], ["itinerary", "--mu", "3.5"]],
+        ids=["find-mu", "itinerary"],
+    )
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("value", [str(2**31), str(10**30)])
+    def test_precision_beyond_format(self, capsys, argv, before, value):
+        # format() refuses these precisions; the flag does too, before any work.
+        flag = ["--precision", value]
+        with pytest.raises(SystemExit) as exc:
+            main([*flag, *argv] if before else [*argv, *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --precision: too many digits" in err
+        assert "_precision" not in err and "Traceback" not in err
+
+    def test_largest_precision_format_accepts(self, capsys):
+        code, out, _ = run(capsys, ["itinerary", "--mu", "3.5", "--precision", str(2**31 - 1)])
+        assert code == 0
+        assert out.startswith("mu: 3.5\nx0: 0.875\n")
 
     def test_enumerate_domain_error(self, capsys):
         code, _, err = run(capsys, ["enumerate", "1"])
@@ -600,6 +622,13 @@ class TestMachineJson:
     @given(TREES)
     def test_equals_json_dumps(self, tree):
         assert _machine_json(tree) == json.dumps(tree, indent=2, default=_group_payload)
+
+    def test_scalar_subclasses(self):
+        # Only exact scalar types take the early return; an int subclass
+        # such as a Symbol is still written as json.dumps writes it.
+        tree = {"s": Symbol.R, "t": [Symbol.L, True], "u": Symbol.C, "v": 2**70}
+        assert _machine_json(tree) == json.dumps(tree, indent=2)
+        assert _machine_json(Symbol.R) == json.dumps(Symbol.R) == "-1"
 
     def test_lists_of_leaves_at_depth(self):
         tree = {"a": [{"w": "]\0{", "x": 1}, {"w": "}", "x": None}], "b": [[1, 2], [3], ()], "c": {}}

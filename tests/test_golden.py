@@ -50,6 +50,14 @@ ENUMERATE_14 = {
     "machine": "b8d6f09e6a97dbf8b03337101c443d204adca6f8483869719a0593817b81806a",
 }
 
+# enumerate 18 (7,280 words, the largest census size) per argument list,
+# hashed before the search spelled its words as text.
+ENUMERATE_18 = {
+    ("--format", "text"): "05971539d342dbcb3674c842ddf2aa69283e2b3919cf9efaa6dccd2186950a6c",
+    ("--format", "machine"): "0b28952a739f19b9bcd6b354dd00f927a2bed65c2e0cafef0e2ed6c57aa84023",
+    ("--count-only",): "6a34486e16b1d0182e4794822552e9155bc46f8441ef394aae0115e98f38ba55",
+}
+
 # matrices W --format machine over every admissible word of the period,
 # concatenated in enumeration order.
 MATRICES_BY_PERIOD = {
@@ -236,6 +244,11 @@ def test_verify_12(fmt):
 @pytest.mark.parametrize("fmt", sorted(ENUMERATE_14))
 def test_enumerate_14(fmt):
     assert sha256(output(["enumerate", "14", "--format", fmt])) == ENUMERATE_14[fmt]
+
+
+@pytest.mark.parametrize("flags", list(ENUMERATE_18), ids=" ".join)
+def test_enumerate_18(flags):
+    assert sha256(output(["enumerate", "18", *flags])) == ENUMERATE_18[flags]
 
 
 @pytest.mark.parametrize("n", sorted(MATRICES_BY_PERIOD))

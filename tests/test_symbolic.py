@@ -381,8 +381,13 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_search_gives_coordinates_before_the_c(self, n):
+        found = search_admissible(n)
+        texts = [text for text, _ in found]
+        assert all(type(text) is str and len(text) == n for text in texts)
+        assert all(a < b for a, b in zip(texts, texts[1:]))
+        assert texts == [str(w) for w in enumerate_admissible(n)]
         assert all(
-            theta == invariant_coordinate(symbols[:-1]) for symbols, theta in search_admissible(n)
+            theta == invariant_coordinate(parse_word(text).symbols[:-1]) for text, theta in found
         )
 
     def test_search_is_a_public_list(self):
