@@ -50,8 +50,9 @@ def _group_payload(g: AbelianGroup) -> dict:
 
 
 # Writes containers flat with "\0" between items; ``ensure_ascii`` escapes a
-# "\0" inside a string, so every raw "\0" is a separator to re-indent.
-_FLAT = json.JSONEncoder(separators=("\0", ": "))
+# "\0" inside a string, so every raw "\0" is a separator to re-indent.  The
+# documents are fresh trees, so the circular-reference walk is left out.
+_FLAT = json.JSONEncoder(separators=("\0", ": "), check_circular=False)
 _SCALARS = (str, int, float, type(None))
 _SCALAR_TYPES = {*_SCALARS, bool}  # exact types, so a container's set of them is built in C
 _ENCODABLE = (dict, list, tuple, *_SCALARS)

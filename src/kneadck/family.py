@@ -160,15 +160,15 @@ def _family_stack(models) -> TheoremMatrices:
     return TheoremMatrices(*family)
 
 
-
 def _stack_checks(n: int, t, runs, a):
     """The nine checks of :func:`verify` on one stack of words of period n.
 
     ``t`` is the family stack, and ``runs[b]`` and ``a[b]`` are the runs of
     ``transition_intervals`` and the closed form of word b.  Returns
-    ``(passed, details)``: ``passed[name]`` lists one bool per word, in
-    ``_CHECKS`` order, and ``details[name](b)`` builds the failure text of
-    word b.  Per word run two Smith eliminations, of the rows of
+    ``(passed, details)``: ``passed`` names all nine checks in scoring
+    order, each with one bool per word, or ``None`` where the check does
+    not apply to the period, and ``details[name](b)`` builds the failure
+    text of word b.  Per word run two Smith eliminations, of the rows of
     ``(I - A) D`` built from the runs and of ``I - theta``; the bridge
     reuses the first, since once ``construction_equivalence`` holds its
     diagonal is the Smith form of ``I - t.A[b]``.  The checks on the
@@ -176,8 +176,8 @@ def _stack_checks(n: int, t, runs, a):
     ``eta theta`` is theta's row ``rank[k + 1]`` less row ``rank[k]``,
     where ``rank`` (``rho - 1``) is read off ``t.eta``.  The covering
     matrices of the runs are one stack, 1 exactly on ``lo <= j < hi`` in
-    row k.  For n = 2 the table has no ``not_permutation`` row, which
-    :func:`verify` records as a skip.
+    row k.  For n = 2 ``not_permutation`` is ``None``: the single-interval
+    partition forces A = [[1]], and :func:`verify` records the skip.
     """
     stack = np.arange(len(runs))[:, None]
     rank = np.concatenate([t.eta.argmin(axis=2), t.eta[:, -1:].argmax(axis=2)], axis=1)
@@ -198,6 +198,7 @@ def _stack_checks(n: int, t, runs, a):
     bridge = [tuple(map(AbelianGroup.from_diagonal, pair)) for pair in diags]
     closed = [_closed_form_failures(ab, K0) for ab, (K0, _) in zip(a, bridge)]
 
+    permutation = (cover.sum(axis=2) == 1).all(axis=1) & (cover.sum(axis=1) == 1).all(axis=1)
     passed = {
         "closed_form_k0": ["closed_form_k0" not in f for f in closed],
         "k1_rank": ["k1_rank" not in f for f in closed],
@@ -209,6 +210,11 @@ def _stack_checks(n: int, t, runs, a):
         "cokernel_bridge": [lhs == rhs for lhs, rhs in bridge],
         # A zero row of A is an empty run, a zero column one no run covers.
         "zero_rows_cols": cover.any(axis=2).all(axis=1) & cover.any(axis=1).all(axis=1),
+        # For n >= 3 the two intervals adjacent to the turning point map
+        # onto spans sharing the top interval, so A cannot be a
+        # permutation matrix.  The covering A is 0-1, so one nonzero per
+        # row and column decides it.
+        "not_permutation": ~permutation if n > 2 else None,
     }
     details = {
         "closed_form_k0": lambda b: closed[b]["closed_form_k0"],
@@ -223,15 +229,7 @@ def _stack_checks(n: int, t, runs, a):
         "zero_rows_cols": lambda b: _zero_rows_cols_detail(n, runs[b]),
         "not_permutation": lambda b: f"A is a permutation matrix: runs {runs[b]}",
     }
-    if n > 2:
-        # For n >= 3 the two intervals adjacent to the turning point map
-        # onto spans sharing the top interval, so A cannot be a
-        # permutation matrix.  The covering A is 0-1, so one nonzero per
-        # row and column decides it.
-        passed["not_permutation"] = ~(
-            (cover.sum(axis=2) == 1).all(axis=1) & (cover.sum(axis=1) == 1).all(axis=1)
-        )
-    return {name: np.asarray(ok).tolist() for name, ok in passed.items()}, details
+    return {k: ok if ok is None else np.asarray(ok).tolist() for k, ok in passed.items()}, details
 
 
 def _zero_rows_cols_detail(n: int, runs) -> str:

@@ -26,26 +26,12 @@ from dataclasses import dataclass
 
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
 from .markov import OrbitModel, build_orbit, transition_intervals
-from .symbolic import DomainError, KneadingWord, enumerate_admissible, invariant_coordinate
+from .symbolic import _TOKENS, DomainError, KneadingWord, invariant_coordinate, search_admissible
 
 #: Words per matrix-family stack in :func:`verify`.  A stack spreads
 #: numpy's per-call cost over its words; a cap keeps its arrays from
 #: growing with the number of words of a period.
 _STACK = 32
-
-
-#: The checks :func:`verify` scores, in the order it runs them per word.
-_CHECKS = (
-    "closed_form_k0",
-    "k1_rank",
-    "identity_A_eta",
-    "block_form",
-    "construction_equivalence",
-    "snf_multiset",
-    "cokernel_bridge",
-    "zero_rows_cols",
-    "not_permutation",
-)
 
 
 class TheoremViolationError(RuntimeError):
@@ -178,10 +164,14 @@ def verify(n_max: int) -> VerifyReport:
     The family is built as stacks of up to ``_STACK`` (32) words of one
     period (see :func:`~kneadck.markov.build_matrices`), and all nine
     checks of a stack, its two Smith eliminations per word included, come
-    from one table (see :func:`~kneadck.family._stack_checks`).  Every
-    word still gets every check; counts are added per stack, and failure
-    texts are built only for failing words, in word-then-check order.
-    One INFO record per period goes to this module's logger.
+    from one table (see :func:`~kneadck.family._stack_checks`).  That
+    table is the one list of the checks: it orders ``checks`` and each
+    word's violations, and its ``None`` entry, ``not_permutation`` at
+    period 2, is recorded as a skip of the stack's words.  Counts are added
+    per stack, and failure texts are built only for failing words.  Each
+    word's text and invariant coordinates are read once, from
+    :func:`~kneadck.symbolic.search_admissible`.  One INFO record per
+    period goes to this module's logger.
     """
     import logging  # only verify logs; a deferred import keeps it off start-up
 
@@ -189,7 +179,7 @@ def verify(n_max: int) -> VerifyReport:
 
     if n_max < 2:
         raise DomainError("verification sweep requires n_max >= 2")
-    counts = dict.fromkeys(_CHECKS, 0)
+    counts: dict[str, int] = {}
     skipped: dict[str, list[str]] = {}
     violations: list[dict] = []
     words_checked = 0
@@ -199,27 +189,27 @@ def verify(n_max: int) -> VerifyReport:
     # from n = 8 on, have strongly connected matrices.
     a_zero = {"reducible": [], "irreducible": []}
 
+    symbol = _TOKENS.__getitem__
     for n in range(2, n_max + 1):
-        words = enumerate_admissible(n)
-        for start in range(0, len(words), _STACK):
-            models = [build_orbit(word) for word in words[start : start + _STACK]]
+        found = search_admissible(n)
+        for start in range(0, len(found), _STACK):
+            texts, thetas = zip(*found[start : start + _STACK])
+            models = [build_orbit(KneadingWord(tuple(map(symbol, text)))) for text in texts]
             t = _family_stack(models)
             runs = [transition_intervals(model) for model in models]
-            a = [closed_form_a(model.word) for model in models]
+            a = [_a_from_theta(theta) for theta in thetas]
             passed, details = _stack_checks(n, t, runs, a)
             for name, ok in passed.items():
-                counts[name] += sum(ok)
+                counts[name] = counts.get(name, 0) + sum(ok or ())
+                if ok is None:
+                    skipped.setdefault(name, []).extend(texts)
             words_checked += len(models)
-            if "not_permutation" not in passed:
-                # The single-interval partition forces A = [[1]].
-                skipped.setdefault("not_permutation", []).extend(str(m.word) for m in models)
 
-            for b, model in enumerate(models):
-                word = str(model.word)
+            for b, word in enumerate(texts):
                 violations.extend(
                     {"word": word, "check": name, "detail": details[name](b)}
                     for name, ok in passed.items()
-                    if not ok[b]
+                    if ok is not None and not ok[b]
                 )
                 if a[b] == 0:
                     irreducible = _strongly_connected([range(*run) for run in runs[b]])

@@ -43,6 +43,13 @@ VERIFY_12 = {
     "machine": "79e691d7f995877b5f28c3b03c72b4d4d9aab65883c7b03beed8684f6b5d6245",
 }
 
+# verify 14 per format, hashed before verify read its words from the
+# search.  Periods 13 and 14 span 10 and 19 stacks of 32 words.
+VERIFY_14 = {
+    "text": "4281bdef8a919a1d18a81e6472a47a4e5be59f2a68502eddd7a057348797c25b",
+    "machine": "87e215cd1404a52495451be0341c6512413ed4c83a844b7ec70cfb5ca2743ae3",
+}
+
 # enumerate 14, hashed before enumeration moved from filtering every
 # candidate to pruned generation.
 ENUMERATE_14 = {
@@ -239,6 +246,11 @@ def test_verify_10(fmt):
 @pytest.mark.parametrize("fmt", sorted(VERIFY_12))
 def test_verify_12(fmt):
     assert sha256(output(["verify", "12", "--format", fmt])) == VERIFY_12[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_14))
+def test_verify_14(fmt):
+    assert sha256(output(["verify", "14", "--format", fmt])) == VERIFY_14[fmt]
 
 
 @pytest.mark.parametrize("fmt", sorted(ENUMERATE_14))

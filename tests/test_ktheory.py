@@ -277,6 +277,18 @@ class TestKGroups:
         assert report.words_checked == 37
         assert sorted(calls) == sorted(str(w) for w in all_words(8))
 
+    def test_verify_reads_each_word_once(self, monkeypatch):
+        # Each word's text and a come from the search's entries: verify
+        # spells no word again and recomputes no closed form.
+        expected = ktheory.verify(10)
+
+        def refuse(*args):
+            raise AssertionError("verify read a word a second time")
+
+        monkeypatch.setattr(ktheory, "closed_form_a", refuse)
+        monkeypatch.setattr(symbolic, "_word_text", refuse)
+        assert ktheory.verify(10) == expected
+
     def test_verify_stacks_words_and_never_builds_one(self, monkeypatch):
         calls = []
         stack = family._family_stack

@@ -153,6 +153,49 @@ def test_only_the_family_imports_numpy():
     assert {f.split(":")[0] for f in found} == {"family.py"}
 
 
+# The checks verify scores on the matrix family, listed once: in the table
+# of family._stack_checks.  closed_form_k0 and k1_rank are left out; they
+# are the keys of ktheory._closed_form_failures, which k_groups shares.
+FAMILY_CHECKS = {
+    "identity_A_eta",
+    "block_form",
+    "construction_equivalence",
+    "snf_multiset",
+    "cokernel_bridge",
+    "zero_rows_cols",
+    "not_permutation",
+}
+
+
+def check_names(source: str, name: str) -> list[str]:
+    """Every string constant in ``source`` equal to a name of
+    ``FAMILY_CHECKS``, in line order."""
+    found = [
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source, name))
+        if isinstance(node, ast.Constant) and node.value in FAMILY_CHECKS
+    ]
+    return [f"{name}:{line}: {value}" for line, value in sorted(found)]
+
+
+def test_scan_finds_every_check_name():
+    source = 'passed = {"block_form": ok}\nif "not_permutation" not in passed:\n    pass\n'
+    source += 'def f():\n    """Scores block_form."""\n    return ("k1_rank", "snf_multiset")\n'
+    assert check_names(source, "probe") == [
+        "probe:1: block_form", "probe:2: not_permutation", "probe:6: snf_multiset",
+    ]
+
+
+def test_family_checks_are_named_in_the_family_only():
+    # verify and every other module read the names off the family's table.
+    package = pathlib.Path(kneadck.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += check_names(path.read_text(), path.name)
+    assert {f.split(":")[0] for f in found} == {"family.py"}
+    assert {f.split(": ")[1] for f in found} == FAMILY_CHECKS
+
+
 def raises_in(source: str, function: str) -> list[int]:
     """The line of every ``raise`` in the top-level ``function`` of
     ``source``, nested blocks included; none if there is no such function."""
