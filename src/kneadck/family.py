@@ -1,256 +1,264 @@
-"""The matrix family as stacks of dense ``int64`` arrays; no other module imports numpy.
+"""The matrix family of one word in run form, and its dense spelling.
 
-The family is built as stacks, one slice per word, for any number of
-words of one period (see :func:`_family_stack`); one word's family is
-the one-slice stack.  The matrices are ``np.int64`` arrays with entries
-in {-1, 0, 1}.  Every factor is a permutation, a signed diagonal, a
-bidiagonal or a matrix of running sums, so no matrix product is formed:
-each product of the construction is an index map on the stack, a
-gather, a difference or a running sum, in O(n^2) per word.  The largest
-value any step computes is a running sum of at most n entries of size
-at most 2, so nothing can overflow int64.  The inverses the construction
-needs are written down in closed form, and one table decides, slice by
-slice, in this order: the final symbol, the entry range, and the three
-identities that confirm them.  :func:`_stack_checks` scores the nine
-checks of :func:`~kneadck.ktheory.verify` on one stack.
+Every factor of the construction is a permutation, a signed diagonal, a
+bidiagonal or a matrix of running sums.  So every row of ``A``,
+``alpha`` and ``R`` is one signed run, every row of ``eta`` the
+difference of two unit rows and every row of ``theta`` two symbol values
+at most, and each identity of the construction takes O(n) per word.
+:func:`_run_form` builds that form in pure Python and decides the
+construction table on it, :func:`_word_checks` decides the nine checks
+of :func:`~kneadck.ktheory.verify` on it, and :func:`_spell`, the one
+function of the package that imports numpy, writes the 13 fields out as
+dense ``int64`` arrays for :func:`~kneadck.markov.build_matrices`.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
-import numpy as np
+from itertools import accumulate
+from typing import NamedTuple
 
 from .intlinalg import AbelianGroup, smith_diagonal
 from .ktheory import _closed_form_failures, _differenced_rows
-from .markov import ConstructionError, TheoremMatrices
+from .markov import ConstructionError, OrbitModel, TheoremMatrices
 
 
-def _times_eta(M, pos):
-    """``M @ eta`` for a stack M with n - 1 columns, one per interval.
+#: The nine checks of :func:`~kneadck.ktheory.verify`, in scoring order.
+CHECKS = (
+    "closed_form_k0", "k1_rank", "identity_A_eta", "block_form", "construction_equivalence",
+    "snf_multiset", "cokernel_bridge", "zero_rows_cols", "not_permutation",
+)
 
-    Row k of ``eta`` is +1 at ``rank[k + 1]`` and -1 at ``rank[k]``, with
-    ``rank = rho - 1``, and ``pos[b, j]``, the 0-based spatial rank of
-    orbit point j + 1, inverts ``rank``.  So column j of the product is
-    M's column ``pos[j] - 1`` less its column ``pos[j]``, read as zero off
-    M.
+
+class RunForm(NamedTuple):
+    """One word's matrix family in run form, 0-based throughout.
+
+    ``rank[t]`` is the orbit index at spatial rank t (``rho[t] - 1``),
+    ``pos`` its inverse, and ``nL`` the spatial rank of the turning point.
+    Row k of ``eta`` is +1 at ``rank[k + 1]`` and -1 at ``rank[k]``.  The
+    symbol values ``eps`` make ``theta = gamma omega``: row i < n - 1 is
+    ``eps[i]`` at column i + 1 and ``-eps[i]`` at column 0, the last row
+    ``eps[n - 1]`` at column 0.  Row t of ``A`` is ``s`` on the columns
+    ``lo <= k < hi`` of ``A[t] = (s, lo, hi)``, with ``lo < hi``.
     """
-    B, r, c = M.shape
-    P = np.zeros((B, r, c + 2), dtype=np.int64)
-    P[..., 1:-1] = M
-    return np.take_along_axis(P[..., :-1] - P[..., 1:], pos[:, None], axis=2)
+
+    rank: list[int]
+    pos: list[int]
+    nL: int
+    eps: list[int]
+    A: list[tuple[int, int, int]]
 
 
-def _times_Xinv(M, pos, nL):
-    """``M @ Xinv`` for a stack M with n - 1 columns.
+def _run_form(m: OrbitModel) -> RunForm:
+    """The family of the ordered orbit ``m`` in run form, by the formulas
+    documented at :func:`~kneadck.markov.build_matrices`.
 
-    ``pos`` is as at :func:`_times_eta` and ``nL[b]`` is the spatial rank
-    of the turning point.  With ``S[:, m]`` the sum of M's columns 0 to
-    m - 1, column j of the product is ``S[:, pos[j]] - S[:, nL]``: the sum
-    of columns nL to pos[j] - 1, or minus that of columns pos[j] to nL - 1.
+    ``R = Yinv^T inc Xinv^T`` has row j ``[k < pos[j]] - [k < nL]`` and a
+    zero last row, as if the turning point sat at ``pos[n - 1] = nL``.  Row
+    t of ``eta omega`` is ``e_s[t+1] - e_s[t]``, with ``s[t] = rho[t] % n``
+    the orbit successor of spatial rank t, so row t of
+    ``alpha = eta omega R`` is ``[k < u[t+1]] - [k < u[t]]`` with ``u`` the
+    ranks of R's rows at ``s``: one signed run, which ``A = beta alpha``
+    flips right of the turning point.  The runs never come from
+    :func:`~kneadck.markov.transition_intervals`, so the two routes to
+    ``A`` stay independent.
+
+    One table then decides the word, in this order: the final symbol value
+    is 0; every entry is in {-1, 0, 1}, which the symbol values decide, as
+    every other entry is the sign of a run or of a permutation;
+    ``eta^T = Y inc X``, that is, every row of ``eta`` sums to zero;
+    ``X Xinv = I``, whose row j is ``e_j`` less ones wherever
+    ``pos[j] = nL``; and ``alpha eta = eta omega``, whose row t telescopes
+    to ``e_rank[u[t+1]] - e_rank[u[t]]``, so it holds exactly when
+    ``rank[u[t]] = s[t]`` for every t.  The first failing row raises
+    :class:`ConstructionError` as ``"<word>: <row>"``.
     """
-    B, r, c = M.shape
-    S = np.zeros((B, r, c + 1), dtype=np.int64)
-    np.cumsum(M, axis=2, out=S[..., 1:])
-    left = np.take_along_axis(S, nL[:, None, None], axis=2)
-    return np.take_along_axis(S, pos[:, None, :c], axis=2) - left
-
-
-def _family_stack(models) -> TheoremMatrices:
-    """The matrix families of models that all have one period n, as stacks.
-
-    Every field has shape (B, rows, cols), slice b belonging to
-    ``models[b]``.  The formulas are those documented at
-    :func:`~kneadck.markov.build_matrices`, with a leading batch axis.
-    One table then decides every slice, row by row: the final symbol
-    value is 0; every entry of the 13 fields and of the unreturned ``R``
-    is in {-1, 0, 1}; ``eta^T = Y inc X``; ``X Xinv = I``;
-    ``alpha eta = eta omega``.  The first failing slice raises
-    :class:`ConstructionError` with its word and its first failing row,
-    ``"<word>: <row>"``.
-    """
-    words = [m.word for m in models]
-    n = models[0].n
-    B = len(models)
-    stack = np.arange(B)[:, None]
-    ranks = np.arange(n)
-    eps = np.fromiter(chain.from_iterable(w.symbols for w in words), np.int64, B * n)
-    eps = eps.reshape(B, n)
-    rank = np.fromiter(chain.from_iterable(m.rho for m in models), np.int64, B * n)
-    rank = rank.reshape(B, n) - 1  # rank[b, t] = rho[t] - 1
-    nL = np.array([m.nL for m in models])
-    pos = np.empty((B, n), dtype=np.int64)
-    pos[stack, rank] = ranks  # pos[b, j] is the 0-based spatial rank of orbit point j+1
-
-    omega = np.zeros((B, n, n), dtype=np.int64)
-    omega[:, ranks, (ranks + 1) % n] = 1
-    # M @ omega moves column j - 1 of M to column j.
-    shift = (ranks - 1) % n
-
-    pi = np.zeros((B, n, n), dtype=np.int64)
-    pi[stack, ranks, rank] = 1
-
-    # phi differences the rows of I, eta = phi pi those of pi; Y is I with
-    # minus ones left of its last diagonal entry.
-    Y = np.zeros((B, n, n), dtype=np.int64)
-    Y[:, ranks, ranks] = 1
-    phi = Y[:, 1:] - Y[:, :-1]
-    Y[:, n - 1, : n - 1] = -1
-
-    eta = pi[:, 1:] - pi[:, :-1]
-
-    # Diagonal carries the symbol values, last column their negatives; the
-    # two clauses overlap at (n, n) and agree because the final value is 0.
-    gamma = np.zeros((B, n, n), dtype=np.int64)
-    gamma[:, ranks, ranks] = eps
-    gamma[:, : n - 1, n - 1] = -eps[:, : n - 1]
-
-    theta = gamma[..., shift]
-
-    sign = np.where(ranks[:-1] < nL[:, None], 1, -1)
-    beta = np.zeros((B, n - 1, n - 1), dtype=np.int64)
-    beta[:, ranks[:-1], ranks[:-1]] = sign
-
-    X = eta[..., : n - 1].transpose(0, 2, 1).copy()
-
-    # R = Yinv^T inc Xinv^T is Xinv^T over a zero row.  Interval k joins
-    # spatial ranks k and k+1, 0-based.  Left of the turning point (rank
-    # nL) it is undone by the points at or below its left end, right of it
-    # by the points above its right end: R[j, k] is +1 for nL <= k <
-    # pos[j] and -1 for pos[j] <= k < nL, that is [k < pos[j]] - [k < nL].
-    k = ranks[: n - 1]
-    R = np.subtract(k < pos[:, :, None], k < nL[:, None, None], dtype=np.int64)
-    R[:, n - 1] = 0
-
-    # Row k of eta omega is +1 at rho[k+1] % n and -1 at rho[k] % n, so
-    # alpha = eta omega R differences the rows of R in that order.
-    eta_omega = eta[..., shift]
-    G = R[stack, (rank + 1) % n]
-    alpha = G[:, 1:] - G[:, :-1]
-    A = alpha * sign[:, :, None]
-    # Aprime = X A^T Xinv, where X A^T is the transpose of A X^T, the top
-    # block of A eta.
-    Aprime = _times_Xinv(_times_eta(A, pos)[..., : n - 1].transpose(0, 2, 1), pos, nL)
-    # Yinv theta^T Y: theta^T less its last column, then the column sums
-    # as the last row.
-    thetaprime = theta.transpose(0, 2, 1).copy()
-    thetaprime[..., : n - 1] -= thetaprime[..., n - 1 :]
-    thetaprime[:, n - 1] = thetaprime.sum(axis=1)
-
-    family = [A, theta, omega, phi, pi, eta, alpha, beta, gamma, Y, X, Aprime, thetaprime]
-    # The range row decides each matrix on its own, with no concatenated
-    # copy of the family, and slice by slice only if the whole stack fails.
-    out_of_range = np.zeros(B, dtype=bool)
-    for M in (*family, R):
-        if M.min() < -1 or M.max() > 1:
-            out_of_range |= (M.min(axis=(1, 2)) < -1) | (M.max(axis=(1, 2)) > 1)
-    identity = np.eye(n - 1, dtype=np.int64)
+    n, nL = m.n, m.nL
+    eps = list(map(int, m.word.symbols))
+    rank = [r - 1 for r in m.rho]
+    pos = [0] * n
+    for t, j in enumerate(rank):
+        pos[j] = t
+    R_rank = pos[:-1] + [nL]
+    succ = [r % n for r in m.rho]
+    u = [R_rank[s] for s in succ]
+    sign = [1] * nL + [-1] * (n - 1 - nL)
+    A = [(g, u0, u1) if u0 < u1 else (-g, u1, u0) for g, u0, u1 in zip(sign, u, u[1:])]
     table = (
-        ("final symbol value must be 0", eps[:, -1] != 0),
-        ("matrix family has an entry outside {-1, 0, 1}", out_of_range),
-        # Y inc X is X over minus its column sums.
-        ("eta-transpose does not factor as Y inc X", eta[..., n - 1] != -X.sum(axis=1)),
-        ("top block of eta-transpose fails X Xinv = I", _times_Xinv(X, pos, nL) != identity),
-        ("alpha fails alpha eta = eta omega", _times_eta(alpha, pos) != eta_omega),
+        ("final symbol value must be 0", eps[-1] != 0),
+        ("matrix family has an entry outside {-1, 0, 1}", min(eps) < -1 or max(eps) > 1),
+        # A row of eta sums to zero when both or neither of its ranks is a
+        # column; a rank of n or more has already failed as an index of pos.
+        ("eta-transpose does not factor as Y inc X", min(rank) < 0 <= max(rank)),
+        ("top block of eta-transpose fails X Xinv = I", nL in pos[:-1]),
+        ("alpha fails alpha eta = eta omega", [rank[x] for x in u] != succ),
     )
-    failed = np.array([fails.reshape(B, -1).any(axis=1) for _, fails in table])
-    if failed.any():
-        b = failed.any(axis=0).argmax()
-        raise ConstructionError(f"{words[b]}: {table[failed[:, b].argmax()][0]}")
-    return TheoremMatrices(*family)
+    for row, failed in table:
+        if failed:
+            raise ConstructionError(f"{m.word}: {row}")
+    return RunForm(rank, pos, nL, eps, A)
 
 
-def _stack_checks(n: int, t, runs, a):
-    """The nine checks of :func:`verify` on one stack of words of period n.
+def _rows_of_i_minus_theta(eps) -> list[dict[int, int]]:
+    """The rows of ``I - theta``, as :func:`~kneadck.intlinalg.smith_diagonal`
+    takes them: the 1 of ``I`` first, then minus the entries of ``theta``,
+    summed where they meet.  Pivoting on the diagonal first makes less
+    fill than pivoting on column 0, which every row holds."""
+    n = len(eps)
+    rows = [{i: 1, i + 1: -e, 0: e} if e else {i: 1} for i, e in enumerate(eps[:-1])]
+    rows[0] = {0: 1 + eps[0], 1: -eps[0]}
+    rows.append({n - 1: 1, 0: -eps[-1]})
+    for i in (0, n - 1):
+        rows[i] = {j: e for j, e in rows[i].items() if e}
+    return rows
 
-    ``t`` is the family stack, and ``runs[b]`` and ``a[b]`` are the runs of
-    ``transition_intervals`` and the closed form of word b.  Returns
-    ``(passed, details)``: ``passed`` names all nine checks in scoring
-    order, each with one bool per word, or ``None`` where the check does
-    not apply to the period, and ``details[name](b)`` builds the failure
-    text of word b.  Per word run two Smith eliminations, of the rows of
-    ``(I - A) D`` built from the runs and of ``I - theta``; the bridge
-    reuses the first, since once ``construction_equivalence`` holds its
-    diagonal is the Smith form of ``I - t.A[b]``.  The checks on the
-    family read the returned stack.  The products are index maps: row k of
-    ``eta theta`` is theta's row ``rank[k + 1]`` less row ``rank[k]``,
-    where ``rank`` (``rho - 1``) is read off ``t.eta``.  The covering
-    matrices of the runs are one stack, 1 exactly on ``lo <= j < hi`` in
-    row k.  For n = 2 ``not_permutation`` is ``None``: the single-interval
-    partition forces A = [[1]], and :func:`verify` records the skip.
+
+def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
+    """The checks of :func:`~kneadck.ktheory.verify` that the word of the
+    ordered orbit ``m`` does not pass, given its runs of
+    :func:`~kneadck.markov.transition_intervals` and its closed form ``a``.
+
+    Returns ``{check: text}`` in the order of :data:`CHECKS`, with the
+    failure text of each failed check, spelled out only then, and ``None``
+    for a check that does not apply: ``not_permutation`` at n = 2, where
+    the single interval forces A = [[1]].  Row t of ``A eta`` is
+    ``s (e_rank[hi] - e_rank[lo])`` for the run ``(s, lo, hi)`` of A, and
+    ``identity_A_eta`` compares it with ``theta[rank[t+1]] - theta[rank[t]]``,
+    row t of ``eta theta``.  ``block_form`` asks that ``Aprime = X A^T Xinv``
+    be the top-left block T of ``thetaprime = Yinv theta^T Y`` and that
+    the last row of ``thetaprime`` be zero.  Given ``X Xinv = I``, the first
+    is ``X A^T = T X``, the transpose of that comparison restricted to
+    the columns < n - 1; the last row holds differences of the row sums
+    of ``theta``.  Two Smith eliminations run, of the rows of ``(I - A) D``
+    built from the runs and of ``I - theta``; the bridge reuses the first,
+    which is the Smith form of ``I - A`` once ``construction_equivalence``
+    holds.  The checks on the covering matrix read the runs.
     """
-    stack = np.arange(len(runs))[:, None]
-    rank = np.concatenate([t.eta.argmin(axis=2), t.eta[:, -1:].argmax(axis=2)], axis=1)
-    A_eta = _times_eta(t.A, rank.argsort(axis=1))
-    G = t.theta[stack, rank]
-    eta_theta = G[:, 1:] - G[:, :-1]
-    tp = t.thetaprime
-    lohi = np.array(runs, dtype=np.int64)[..., None]
-    cols = np.arange(n - 1)
-    cover = (lohi[:, :, 0] <= cols) & (cols < lohi[:, :, 1])
+    f = _run_form(m)
+    eps, rank = f.eps, f.rank
+    n = len(eps)
+    last = n - 1
+    # Row i of theta is eps[i] at column (i + 1) % n less eps[i] at column
+    # 0, the last row included, since the table has made eps[n - 1] = 0.
+    col = [*range(1, n), 0]
+    lhs = [[0] * n for _ in range(last)]  # A eta
+    rhs = [[0] * n for _ in range(last)]  # eta theta
+    for L, R, (s, lo, hi), i, k in zip(lhs, rhs, f.A, rank, rank[1:]):
+        L[rank[hi]] += s
+        L[rank[lo]] -= s
+        R[col[k]] += eps[k]
+        R[col[i]] -= eps[i]
+        R[0] += eps[i] - eps[k]
+    identity = lhs == rhs
+    # The last row of thetaprime holds differences of the row sums of
+    # theta, which are 0 but for the last row's, eps[n - 1].
+    block = eps[-1] == 0 and (identity or all(L[:last] == R[:last] for L, R in zip(lhs, rhs)))
 
-    theta_rows = _rows_of_i_minus(t.theta)
-    diags = []  # per word, the Smith diagonals of (I - A) D and of I - theta
-    for b, word_runs in enumerate(runs):
-        rows = theta_rows[b * n : (b + 1) * n]
-        diags.append((smith_diagonal(_differenced_rows(word_runs), n - 1), smith_diagonal(rows, n)))
-    expected = [sorted([ab] + [1] * (n - 1)) for ab in a]
-    bridge = [tuple(map(AbelianGroup.from_diagonal, pair)) for pair in diags]
-    closed = [_closed_form_failures(ab, K0) for ab, (K0, _) in zip(a, bridge)]
+    # cover[j] counts the runs that cover column j.
+    depth = [0] * n
+    for lo, hi in runs:
+        if lo < hi:
+            depth[lo] += 1
+            depth[hi] -= 1
+    cover = list(accumulate(depth))[:last]
+    width = [hi - lo for lo, hi in runs]
 
-    permutation = (cover.sum(axis=2) == 1).all(axis=1) & (cover.sum(axis=1) == 1).all(axis=1)
-    passed = {
-        "closed_form_k0": ["closed_form_k0" not in f for f in closed],
-        "k1_rank": ["k1_rank" not in f for f in closed],
-        "identity_A_eta": (A_eta == eta_theta).all(axis=(1, 2)),
-        "block_form": ~tp[:, n - 1].any(axis=1)
-        & (tp[:, : n - 1, : n - 1] == t.Aprime).all(axis=(1, 2)),
-        "construction_equivalence": (t.A == cover).all(axis=(1, 2)),
-        "snf_multiset": [sorted(d) == e for (_, d), e in zip(diags, expected)],
-        "cokernel_bridge": [lhs == rhs for lhs, rhs in bridge],
+    dA = smith_diagonal(_differenced_rows(runs), last)
+    dtheta = smith_diagonal(_rows_of_i_minus_theta(eps), n)
+    bridge = AbelianGroup.from_diagonal(dA), AbelianGroup.from_diagonal(dtheta)
+    closed = _closed_form_failures(a, bridge[0])
+    expected = sorted([a] + [1] * last)
+
+    verdicts = (  # in the order of CHECKS
+        "closed_form_k0" not in closed,
+        "k1_rank" not in closed,
+        identity,
+        block,
+        # No signed run is empty, since u takes n distinct values.
+        f.A == [(1, lo, hi) for lo, hi in runs],
+        sorted(dtheta) == expected,
+        bridge[0] == bridge[1],
         # A zero row of A is an empty run, a zero column one no run covers.
-        "zero_rows_cols": cover.any(axis=2).all(axis=1) & cover.any(axis=1).all(axis=1),
+        min(width) > 0 and min(cover) > 0,
         # For n >= 3 the two intervals adjacent to the turning point map
         # onto spans sharing the top interval, so A cannot be a
-        # permutation matrix.  The covering A is 0-1, so one nonzero per
-        # row and column decides it.
-        "not_permutation": ~permutation if n > 2 else None,
-    }
-    details = {
-        "closed_form_k0": lambda b: closed[b]["closed_form_k0"],
-        "k1_rank": lambda b: closed[b]["k1_rank"],
-        "identity_A_eta": lambda b: f"lhs {A_eta[b].tolist()} vs rhs {eta_theta[b].tolist()}",
-        "block_form": lambda b: f"thetaprime {tp[b].tolist()} vs top-left block "
-        f"{t.Aprime[b].tolist()}",
-        "construction_equivalence": lambda b: f"covering runs {runs[b]} vs signed route "
-        f"{t.A[b].tolist()}",
-        "snf_multiset": lambda b: f"SNF diagonal {sorted(diags[b][1])} vs expected {expected[b]}",
-        "cokernel_bridge": lambda b: "from A: {}, from theta: {}".format(*bridge[b]),
-        "zero_rows_cols": lambda b: _zero_rows_cols_detail(n, runs[b]),
-        "not_permutation": lambda b: f"A is a permutation matrix: runs {runs[b]}",
-    }
-    return {k: ok if ok is None else np.asarray(ok).tolist() for k, ok in passed.items()}, details
-
-
-def _zero_rows_cols_detail(n: int, runs) -> str:
-    empty = [k for k, (lo, hi) in enumerate(runs) if lo >= hi]
-    covered = {j for run in runs for j in range(*run)}
-    return (
-        f"A has zero rows {empty} and zero columns "
-        f"{sorted(set(range(n - 1)) - covered)}: runs {runs}"
+        # permutation matrix: one entry in each row and in each column.
+        not (set(width) == set(cover) == {1}) if n > 2 else None,
     )
+    if all(verdicts):
+        return {}
+    details = {
+        "closed_form_k0": lambda: closed["closed_form_k0"],
+        "k1_rank": lambda: closed["k1_rank"],
+        "identity_A_eta": lambda: f"lhs {lhs} vs rhs {rhs}",
+        "block_form": lambda: f"thetaprime {(t := _spell(f)).thetaprime.tolist()} "
+        f"vs top-left block {t.Aprime.tolist()}",
+        "construction_equivalence": lambda: f"covering runs {runs} vs signed route "
+        f"{_spell(f).A.tolist()}",
+        "snf_multiset": lambda: f"SNF diagonal {sorted(dtheta)} vs expected {expected}",
+        "cokernel_bridge": lambda: "from A: {}, from theta: {}".format(*bridge),
+        "zero_rows_cols": lambda: f"A has zero rows {[k for k, w in enumerate(width) if w <= 0]} "
+        f"and zero columns {[j for j, c in enumerate(cover) if not c]}: runs {runs}",
+        "not_permutation": lambda: f"A is a permutation matrix: runs {runs}",
+    }
+    return {
+        name: ok if ok is None else details[name]()
+        for name, ok in zip(CHECKS, verdicts)
+        if not ok
+    }
 
 
-def _rows_of_i_minus(theta) -> list[dict[int, int]]:
-    """The rows of ``I - theta`` for a stack of n x n slices, as the
-    ``{col: value}`` dicts of :func:`~kneadck.intlinalg.smith_diagonal`,
-    slice after slice, each in ascending column order: one
-    ``np.nonzero`` of the whole stack."""
-    B, n, _ = theta.shape
-    M = -theta
-    M[:, range(n), range(n)] += 1
-    b, i, j = np.nonzero(M)
-    rows: list[dict[int, int]] = [{} for _ in range(B * n)]
-    for r, c, e in zip((b * n + i).tolist(), j.tolist(), M[b, i, j].tolist()):
-        rows[r][c] = e
-    return rows
+def _spell(f: RunForm) -> TheoremMatrices:
+    """The 13 fields of the family in run form ``f`` as dense ``int64``
+    arrays, by the formulas of :func:`~kneadck.markov.build_matrices`.
+
+    No product is formed.  ``A`` is spelled from its signed runs, and
+    ``Aprime = X A^T Xinv`` by two index maps: column j of ``A eta`` is
+    A's column ``pos[j] - 1`` less its column ``pos[j]``, read as zero off
+    A, and ``X A^T`` is the transpose of its top block; column j of
+    ``M Xinv`` is ``S[:, pos[j]] - S[:, nL]``, with ``S[:, k]`` the sum of
+    M's columns 0 to k - 1.  The largest value any step computes is a
+    running sum of at most n entries of size at most 2, so nothing can
+    overflow int64.
+    """
+    import numpy as np  # the one import of numpy in the package
+
+    n = len(f.eps)
+    ranks = np.arange(n)
+    pos = np.array(f.pos[:-1])
+    eps = np.array(f.eps, dtype=np.int64)
+
+    omega = np.zeros((n, n), dtype=np.int64)
+    omega[ranks, (ranks + 1) % n] = 1
+    pi = np.zeros((n, n), dtype=np.int64)
+    pi[ranks, f.rank] = 1
+    # phi differences the rows of I, eta = phi pi those of pi; Y is I with
+    # minus ones left of its last diagonal entry.
+    Y = np.eye(n, dtype=np.int64)
+    phi = Y[1:] - Y[:-1]
+    Y[n - 1, : n - 1] = -1
+    eta = pi[1:] - pi[:-1]
+    # Diagonal carries the symbol values, last column their negatives; the
+    # two clauses agree at (n, n) because the final value is 0.  M @ omega
+    # moves column j - 1 of M to column j.
+    gamma = np.diag(eps)
+    gamma[: n - 1, n - 1] = -eps[: n - 1]
+    theta = gamma[:, (ranks - 1) % n]
+    beta = np.diag(np.where(ranks[:-1] < f.nL, 1, -1))
+    X = eta[:, : n - 1].T.copy()
+
+    A = np.zeros((n - 1, n - 1), dtype=np.int64)
+    for t, (s, lo, hi) in enumerate(f.A):
+        A[t, lo:hi] = s
+    alpha = beta.diagonal()[:, None] * A
+    P = np.zeros((n - 1, n + 1), dtype=np.int64)
+    P[:, 1:-1] = A
+    S = np.zeros((n - 1, n), dtype=np.int64)
+    np.cumsum((P[:, :-1] - P[:, 1:])[:, pos].T, axis=1, out=S[:, 1:])
+    Aprime = S[:, pos] - S[:, [f.nL]]
+    # Yinv theta^T Y: theta^T less its last column, then the column sums
+    # as the last row.
+    thetaprime = theta.T.copy()
+    thetaprime[:, : n - 1] -= thetaprime[:, n - 1 :]
+    thetaprime[n - 1] = thetaprime.sum(axis=0)
+    family = A, theta, omega, phi, pi, eta, alpha, beta, gamma, Y, X, Aprime, thetaprime
+    return TheoremMatrices(*family)

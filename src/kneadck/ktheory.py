@@ -8,15 +8,15 @@ and the Smith-normal-form route, which reads K0 as the cokernel and K1 as
 the kernel of I - A^T over the integers.  Both checks are stated once, in
 :func:`_closed_form_failures`, on the cokernel read off the Smith
 diagonal of the rows that :func:`_differenced_rows` builds from the runs
-of ones that make up the rows of A: (I - A) D with D unimodular.  :func:`k_groups`, given the
-ordered orbit of :func:`~kneadck.markov.build_orbit`, raises
-:class:`TheoremViolationError` with the first one an admissible word
-fails, and reads irreducibility off the same runs, so it forms no dense
-matrix.  :func:`verify` scores both beside the checks on the matrix
-family for every admissible word up to a period, in one table per stack
-of families (:func:`~kneadck.family._stack_checks`), which spells the
-runs out as one stack of covering matrices to compare the two routes to
-A entry by entry.  Every elimination is one call of
+of ones that make up the rows of A: (I - A) D with D unimodular.
+:func:`k_groups`, given the ordered orbit of
+:func:`~kneadck.markov.build_orbit`, raises :class:`TheoremViolationError`
+with the first one an admissible word fails, and reads irreducibility off
+the same runs, so it forms no dense matrix.  :func:`verify` scores both
+beside the checks on the matrix family for every admissible word up to a
+period, one word at a time, on the family's run form
+(:func:`~kneadck.family._word_checks`), which compares the runs with the
+signed runs of the other route to A.  Every elimination is one call of
 :func:`~kneadck.intlinalg.smith_diagonal` on rows.
 """
 
@@ -27,11 +27,6 @@ from dataclasses import dataclass
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
 from .markov import OrbitModel, build_orbit, transition_intervals
 from .symbolic import _TOKENS, DomainError, KneadingWord, invariant_coordinate, search_admissible
-
-#: Words per matrix-family stack in :func:`verify`.  A stack spreads
-#: numpy's per-call cost over its words; a cap keeps its arrays from
-#: growing with the number of words of a period.
-_STACK = 32
 
 
 class TheoremViolationError(RuntimeError):
@@ -161,25 +156,23 @@ def verify(n_max: int) -> VerifyReport:
     family builder defines or raises :class:`ConstructionError` on are
     not counted again; ``block_form`` with ``construction_equivalence``
     carries the kneading determinant ``det(I - tA) = sum theta_k t^k``.
-    The family is built as stacks of up to ``_STACK`` (32) words of one
-    period (see :func:`~kneadck.markov.build_matrices`), and all nine
-    checks of a stack, its two Smith eliminations per word included, come
-    from one table (see :func:`~kneadck.family._stack_checks`).  That
-    table is the one list of the checks: it orders ``checks`` and each
-    word's violations, and its ``None`` entry, ``not_permutation`` at
-    period 2, is recorded as a skip of the stack's words.  Counts are added
-    per stack, and failure texts are built only for failing words.  Each
-    word's text and invariant coordinates are read once, from
+    Each word's checks, its two Smith eliminations included, come from
+    :func:`~kneadck.family._word_checks` on the run form of its family,
+    which returns only the checks the word fails or skips, with their
+    failure texts; a check passes for every other word.
+    :data:`~kneadck.family.CHECKS` is the one list of the checks and orders
+    ``checks`` and each word's violations.  Each word's text and invariant
+    coordinates are read once, from
     :func:`~kneadck.symbolic.search_admissible`.  One INFO record per
     period goes to this module's logger.
     """
     import logging  # only verify logs; a deferred import keeps it off start-up
 
-    from .family import _family_stack, _stack_checks  # numpy loads with the first stack
+    from .family import CHECKS, _word_checks  # family imports this module's helpers
 
     if n_max < 2:
         raise DomainError("verification sweep requires n_max >= 2")
-    counts: dict[str, int] = {}
+    missed: dict[str, int] = {}  # words per check that fail it or skip it
     skipped: dict[str, list[str]] = {}
     violations: list[dict] = []
     words_checked = 0
@@ -191,32 +184,20 @@ def verify(n_max: int) -> VerifyReport:
 
     symbol = _TOKENS.__getitem__
     for n in range(2, n_max + 1):
-        found = search_admissible(n)
-        for start in range(0, len(found), _STACK):
-            texts, thetas = zip(*found[start : start + _STACK])
-            models = [build_orbit(KneadingWord(tuple(map(symbol, text)))) for text in texts]
-            t = _family_stack(models)
-            runs = [transition_intervals(model) for model in models]
-            a = [_a_from_theta(theta) for theta in thetas]
-            passed, details = _stack_checks(n, t, runs, a)
-            for name, ok in passed.items():
-                counts[name] = counts.get(name, 0) + sum(ok or ())
-                if ok is None:
-                    skipped.setdefault(name, []).extend(texts)
-            words_checked += len(models)
-
-            for b, word in enumerate(texts):
-                violations.extend(
-                    {"word": word, "check": name, "detail": details[name](b)}
-                    for name, ok in passed.items()
-                    if ok is not None and not ok[b]
-                )
-                if a[b] == 0:
-                    irreducible = _strongly_connected([range(*run) for run in runs[b]])
-                    a_zero["irreducible" if irreducible else "reducible"].append(word)
-
-            # Free this stack before the next one is built.
-            del t, passed, details
+        for text, theta in search_admissible(n):
+            model = build_orbit(KneadingWord(tuple(map(symbol, text))))
+            runs = transition_intervals(model)
+            a = _a_from_theta(theta)
+            for name, detail in _word_checks(model, runs, a).items():
+                missed[name] = missed.get(name, 0) + 1
+                if detail is None:
+                    skipped.setdefault(name, []).append(text)
+                else:
+                    violations.append({"word": text, "check": name, "detail": detail})
+            words_checked += 1
+            if a == 0:
+                irreducible = _strongly_connected([range(*run) for run in runs])
+                a_zero["irreducible" if irreducible else "reducible"].append(text)
 
         logging.getLogger(__name__).info(
             "period %d: %d words checked, %d violations", n, words_checked, len(violations)
@@ -225,7 +206,7 @@ def verify(n_max: int) -> VerifyReport:
     return VerifyReport(
         n_max=n_max,
         words_checked=words_checked,
-        checks=counts,
+        checks={name: words_checked - missed.get(name, 0) for name in CHECKS},
         skipped=dict(sorted(skipped.items())),
         a_zero=a_zero,
         violations=violations,

@@ -110,32 +110,29 @@ class TheoremMatrices:
 def build_matrices(m: OrbitModel) -> TheoremMatrices:
     """Assemble every matrix of the construction from the ordered orbit.
 
-    The family is built as the one-word slice of a stack; see
-    :func:`~kneadck.family._family_stack`, which builds it for many
-    words of one period at once.  The transpose of ``eta = phi pi`` must
-    factor as ``Y inc X``, where ``X`` is its top square block: the
-    signed incidence matrix of the path of spatial ranks with the turning
-    point removed.  The inverse of ``X`` is therefore a pair of running
-    sums, one on each side of the turning point, and ``Y`` is inverted
-    by flipping the sign of its last row.  Together they give an integer
-    right inverse ``R = Yinv^T inc Xinv^T`` of ``eta`` and with it
-    ``alpha = eta omega R``; then ``theta = gamma omega``,
-    ``A = beta alpha``, ``Aprime = X A^T Xinv`` and
-    ``thetaprime = Yinv theta^T Y``.  No product is formed (see
-    :mod:`kneadck.family`), and every matrix is ``int64``.  The table of
-    :func:`~kneadck.family._family_stack` checks the final symbol and
-    the entry range of every matrix, the unreturned ``R`` included, and
-    then confirms the route by three identities, each in the same sparse
-    form: ``eta^T = Y inc X``, ``X Xinv = I``, which also proves ``X``
-    unimodular, and ``alpha eta = eta omega``, which pins ``alpha`` down
-    uniquely because ``eta`` has full row rank.  Failure of any row is a
-    bug, not bad input, and raises :class:`ConstructionError` with the
-    word, ``"<word>: <row>"``.
+    The transpose of ``eta = phi pi`` must factor as ``Y inc X``, where
+    ``X`` is its top square block: the signed incidence matrix of the path
+    of spatial ranks with the turning point removed.  The inverse of ``X``
+    is therefore a pair of running sums, one on each side of the turning
+    point, and ``Y`` is inverted by flipping the sign of its last row.
+    Together they give an integer right inverse ``R = Yinv^T inc Xinv^T``
+    of ``eta`` and with it ``alpha = eta omega R``; then
+    ``theta = gamma omega``, ``A = beta alpha``, ``Aprime = X A^T Xinv``
+    and ``thetaprime = Yinv theta^T Y``.  The family is first built in
+    run form (:func:`~kneadck.family._run_form`), where every row of
+    ``R``, ``alpha`` and ``A`` is one signed run, and its table checks the
+    final symbol and the entry range, then confirms the route by three
+    identities: ``eta^T = Y inc X``, ``X Xinv = I``, which also proves
+    ``X`` unimodular, and ``alpha eta = eta omega``, which pins ``alpha``
+    down uniquely because ``eta`` has full row rank.  Failure of any row
+    is a bug, not bad input, and raises :class:`ConstructionError` with
+    the word, ``"<word>: <row>"``.  The 13 fields are then spelled out
+    as dense ``int64`` arrays with no product formed
+    (:func:`~kneadck.family._spell`).
     """
-    from .family import _family_stack  # numpy loads with the first family built
+    from .family import _run_form, _spell  # numpy loads with the first family spelled
 
-    t = _family_stack([m])
-    return TheoremMatrices(**{name: M[0] for name, M in vars(t).items()})
+    return _spell(_run_form(m))
 
 
 def transition_intervals(m: OrbitModel) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -289,62 +290,68 @@ class TestKGroups:
         monkeypatch.setattr(symbolic, "_word_text", refuse)
         assert ktheory.verify(10) == expected
 
-    def test_verify_stacks_words_and_never_builds_one(self, monkeypatch):
+    def test_verify_checks_each_word_and_never_spells_one(self, monkeypatch):
         calls = []
-        stack = family._family_stack
+        checks = family._word_checks
 
-        def spy(models):
-            calls.append([m.word for m in models])
-            return stack(models)
+        def spy(model, runs, a):
+            calls.append(model.word)
+            return checks(model, runs, a)
 
-        def single(model):
-            raise AssertionError(f"verify built the family of {model.word} alone")
+        def dense(*args):
+            raise AssertionError("verify spelled out a dense family")
 
-        monkeypatch.setattr(family, "_family_stack", spy)
-        monkeypatch.setattr(markov, "build_matrices", single)
+        monkeypatch.setattr(family, "_word_checks", spy)
+        monkeypatch.setattr(family, "_spell", dense)
+        monkeypatch.setattr(markov, "build_matrices", dense)
         report = ktheory.verify(12)
         assert report.ok and report.words_checked == 379
-        assert all(1 <= len(words) <= 32 for words in calls)
-        assert all(len({w.n for w in words}) == 1 for words in calls)
         expected = [w for n in range(2, 13) for w in enumerate_admissible(n)]
-        assert [w for words in calls for w in words] == expected
+        assert calls == expected
 
-    def test_verify_reads_each_failure_off_its_slice(self, monkeypatch):
-        # One word in the middle of a stack of period 6 gets a bad
-        # thetaprime, one in the second stack of period 12 a bad A.
+    def test_verify_reads_each_failure_off_its_word(self, monkeypatch):
+        # One word in the middle of period 6 gets a wrong symbol value in
+        # its orbit model, so a wrong theta; one in the middle of period 12
+        # a longer first run of A in the signed route.
         bad_tp = enumerate_admissible(6)[2]
         bad_A = enumerate_admissible(12)[40]
-        stack = family._family_stack
-        expected = {}
+        orbit, run_form = ktheory.build_orbit, family._run_form
 
-        def corrupt(models):
-            t = stack(models)
-            for b, m in enumerate(models):
-                if m.word == bad_tp:
-                    t.thetaprime[b, -1, 0] = 7
-                    expected[bad_tp] = t.thetaprime[b].tolist()
-                elif m.word == bad_A:
-                    t.A[b, 0, 0] += 1
-                    expected[bad_A] = (t.A[b] @ t.eta[b]).tolist()
-            return t
+        def flipping(word):
+            m = orbit(word)
+            return with_symbol(m, 1, -word.symbols[1]) if word == bad_tp else m
 
-        monkeypatch.setattr(family, "_family_stack", corrupt)
+        def lengthening(m):
+            f = run_form(m)
+            if m.word == bad_A:
+                s, lo, hi = f.A[0]
+                f.A[0] = (s, lo, hi + 1)
+            return f
+
+        monkeypatch.setattr(ktheory, "build_orbit", flipping)
+        monkeypatch.setattr(family, "_run_form", lengthening)
+        t_tp = build_matrices(flipping(bad_tp))
+        t_A = build_matrices(build_orbit(bad_A))
         report = ktheory.verify(12)
         assert [(v["word"], v["check"]) for v in report.violations] == [
+            (str(bad_tp), "identity_A_eta"),
             (str(bad_tp), "block_form"),
             (str(bad_A), "identity_A_eta"),
+            (str(bad_A), "block_form"),
             (str(bad_A), "construction_equivalence"),
         ]
-        tp, A_eta, _ = (v["detail"] for v in report.violations)
-        assert tp.startswith(f"thetaprime {expected[bad_tp]} vs top-left block ")
-        assert A_eta.startswith(f"lhs {expected[bad_A]} vs rhs ")
-        assert report.checks["block_form"] == report.checks["identity_A_eta"] == 378
+        details = {(v["word"], v["check"]): v["detail"] for v in report.violations}
+        tp = details[str(bad_tp), "block_form"]
+        assert tp.startswith(f"thetaprime {t_tp.thetaprime.tolist()} vs top-left block ")
+        A_eta = details[str(bad_A), "identity_A_eta"]
+        assert A_eta.startswith(f"lhs {(t_A.A @ t_A.eta).tolist()} vs rhs ")
+        assert report.checks["block_form"] == report.checks["identity_A_eta"] == 377
 
     def test_verify_reports_crafted_runs_inside_a_stack(self, monkeypatch):
-        # RLLLLRRLRLLC is word 49 of period 12, the 18th of its stack of 32.
-        # Emptying its last run (0, 2) leaves row 10 and column 0 of the
-        # covering A zero and keeps the Smith form of I - A (a = 2), so
-        # only the two checks on the covering matrix fail.
+        # RLLLLRRLRLLC is word 49 of period 12.  Emptying its last run (0, 2)
+        # leaves row 10 and column 0 of the covering A zero and keeps the
+        # Smith form of I - A (a = 2), so only the two checks on the
+        # covering matrix fail.
         word = enumerate_admissible(12)[49]
         assert str(word) == "RLLLLRRLRLLC"
         model = build_orbit(word)
@@ -388,9 +395,9 @@ class TestKGroups:
         }
 
     def test_verify_reports_a_wrong_theta_diagonal_inside_a_stack(self, monkeypatch):
-        # RLLLLRRLRLLC (a = 2) is word 49 of period 12, the 18th of its stack
-        # of 32.  Only the Smith form of its I - theta goes wrong, so only
-        # the two checks that read that diagonal fail, and only for it.
+        # RLLLLRRLRLLC (a = 2) is word 49 of period 12.  Only the Smith form
+        # of its I - theta goes wrong, so only the two checks that read that
+        # diagonal fail, and only for it.
         word = enumerate_admissible(12)[49]
         assert str(word) == "RLLLLRRLRLLC"
         target = rows_of(np.eye(12, dtype=np.int64) - build_matrices(build_orbit(word)).theta)
@@ -457,8 +464,8 @@ class TestKGroups:
 
     def test_cli_import_leaves_logging_unloaded(self):
         # Only verify logs, so it imports logging itself, when it runs; and
-        # only the matrix family uses numpy, so the commands that build no
-        # matrix never load it.
+        # only the dense spelling of the matrix family uses numpy, so the
+        # commands that print no matrix, verify among them, never load it.
         code = (
             "import contextlib, io, sys\n"
             "import kneadck, kneadck.cli\n"
@@ -469,8 +476,8 @@ class TestKGroups:
             "    print(sorted({'logging', 'numpy'} & set(sys.modules)))\n"
             "loaded(['kgroups', 'RLLRC'], ['find-mu', 'RLLRC'], ['enumerate', '8'],\n"
             "       ['admissible', 'RLC'], ['itinerary', '--mu', '3.5'])\n"
-            "loaded(['matrices', 'RLC'])\n"
             "loaded(['verify', '4'])\n"
+            "loaded(['matrices', 'RLC'])\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -479,7 +486,7 @@ class TestKGroups:
             text=True,
             timeout=60,
         )
-        expected = "[]\n['numpy']\n['logging', 'numpy']\n"
+        expected = "[]\n['logging']\n['logging', 'numpy']\n"
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
     def test_verify_scores_only_checks_a_word_can_fail(self):
@@ -643,6 +650,158 @@ class TestKGroups:
         for word in runs_corpus():
             A = covering_matrix(build_orbit(word))
             assert k_groups(build_orbit(word)).irreducible == is_irreducible_dense(A), word
+
+
+def with_symbol(m, k, value):
+    """The orbit model ``m`` with the value of its k-th symbol replaced by
+    ``value`` and its order kept."""
+    word = object.__new__(KneadingWord)
+    symbols = list(m.word.symbols)
+    symbols[k] = value
+    object.__setattr__(word, "symbols", tuple(symbols))
+    return markov.OrbitModel(word=word, rho=m.rho, nL=m.nL)
+
+
+def forced_words(n):
+    """Every word {L, R}^(n-1) C, admissible or not."""
+    return [
+        KneadingWord(tail + (Symbol.C,))
+        for tail in itertools.product((Symbol.L, Symbol.R), repeat=n - 1)
+    ]
+
+
+def failed_checks(model, runs=None):
+    """The checks of verify that the word of ``model`` fails or skips, in
+    scoring order, on its own runs unless ``runs`` are given."""
+    runs = markov.transition_intervals(model) if runs is None else runs
+    return list(family._word_checks(model, runs, closed_form_a(model.word)))
+
+
+def lengthen_first_run(monkeypatch, word):
+    """Make the run form of ``word`` carry a fault in its signed route: its
+    first run of A one column longer."""
+    run_form = family._run_form
+
+    def lengthening(m):
+        f = run_form(m)
+        if m.word == word:
+            s, lo, hi = f.A[0]
+            f.A[0] = (s, lo, hi + 1)
+        return f
+
+    monkeypatch.setattr(family, "_run_form", lengthening)
+
+
+class TestEveryCheckFails:
+    """Each of the nine checks of verify fails on some input, with the
+    exact set of checks that fail beside it.  The forced (inadmissible)
+    words fail four of them live; the other five hold on every forced word
+    too, so each is shown failing on an injected fault."""
+
+    def test_forced_words_fail_four_checks(self):
+        words = [w for n in range(3, 12) for w in forced_words(n)]
+        assert len(words) == 2044
+        failed = collections.Counter()
+        for w in words:
+            failed.update(failed_checks(build_orbit(w)))
+        assert failed == {
+            "construction_equivalence": 1836,
+            "closed_form_k0": 1152,
+            "cokernel_bridge": 1152,
+            "k1_rank": 161,
+        }
+
+    def test_closed_form_k0(self):
+        assert failed_checks(build_orbit(parse_word("LLC"))) == [
+            "closed_form_k0", "construction_equivalence", "cokernel_bridge",
+        ]
+
+    def test_k1_rank(self):
+        assert failed_checks(build_orbit(parse_word("LRRC"))) == [
+            "closed_form_k0", "k1_rank", "construction_equivalence", "cokernel_bridge",
+        ]
+
+    def test_construction_equivalence(self):
+        assert failed_checks(build_orbit(parse_word("LRC"))) == ["construction_equivalence"]
+
+    def test_cokernel_bridge(self):
+        assert failed_checks(build_orbit(parse_word("LLRC"))) == [
+            "closed_form_k0", "construction_equivalence", "cokernel_bridge",
+        ]
+
+    def test_identity_A_eta(self):
+        # RLLRLC's orbit with its second symbol flipped: theta moves, the
+        # signed route does not.
+        m = build_orbit(parse_word("RLLRLC"))
+        runs = markov.transition_intervals(m)
+        assert failed_checks(with_symbol(m, 1, Symbol.R), runs) == ["identity_A_eta", "block_form"]
+
+    def test_block_form(self, monkeypatch):
+        word = enumerate_admissible(12)[40]
+        lengthen_first_run(monkeypatch, word)
+        assert failed_checks(build_orbit(word)) == [
+            "identity_A_eta", "block_form", "construction_equivalence",
+        ]
+
+    def test_snf_multiset(self, monkeypatch):
+        # A wrong Smith diagonal of I - theta, the only elimination on n
+        # columns.
+        loop = intlinalg.smith_diagonal
+        monkeypatch.setattr(
+            family, "smith_diagonal", lambda rows, c: (1,) * 5 + (4,) if c == 6 else loop(rows, c)
+        )
+        assert failed_checks(build_orbit(parse_word("RLLRRC"))) == [
+            "snf_multiset", "cokernel_bridge",
+        ]
+
+    def test_zero_rows_cols(self):
+        # Emptying the last run (0, 2) of RLLLLRRLRLLC keeps the Smith form.
+        model = build_orbit(parse_word("RLLLLRRLRLLC"))
+        runs = markov.transition_intervals(model)
+        assert runs[10] == (0, 2)
+        assert failed_checks(model, runs[:10] + [(0, 0)]) == [
+            "construction_equivalence", "zero_rows_cols",
+        ]
+
+    def test_not_permutation(self):
+        # Runs of one column each, on the diagonal: A = I.
+        model = build_orbit(parse_word("RLLRRC"))
+        assert failed_checks(model, [(k, k + 1) for k in range(5)]) == [
+            "closed_form_k0",
+            "k1_rank",
+            "construction_equivalence",
+            "cokernel_bridge",
+            "not_permutation",
+        ]
+
+    def test_not_permutation_is_skipped_at_period_two(self):
+        m = build_orbit(parse_word("RC"))
+        runs = markov.transition_intervals(m)
+        assert family._word_checks(m, runs, 0) == {"not_permutation": None}
+
+
+class TestBlockForm:
+    """``block_form``, decided as ``X A^T = T X``, gives the verdict of its
+    dense definition: ``Aprime`` is the top-left block of ``thetaprime``,
+    whose last row is zero."""
+
+    @staticmethod
+    def assert_dense_verdict(model, failed):
+        t = build_matrices(model)
+        n = model.n
+        dense = np.array_equal(t.Aprime, t.thetaprime[: n - 1, : n - 1])
+        dense &= not t.thetaprime[n - 1].any()
+        assert ("block_form" not in failed_checks(model)) == dense == (not failed), model.word
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_forced_words(self, n):
+        for w in forced_words(n):
+            self.assert_dense_verdict(build_orbit(w), failed=False)
+
+    def test_fault_in_the_signed_route(self, monkeypatch):
+        word = enumerate_admissible(12)[40]
+        lengthen_first_run(monkeypatch, word)
+        self.assert_dense_verdict(build_orbit(word), failed=True)
 
 
 class TestBowenFranks:

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kneadck import family, markov
-from kneadck.family import _family_stack, _times_Xinv
+from kneadck import markov, symbolic
+from kneadck.family import _rows_of_i_minus_theta, _run_form
 from kneadck.markov import (
     ConstructionError,
     OrbitModel,
@@ -37,9 +37,10 @@ from reference import (
     family_by_products,
     mt_compare,
     rotation,
+    rows_of,
     smith_of,
 )
-from test_ktheory import random_word
+from test_ktheory import random_word, with_symbol
 
 
 def pipeline(text):
@@ -455,19 +456,25 @@ class TestIntegerRoute:
 
 
 class TestFamilyStack:
-    """The stack builder behind ``build_matrices`` and ``verify``."""
+    """The run form behind ``build_matrices`` and ``verify``: each slice
+    that ``build_matrices`` spells out reads as the form's runs, ranks and
+    symbol values."""
 
     @staticmethod
     def assert_slices_match(words):
-        models = [build_orbit(w) for w in words]
-        stack = _family_stack(models)
-        for b, m in enumerate(models):
-            single = build_matrices(m)
-            for name, M in vars(single).items():
-                S = getattr(stack, name)
-                assert S.shape == (len(models), *M.shape), (str(m.word), name)
-                assert S[b].dtype == M.dtype == np.int64, (str(m.word), name)
-                assert np.array_equal(S[b], M), (str(m.word), name)
+        for w in words:
+            m = build_orbit(w)
+            f, t = _run_form(m), build_matrices(m)
+            n, tag = w.n, str(w)
+            assert f.rank == [r - 1 for r in m.rho] and f.nL == m.nL, tag
+            assert [f.rank[j] for j in f.pos] == list(range(n)), tag
+            assert [(k, f.rank[k + 1], f.rank[k]) for k in range(n - 1)] == [
+                (k, row.tolist().index(1), row.tolist().index(-1)) for k, row in enumerate(t.eta)
+            ], tag
+            assert f.eps == t.gamma.diagonal().tolist() == [s.value for s in w.symbols], tag
+            for row, (s, lo, hi) in zip(t.A.tolist(), f.A):
+                assert lo < hi and row == [s if lo <= j < hi else 0 for j in range(n - 1)], tag
+            assert _rows_of_i_minus_theta(f.eps) == rows_of(np.eye(n, dtype=np.int64) - t.theta)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_slices_of_forced_words_match_build_matrices(self, n):
@@ -479,31 +486,38 @@ class TestFamilyStack:
 
     def test_refusal_names_the_first_failing_word(self):
         # The off-rank RLLRRC model of test_turning_point_off_its_rank_is_refused,
-        # third in a stack of sound period-6 models.
+        # third among sound period-6 models: each word is decided on its
+        # own, and the refusal names the one that fails.
         m = build_orbit(parse_word("RLLRRC"))
         bad = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
         good = [build_orbit(w) for w in enumerate_admissible(6) if str(w) != "RLLRRC"]
         assert len(good) >= 3
         message = "^RLLRRC: top block of eta-transpose fails X Xinv = I$"
+        built = []
         with pytest.raises(ConstructionError, match=message):
-            _family_stack([good[0], good[1], bad, *good[2:]])
+            for model in [good[0], good[1], bad, *good[2:]]:
+                built.append(_run_form(model))
+        assert len(built) == 2
         with pytest.raises(ConstructionError, match=message):
             build_matrices(bad)
 
 
 class TestIndexMaps:
-    """The stack built by index maps equals the one built by dense
-    products of the factors, field by field, with one dtype and shape."""
+    """The family spelled out from the run form equals the one built by
+    dense products of the factors, field by field, with one dtype and
+    shape, one word at a time."""
 
     @staticmethod
     def assert_stacks_match(words):
         models = [build_orbit(w) for w in words]
-        maps, products = _family_stack(models), family_by_products(models)
-        for name, M in vars(products).items():
-            S = getattr(maps, name)
-            assert S.dtype == M.dtype == np.int64, name
-            assert S.shape == M.shape, name
-            assert np.array_equal(S, M), (name, [str(w) for w in words])
+        products = family_by_products(models)
+        for b, m in enumerate(models):
+            maps = build_matrices(m)
+            for name, M in vars(products).items():
+                S = getattr(maps, name)
+                assert S.dtype == M.dtype == np.int64, name
+                assert S.shape == M.shape[1:], name
+                assert np.array_equal(S, M[b]), (name, str(m.word))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_admissible_words_in_stacks_of_32(self, n):
@@ -521,8 +535,8 @@ class TestIndexMaps:
 
 
 class TestInt64Family:
-    """The family is int64 with entries in {-1, 0, 1}, decided per slice
-    by the range row of its table."""
+    """The family is int64 with entries in {-1, 0, 1}, decided per word by
+    the range row of the run form's table."""
 
     RANGE = re.escape("matrix family has an entry outside {-1, 0, 1}")
 
@@ -537,47 +551,38 @@ class TestInt64Family:
                 assert set(np.unique(M).tolist()) <= {-1, 0, 1}, (str(w), name)
 
     @staticmethod
-    def push_out_of_range(monkeypatch, b, bad):
-        """Make the first ``_times_Xinv`` of the next family, which builds
-        ``Aprime``, return ``bad`` at one entry of slice ``b``."""
-        first = iter([True])
-
-        def wrapped(*args):
-            out = _times_Xinv(*args)
-            if next(first, False):
-                out[b, 0, 0] = bad
-            return out
-
-        monkeypatch.setattr(family, "_times_Xinv", wrapped)
+    def with_symbol(monkeypatch, m, k, value):
+        """``test_ktheory.with_symbol``, with a value no symbol has spelled X."""
+        if value not in (-1, 0, 1):
+            monkeypatch.setitem(symbolic._LETTER, value, "X")
+        return with_symbol(m, k, value)
 
     def test_guard_refuses_an_entry_beyond_the_bound(self, monkeypatch):
-        # The bad entry sits in the middle slice of three, whose word the
-        # refusal names with the range row.
+        # The bad value sits in the middle word of three, which the refusal
+        # names with the range row; the other two are sound.
         models = [build_orbit(w) for w in enumerate_admissible(6)[:3]]
-        _family_stack(models)
-        message = f"^{models[1].word}: {self.RANGE}$"
+        for m in models:
+            _run_form(m)
         for bad in (2, -2, 2**40, -(2**40)):
-            self.push_out_of_range(monkeypatch, 1, bad)
-            with pytest.raises(ConstructionError, match=message):
-                _family_stack(models)
+            model = self.with_symbol(monkeypatch, models[1], 2, bad)
+            assert str(model.word)[2] == "X"
+            with pytest.raises(ConstructionError, match=f"^{model.word}: {self.RANGE}$"):
+                _run_form(model)
+            with pytest.raises(ConstructionError, match=f"^{model.word}: {self.RANGE}$"):
+                build_matrices(model)
 
     def test_rows_are_decided_in_table_order(self, monkeypatch):
         # The off-rank RLLRRC model of test_turning_point_off_its_rank_is_refused
         # fails X Xinv = I and nothing before it.
         m = build_orbit(parse_word("RLLRRC"))
         off_rank = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
-        good = [build_orbit(w) for w in enumerate_admissible(6) if str(w) != "RLLRRC"]
-        # Slice 0 fails an identity, slice 1 the range: the first slice wins.
-        self.push_out_of_range(monkeypatch, 1, 2)
         with pytest.raises(ConstructionError, match="^RLLRRC: top block of eta-transpose"):
-            _family_stack([off_rank, good[0]])
-        # A slice that fails both is named with the range row.
-        self.push_out_of_range(monkeypatch, 1, 2)
-        with pytest.raises(ConstructionError, match=f"^RLLRRC: {self.RANGE}$"):
-            _family_stack([good[0], off_rank])
+            _run_form(off_rank)
+        # A word that fails both is named with the range row.
+        both = self.with_symbol(monkeypatch, off_rank, 1, 2)
+        with pytest.raises(ConstructionError, match=f"^RXLRRC: {self.RANGE}$"):
+            _run_form(both)
         # A final symbol other than C comes before the range.
-        word = object.__new__(KneadingWord)
-        object.__setattr__(word, "symbols", (*m.word.symbols[:-1], Symbol.R))
-        self.push_out_of_range(monkeypatch, 0, 2)
-        with pytest.raises(ConstructionError, match="^RLLRRR: final symbol value must be 0$"):
-            _family_stack([OrbitModel(word=word, rho=m.rho, nL=m.nL)])
+        final = self.with_symbol(monkeypatch, both, 5, Symbol.R)
+        with pytest.raises(ConstructionError, match="^RXLRRR: final symbol value must be 0$"):
+            _run_form(final)

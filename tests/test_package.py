@@ -144,17 +144,26 @@ def test_scan_finds_every_numpy_import_that_runs():
     assert numpy_imports(source, "probe") == [f"probe:{k}" for k in (1, 2, 3, 11, 13)]
 
 
+def top_level_function(source: str, name: str) -> ast.FunctionDef:
+    tops = ast.parse(source).body
+    return next(top for top in tops if isinstance(top, ast.FunctionDef) and top.name == name)
+
+
 def test_only_the_family_imports_numpy():
-    # Every call that builds no matrix starts without numpy.
+    # Every call that spells out no dense matrix starts without numpy: the
+    # package imports it once, in the function of the family that does.
     package = pathlib.Path(kneadck.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         found += numpy_imports(path.read_text(), path.name)
-    assert {f.split(":")[0] for f in found} == {"family.py"}
+    [(name, line)] = [f.split(":") for f in found]
+    spell = top_level_function((package / "family.py").read_text(), "_spell")
+    assert name == "family.py"
+    assert spell.lineno < int(line) <= spell.end_lineno
 
 
-# The checks verify scores on the matrix family, listed once: in the table
-# of family._stack_checks.  closed_form_k0 and k1_rank are left out; they
+# The checks verify scores on the matrix family, listed once: in
+# family.CHECKS.  closed_form_k0 and k1_rank are left out; they
 # are the keys of ktheory._closed_form_failures, which k_groups shares.
 FAMILY_CHECKS = {
     "identity_A_eta",
@@ -216,6 +225,6 @@ def test_scan_finds_every_raise_of_a_function():
 
 
 def test_family_stack_fails_through_one_raise():
-    # Every failure of the matrix family is a row of one table.
+    # Every failure of the matrix family is a row of the run form's table.
     source = pathlib.Path(kneadck.family.__file__).read_text()
-    assert len(raises_in(source, "_family_stack")) == 1
+    assert len(raises_in(source, "_run_form")) == 1
