@@ -14,19 +14,28 @@ of ones that make up the rows of A: (I - A) D with D unimodular.
 with the first one an admissible word fails, and reads irreducibility off
 the same runs, so it forms no dense matrix.  :func:`verify` scores both
 beside the checks on the matrix family for every admissible word up to a
-period, one word at a time, on the family's run form
-(:func:`~kneadck.family._word_checks`), which compares the runs with the
-signed runs of the other route to A.  Every elimination is one call of
-:func:`~kneadck.intlinalg.smith_diagonal` on rows.
+period, one word at a time: :func:`_word_checks` decides the nine
+:data:`CHECKS` on the run form of :func:`~kneadck.markov._run_form`,
+comparing the runs with the signed runs of the other route to A.  Every
+elimination is one call of :func:`~kneadck.intlinalg.smith_diagonal` on
+rows, through this module's one binding of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
-from .markov import OrbitModel, build_orbit, transition_intervals
+from .markov import OrbitModel, _run_form, _spell, build_orbit, transition_intervals
 from .symbolic import _TOKENS, DomainError, KneadingWord, invariant_coordinate, search_admissible
+
+
+#: The nine checks of :func:`verify`, in scoring order.
+CHECKS = (
+    "closed_form_k0", "k1_rank", "identity_A_eta", "block_form", "construction_equivalence",
+    "snf_multiset", "cokernel_bridge", "zero_rows_cols", "not_permutation",
+)
 
 
 class TheoremViolationError(RuntimeError):
@@ -90,6 +99,19 @@ def _differenced_rows(runs) -> list[dict[int, int]]:
     return rows
 
 
+def _k0(runs) -> AbelianGroup:
+    """K0 = coker(I - A^T) of the matrix A with the given runs, read off
+    the Smith diagonal of (I - A) D; its free rank is the kernel rank of
+    I - A^T.  BF = coker(I - A) is the same group, since I - A and
+    I - A^T share a Smith form."""
+    return AbelianGroup.from_diagonal(smith_diagonal(_differenced_rows(runs), len(runs)))
+
+
+def _irreducible(runs) -> bool:
+    """Whether the matrix A with the given runs is strongly connected."""
+    return _strongly_connected([range(*run) for run in runs])
+
+
 def _closed_form_failures(a: int, K0: AbelianGroup) -> dict[str, str]:
     """The closed form's checks that K0 = coker(I - A^T), read off its
     Smith diagonal, fails, each with its failure text, in check order.
@@ -106,6 +128,115 @@ def _closed_form_failures(a: int, K0: AbelianGroup) -> dict[str, str]:
     return failures
 
 
+def _rows_of_i_minus_theta(eps) -> list[dict[int, int]]:
+    """The rows of ``I - theta``, as :func:`~kneadck.intlinalg.smith_diagonal`
+    takes them: the 1 of ``I`` first, then minus the entries of ``theta``,
+    summed where they meet.  Pivoting on the diagonal first makes less
+    fill than pivoting on column 0, which every row holds."""
+    n = len(eps)
+    rows = [{i: 1, i + 1: -e, 0: e} if e else {i: 1} for i, e in enumerate(eps[:-1])]
+    rows[0] = {0: 1 + eps[0], 1: -eps[0]}
+    rows.append({n - 1: 1, 0: -eps[-1]})
+    for i in (0, n - 1):
+        rows[i] = {j: e for j, e in rows[i].items() if e}
+    return rows
+
+
+def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
+    """The checks of :func:`verify` that the word of the ordered orbit
+    ``m`` does not pass, given its runs of
+    :func:`~kneadck.markov.transition_intervals` and its closed form ``a``.
+
+    Returns ``{check: text}`` in the order of :data:`CHECKS`, with the
+    failure text of each failed check, spelled out only then, and ``None``
+    for a check that does not apply: ``not_permutation`` at n = 2, where
+    the single interval forces A = [[1]].  Row t of ``A eta`` is
+    ``s (e_rank[hi] - e_rank[lo])`` for the run ``(s, lo, hi)`` of A, and
+    ``identity_A_eta`` compares it with ``theta[rank[t+1]] - theta[rank[t]]``,
+    row t of ``eta theta``.  ``block_form`` asks that ``Aprime = X A^T Xinv``
+    be the top-left block T of ``thetaprime = Yinv theta^T Y`` and that
+    the last row of ``thetaprime`` be zero.  Given ``X Xinv = I``, the first
+    is ``X A^T = T X``, the transpose of that comparison restricted to
+    the columns < n - 1; the last row holds differences of the row sums
+    of ``theta``.  Two Smith eliminations run, of the rows of ``(I - A) D``
+    built from the runs and of ``I - theta``; the bridge reuses the first,
+    which is the Smith form of ``I - A`` once ``construction_equivalence``
+    holds.  The checks on the covering matrix read the runs.
+    """
+    f = _run_form(m)
+    eps, rank = f.eps, f.rank
+    n = len(eps)
+    last = n - 1
+    # Row i of theta is eps[i] at column (i + 1) % n less eps[i] at column
+    # 0, the last row included, since the table has made eps[n - 1] = 0.
+    col = [*range(1, n), 0]
+    lhs = [[0] * n for _ in range(last)]  # A eta
+    rhs = [[0] * n for _ in range(last)]  # eta theta
+    for L, R, (s, lo, hi), i, k in zip(lhs, rhs, f.A, rank, rank[1:]):
+        L[rank[hi]] += s
+        L[rank[lo]] -= s
+        R[col[k]] += eps[k]
+        R[col[i]] -= eps[i]
+        R[0] += eps[i] - eps[k]
+    identity = lhs == rhs
+    # The last row of thetaprime holds differences of the row sums of
+    # theta, which are 0 but for the last row's, eps[n - 1].
+    block = eps[-1] == 0 and (identity or all(L[:last] == R[:last] for L, R in zip(lhs, rhs)))
+
+    # cover[j] counts the runs that cover column j.
+    depth = [0] * n
+    for lo, hi in runs:
+        if lo < hi:
+            depth[lo] += 1
+            depth[hi] -= 1
+    cover = list(accumulate(depth))[:last]
+    width = [hi - lo for lo, hi in runs]
+
+    K0 = _k0(runs)
+    dtheta = smith_diagonal(_rows_of_i_minus_theta(eps), n)
+    bridge = K0, AbelianGroup.from_diagonal(dtheta)
+    closed = _closed_form_failures(a, K0)
+    expected = sorted([a] + [1] * last)
+
+    verdicts = (  # in the order of CHECKS
+        "closed_form_k0" not in closed,
+        "k1_rank" not in closed,
+        identity,
+        block,
+        # No signed run is empty, since u takes n distinct values.
+        f.A == [(1, lo, hi) for lo, hi in runs],
+        sorted(dtheta) == expected,
+        bridge[0] == bridge[1],
+        # A zero row of A is an empty run, a zero column one no run covers.
+        min(width) > 0 and min(cover) > 0,
+        # For n >= 3 the two intervals adjacent to the turning point map
+        # onto spans sharing the top interval, so A cannot be a
+        # permutation matrix: one entry in each row and in each column.
+        not (set(width) == set(cover) == {1}) if n > 2 else None,
+    )
+    if all(verdicts):
+        return {}
+    details = {
+        "closed_form_k0": lambda: closed["closed_form_k0"],
+        "k1_rank": lambda: closed["k1_rank"],
+        "identity_A_eta": lambda: f"lhs {lhs} vs rhs {rhs}",
+        "block_form": lambda: f"thetaprime {(t := _spell(f)).thetaprime.tolist()} "
+        f"vs top-left block {t.Aprime.tolist()}",
+        "construction_equivalence": lambda: f"covering runs {runs} vs signed route "
+        f"{_spell(f).A.tolist()}",
+        "snf_multiset": lambda: f"SNF diagonal {sorted(dtheta)} vs expected {expected}",
+        "cokernel_bridge": lambda: "from A: {}, from theta: {}".format(*bridge),
+        "zero_rows_cols": lambda: f"A has zero rows {[k for k, w in enumerate(width) if w <= 0]} "
+        f"and zero columns {[j for j, c in enumerate(cover) if not c]}: runs {runs}",
+        "not_permutation": lambda: f"A is a permutation matrix: runs {runs}",
+    }
+    return {
+        name: ok if ok is None else details[name]()
+        for name, ok in zip(CHECKS, verdicts)
+        if not ok
+    }
+
+
 def k_groups(m: OrbitModel) -> KGroupReport:
     """Full K-group report for the ordered orbit ``m`` of a word.
 
@@ -117,10 +248,7 @@ def k_groups(m: OrbitModel) -> KGroupReport:
     """
     a = closed_form_a(m.word)
     runs = transition_intervals(m)
-    # One Smith diagonal, of (I - A) D, gives K0 and, as its free rank,
-    # K1; BF = coker(I - A) is K0 again, since I - A and I - A^T share a
-    # Smith form.
-    K0 = AbelianGroup.from_diagonal(smith_diagonal(_differenced_rows(runs), len(runs)))
+    K0 = _k0(runs)
     failures = _closed_form_failures(a, K0)
     if m.admissible and failures:
         raise TheoremViolationError(f"{m.word}: {next(iter(failures.values()))}")
@@ -130,7 +258,7 @@ def k_groups(m: OrbitModel) -> KGroupReport:
         K0=K0,
         K1=AbelianGroup(K0.free_rank, ()),
         BF=K0,
-        irreducible=_strongly_connected([range(*run) for run in runs]),
+        irreducible=_irreducible(runs),
         admissible=m.admissible,
     )
 
@@ -157,18 +285,15 @@ def verify(n_max: int) -> VerifyReport:
     not counted again; ``block_form`` with ``construction_equivalence``
     carries the kneading determinant ``det(I - tA) = sum theta_k t^k``.
     Each word's checks, its two Smith eliminations included, come from
-    :func:`~kneadck.family._word_checks` on the run form of its family,
-    which returns only the checks the word fails or skips, with their
-    failure texts; a check passes for every other word.
-    :data:`~kneadck.family.CHECKS` is the one list of the checks and orders
-    ``checks`` and each word's violations.  Each word's text and invariant
+    :func:`_word_checks` on the run form of its family, which returns
+    only the checks the word fails or skips, with their failure texts; a
+    check passes for every other word.  :data:`CHECKS` is the one list of
+    the checks and orders ``checks`` and each word's violations.  Each word's text and invariant
     coordinates are read once, from
     :func:`~kneadck.symbolic.search_admissible`.  One INFO record per
     period goes to this module's logger.
     """
     import logging  # only verify logs; a deferred import keeps it off start-up
-
-    from .family import CHECKS, _word_checks  # family imports this module's helpers
 
     if n_max < 2:
         raise DomainError("verification sweep requires n_max >= 2")
@@ -196,8 +321,7 @@ def verify(n_max: int) -> VerifyReport:
                     violations.append({"word": text, "check": name, "detail": detail})
             words_checked += 1
             if a == 0:
-                irreducible = _strongly_connected([range(*run) for run in runs])
-                a_zero["irreducible" if irreducible else "reducible"].append(text)
+                a_zero["irreducible" if _irreducible(runs) else "reducible"].append(text)
 
         logging.getLogger(__name__).info(
             "period %d: %d words checked, %d violations", n, words_checked, len(violations)

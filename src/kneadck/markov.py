@@ -10,13 +10,18 @@ the transition matrix and its runs, and the unimodular matrices X and Y
 that relate the two chain-level descriptions.
 
 Everything here is exact integer arithmetic; no floats and no fractions.
-:func:`build_matrices` builds the matrices in :mod:`kneadck.family`.
+Every factor of the construction is a permutation, a signed diagonal, a
+bidiagonal or a matrix of running sums, so :func:`_run_form` builds the
+family as signed runs and single entries and decides each identity of
+the construction in O(n) per word, in pure Python.  :func:`_spell`, the
+one function of the package that imports numpy, writes the 13 fields of
+:func:`build_matrices` out as dense ``int64`` arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
 
@@ -118,21 +123,141 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     Together they give an integer right inverse ``R = Yinv^T inc Xinv^T``
     of ``eta`` and with it ``alpha = eta omega R``; then
     ``theta = gamma omega``, ``A = beta alpha``, ``Aprime = X A^T Xinv``
-    and ``thetaprime = Yinv theta^T Y``.  The family is first built in
-    run form (:func:`~kneadck.family._run_form`), where every row of
-    ``R``, ``alpha`` and ``A`` is one signed run, and its table checks the
-    final symbol and the entry range, then confirms the route by three
-    identities: ``eta^T = Y inc X``, ``X Xinv = I``, which also proves
-    ``X`` unimodular, and ``alpha eta = eta omega``, which pins ``alpha``
-    down uniquely because ``eta`` has full row rank.  Failure of any row
-    is a bug, not bad input, and raises :class:`ConstructionError` with
-    the word, ``"<word>: <row>"``.  The 13 fields are then spelled out
-    as dense ``int64`` arrays with no product formed
-    (:func:`~kneadck.family._spell`).
+    and ``thetaprime = Yinv theta^T Y``.  The family is built in run form
+    by :func:`_run_form`, which raises :class:`ConstructionError` on the
+    first row of the construction table that fails, and spelled out by
+    :func:`_spell` with no product formed.
     """
-    from .family import _run_form, _spell  # numpy loads with the first family spelled
-
     return _spell(_run_form(m))
+
+
+class RunForm(NamedTuple):
+    """One word's matrix family in run form, 0-based throughout.
+
+    ``rank[t]`` is the orbit index at spatial rank t (``rho[t] - 1``),
+    ``pos`` its inverse, and ``nL`` the spatial rank of the turning point.
+    Row k of ``eta`` is +1 at ``rank[k + 1]`` and -1 at ``rank[k]``.  The
+    symbol values ``eps`` make ``theta = gamma omega``: row i < n - 1 is
+    ``eps[i]`` at column i + 1 and ``-eps[i]`` at column 0, the last row
+    ``eps[n - 1]`` at column 0.  Row t of ``A`` is ``s`` on the columns
+    ``lo <= k < hi`` of ``A[t] = (s, lo, hi)``, with ``lo < hi``.
+    """
+
+    rank: list[int]
+    pos: list[int]
+    nL: int
+    eps: list[int]
+    A: list[tuple[int, int, int]]
+
+
+def _run_form(m: OrbitModel) -> RunForm:
+    """The family of the ordered orbit ``m`` in run form, by the formulas
+    of :func:`build_matrices`.
+
+    ``R = Yinv^T inc Xinv^T`` has row j ``[k < pos[j]] - [k < nL]`` and a
+    zero last row, as if the turning point sat at ``pos[n - 1] = nL``.  Row
+    t of ``eta omega`` is ``e_s[t+1] - e_s[t]``, with ``s[t] = rho[t] % n``
+    the orbit successor of spatial rank t, so row t of
+    ``alpha = eta omega R`` is ``[k < u[t+1]] - [k < u[t]]`` with ``u`` the
+    ranks of R's rows at ``s``: one signed run, which ``A = beta alpha``
+    flips right of the turning point.  The runs never come from
+    :func:`transition_intervals`, so the two routes to ``A`` stay
+    independent.
+
+    One table then decides the word, in this order: the final symbol value
+    is 0; every entry is in {-1, 0, 1}, which the symbol values decide, as
+    every other entry is the sign of a run or of a permutation;
+    ``eta^T = Y inc X``, that is, every row of ``eta`` sums to zero;
+    ``X Xinv = I``, which also proves ``X`` unimodular, and whose row j is
+    ``e_j`` less ones wherever ``pos[j] = nL``; and
+    ``alpha eta = eta omega``, which pins ``alpha`` down uniquely because
+    ``eta`` has full row rank, and whose row t telescopes to
+    ``e_rank[u[t+1]] - e_rank[u[t]]``, so it holds exactly when
+    ``rank[u[t]] = s[t]`` for every t.  Failure of any row is a bug, not
+    bad input: the first failing row raises :class:`ConstructionError` as
+    ``"<word>: <row>"``.
+    """
+    n, nL = m.n, m.nL
+    eps = list(map(int, m.word.symbols))
+    rank = [r - 1 for r in m.rho]
+    pos = [0] * n
+    for t, j in enumerate(rank):
+        pos[j] = t
+    R_rank = pos[:-1] + [nL]
+    succ = [r % n for r in m.rho]
+    u = [R_rank[s] for s in succ]
+    sign = [1] * nL + [-1] * (n - 1 - nL)
+    A = [(g, u0, u1) if u0 < u1 else (-g, u1, u0) for g, u0, u1 in zip(sign, u, u[1:])]
+    table = (
+        ("final symbol value must be 0", eps[-1] != 0),
+        ("matrix family has an entry outside {-1, 0, 1}", min(eps) < -1 or max(eps) > 1),
+        # A row of eta sums to zero when both or neither of its ranks is a
+        # column; a rank of n or more has already failed as an index of pos.
+        ("eta-transpose does not factor as Y inc X", min(rank) < 0 <= max(rank)),
+        ("top block of eta-transpose fails X Xinv = I", nL in pos[:-1]),
+        ("alpha fails alpha eta = eta omega", [rank[x] for x in u] != succ),
+    )
+    for row, failed in table:
+        if failed:
+            raise ConstructionError(f"{m.word}: {row}")
+    return RunForm(rank, pos, nL, eps, A)
+
+
+def _spell(f: RunForm) -> TheoremMatrices:
+    """The 13 fields of the family in run form ``f`` as dense ``int64``
+    arrays, by the formulas of :func:`build_matrices`.
+
+    No product is formed.  ``A`` is spelled from its signed runs, and
+    ``Aprime = X A^T Xinv`` by two index maps: column j of ``A eta`` is
+    A's column ``pos[j] - 1`` less its column ``pos[j]``, read as zero off
+    A, and ``X A^T`` is the transpose of its top block; column j of
+    ``M Xinv`` is ``S[:, pos[j]] - S[:, nL]``, with ``S[:, k]`` the sum of
+    M's columns 0 to k - 1.  The largest value any step computes is a
+    running sum of at most n entries of size at most 2, so nothing can
+    overflow int64.
+    """
+    import numpy as np  # the one import of numpy in the package
+
+    n = len(f.eps)
+    ranks = np.arange(n)
+    pos = np.array(f.pos[:-1])
+    eps = np.array(f.eps, dtype=np.int64)
+
+    omega = np.zeros((n, n), dtype=np.int64)
+    omega[ranks, (ranks + 1) % n] = 1
+    pi = np.zeros((n, n), dtype=np.int64)
+    pi[ranks, f.rank] = 1
+    # phi differences the rows of I, eta = phi pi those of pi; Y is I with
+    # minus ones left of its last diagonal entry.
+    Y = np.eye(n, dtype=np.int64)
+    phi = Y[1:] - Y[:-1]
+    Y[n - 1, : n - 1] = -1
+    eta = pi[1:] - pi[:-1]
+    # Diagonal carries the symbol values, last column their negatives; the
+    # two clauses agree at (n, n) because the final value is 0.  M @ omega
+    # moves column j - 1 of M to column j.
+    gamma = np.diag(eps)
+    gamma[: n - 1, n - 1] = -eps[: n - 1]
+    theta = gamma[:, (ranks - 1) % n]
+    beta = np.diag(np.where(ranks[:-1] < f.nL, 1, -1))
+    X = eta[:, : n - 1].T.copy()
+
+    A = np.zeros((n - 1, n - 1), dtype=np.int64)
+    for t, (s, lo, hi) in enumerate(f.A):
+        A[t, lo:hi] = s
+    alpha = beta.diagonal()[:, None] * A
+    P = np.zeros((n - 1, n + 1), dtype=np.int64)
+    P[:, 1:-1] = A
+    S = np.zeros((n - 1, n), dtype=np.int64)
+    np.cumsum((P[:, :-1] - P[:, 1:])[:, pos].T, axis=1, out=S[:, 1:])
+    Aprime = S[:, pos] - S[:, [f.nL]]
+    # Yinv theta^T Y: theta^T less its last column, then the column sums
+    # as the last row.
+    thetaprime = theta.T.copy()
+    thetaprime[:, : n - 1] -= thetaprime[:, n - 1 :]
+    thetaprime[n - 1] = thetaprime.sum(axis=0)
+    family = A, theta, omega, phi, pi, eta, alpha, beta, gamma, Y, X, Aprime, thetaprime
+    return TheoremMatrices(*family)
 
 
 def transition_intervals(m: OrbitModel) -> list[tuple[int, int]]:

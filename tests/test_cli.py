@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import kneadck.family
 import kneadck.ktheory
 import kneadck.markov
 import kneadck.symbolic
@@ -397,7 +396,7 @@ class TestVerifyCommand:
 
     def test_failing_checks_name_their_witness(self, capsys, monkeypatch):
         # A Smith diagonal of all zeros breaks the SNF checks of RLC (a = 1).
-        monkeypatch.setattr(kneadck.family, "smith_diagonal", lambda rows, c: (0,) * c)
+        monkeypatch.setattr(kneadck.ktheory, "smith_diagonal", lambda rows, c: (0,) * c)
         code, out, _ = run(capsys, ["verify", "3"])
         assert code == 1
         lines = out.splitlines()

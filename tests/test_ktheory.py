@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kneadck
-from kneadck import family, intlinalg, ktheory, markov, symbolic
+from kneadck import intlinalg, ktheory, markov, symbolic
 from kneadck.intlinalg import AbelianGroup, _strongly_connected
 from kneadck.ktheory import TheoremViolationError, closed_form_a, k_groups
 from kneadck.markov import build_matrices, build_orbit
@@ -47,7 +47,7 @@ def bowen_franks(A) -> AbelianGroup:
 
 def spy_smith_loop(monkeypatch, record) -> list:
     """Collect ``record(rows, c)`` for every call of ``smith_diagonal``, the
-    one Smith loop, that ``kneadck.ktheory`` or ``kneadck.family`` makes."""
+    one Smith loop, that ``kneadck.ktheory`` makes."""
     seen = []
     loop = intlinalg.smith_diagonal
 
@@ -55,8 +55,7 @@ def spy_smith_loop(monkeypatch, record) -> list:
         seen.append(record(rows, c))
         return loop(rows, c)
 
-    for module in (ktheory, family):
-        monkeypatch.setattr(module, "smith_diagonal", spying)
+    monkeypatch.setattr(ktheory, "smith_diagonal", spying)
     return seen
 
 
@@ -292,7 +291,7 @@ class TestKGroups:
 
     def test_verify_checks_each_word_and_never_spells_one(self, monkeypatch):
         calls = []
-        checks = family._word_checks
+        checks = ktheory._word_checks
 
         def spy(model, runs, a):
             calls.append(model.word)
@@ -301,8 +300,9 @@ class TestKGroups:
         def dense(*args):
             raise AssertionError("verify spelled out a dense family")
 
-        monkeypatch.setattr(family, "_word_checks", spy)
-        monkeypatch.setattr(family, "_spell", dense)
+        monkeypatch.setattr(ktheory, "_word_checks", spy)
+        for module in (markov, ktheory):
+            monkeypatch.setattr(module, "_spell", dense)
         monkeypatch.setattr(markov, "build_matrices", dense)
         report = ktheory.verify(12)
         assert report.ok and report.words_checked == 379
@@ -315,21 +315,14 @@ class TestKGroups:
         # a longer first run of A in the signed route.
         bad_tp = enumerate_admissible(6)[2]
         bad_A = enumerate_admissible(12)[40]
-        orbit, run_form = ktheory.build_orbit, family._run_form
+        orbit = ktheory.build_orbit
 
         def flipping(word):
             m = orbit(word)
             return with_symbol(m, 1, -word.symbols[1]) if word == bad_tp else m
 
-        def lengthening(m):
-            f = run_form(m)
-            if m.word == bad_A:
-                s, lo, hi = f.A[0]
-                f.A[0] = (s, lo, hi + 1)
-            return f
-
         monkeypatch.setattr(ktheory, "build_orbit", flipping)
-        monkeypatch.setattr(family, "_run_form", lengthening)
+        lengthen_run(monkeypatch, bad_A)
         t_tp = build_matrices(flipping(bad_tp))
         t_A = build_matrices(build_orbit(bad_A))
         report = ktheory.verify(12)
@@ -410,7 +403,7 @@ class TestKGroups:
                 return (1,) * 11 + (4,)
             return loop(rows, c)
 
-        monkeypatch.setattr(family, "smith_diagonal", wrong_for_target)
+        monkeypatch.setattr(ktheory, "smith_diagonal", wrong_for_target)
         report = ktheory.verify(12)
         assert hits == [12]
         assert report.violations == [
@@ -674,22 +667,23 @@ def failed_checks(model, runs=None):
     """The checks of verify that the word of ``model`` fails or skips, in
     scoring order, on its own runs unless ``runs`` are given."""
     runs = markov.transition_intervals(model) if runs is None else runs
-    return list(family._word_checks(model, runs, closed_form_a(model.word)))
+    return list(ktheory._word_checks(model, runs, closed_form_a(model.word)))
 
 
-def lengthen_first_run(monkeypatch, word):
+def lengthen_run(monkeypatch, word, k=0):
     """Make the run form of ``word`` carry a fault in its signed route: its
-    first run of A one column longer."""
-    run_form = family._run_form
+    run k of A one column longer."""
+    run_form = markov._run_form
 
     def lengthening(m):
         f = run_form(m)
         if m.word == word:
-            s, lo, hi = f.A[0]
-            f.A[0] = (s, lo, hi + 1)
+            s, lo, hi = f.A[k]
+            f.A[k] = (s, lo, hi + 1)
         return f
 
-    monkeypatch.setattr(family, "_run_form", lengthening)
+    for module in (markov, ktheory):
+        monkeypatch.setattr(module, "_run_form", lengthening)
 
 
 class TestEveryCheckFails:
@@ -738,7 +732,7 @@ class TestEveryCheckFails:
 
     def test_block_form(self, monkeypatch):
         word = enumerate_admissible(12)[40]
-        lengthen_first_run(monkeypatch, word)
+        lengthen_run(monkeypatch, word)
         assert failed_checks(build_orbit(word)) == [
             "identity_A_eta", "block_form", "construction_equivalence",
         ]
@@ -748,7 +742,7 @@ class TestEveryCheckFails:
         # columns.
         loop = intlinalg.smith_diagonal
         monkeypatch.setattr(
-            family, "smith_diagonal", lambda rows, c: (1,) * 5 + (4,) if c == 6 else loop(rows, c)
+            ktheory, "smith_diagonal", lambda rows, c: (1,) * 5 + (4,) if c == 6 else loop(rows, c)
         )
         assert failed_checks(build_orbit(parse_word("RLLRRC"))) == [
             "snf_multiset", "cokernel_bridge",
@@ -777,7 +771,7 @@ class TestEveryCheckFails:
     def test_not_permutation_is_skipped_at_period_two(self):
         m = build_orbit(parse_word("RC"))
         runs = markov.transition_intervals(m)
-        assert family._word_checks(m, runs, 0) == {"not_permutation": None}
+        assert ktheory._word_checks(m, runs, 0) == {"not_permutation": None}
 
 
 class TestBlockForm:
@@ -800,8 +794,67 @@ class TestBlockForm:
 
     def test_fault_in_the_signed_route(self, monkeypatch):
         word = enumerate_admissible(12)[40]
-        lengthen_first_run(monkeypatch, word)
+        lengthen_run(monkeypatch, word)
         self.assert_dense_verdict(build_orbit(word), failed=True)
+
+
+def single_faults(monkeypatch):
+    """``(word, k, route, failed)`` for each single fault in an admissible
+    word with 3 <= n <= 12 and each k < n - 1: run k of the covering route
+    one column longer, run k of the signed route one column longer (through
+    the ``_run_form`` seam), and symbol k flipped in the orbit model.
+    ``failed`` lists the checks of verify that fail, with ``a`` read off the
+    word as verify reads it, or is None where the longer run would leave
+    the n - 1 columns of A."""
+    for n in range(3, 13):
+        for word in enumerate_admissible(n):
+            model = build_orbit(word)
+            runs = markov.transition_intervals(model)
+            signed = markov._run_form(model).A
+            a = closed_form_a(word)
+            for k in range(n - 1):
+                lo, hi = runs[k]
+                failed = None
+                if hi < n - 1:
+                    longer = runs[:k] + [(lo, hi + 1)] + runs[k + 1 :]
+                    failed = list(ktheory._word_checks(model, longer, a))
+                yield word, k, "covering", failed
+                failed = None
+                if signed[k][2] < n - 1:
+                    with monkeypatch.context() as patch:
+                        lengthen_run(patch, word, k)
+                        failed = list(ktheory._word_checks(model, runs, a))
+                yield word, k, "signed", failed
+                flipped = with_symbol(model, k, -word.symbols[k])
+                yield word, k, "symbol", list(ktheory._word_checks(flipped, runs, a))
+
+
+#: A failing check on the left comes with a failing check on the right.
+IMPLIED = {
+    "k1_rank": {"closed_form_k0"},
+    "cokernel_bridge": {"snf_multiset", "closed_form_k0"},
+    "block_form": {"identity_A_eta"},
+}
+
+
+def test_every_single_fault_fails_a_check_and_keeps_the_implications(monkeypatch):
+    injected = collections.Counter()
+    for word, k, route, failed in single_faults(monkeypatch):
+        injected[route if failed is not None else f"{route} cannot grow"] += 1
+        if failed is None:
+            continue
+        assert failed, (str(word), k, route)
+        for check, implied in IMPLIED.items():
+            assert check not in failed or implied & set(failed), (str(word), k, route, failed)
+    # 378 words, 3,694 runs; 756 runs end at the last column in either
+    # route, so 9,570 faults go in.
+    assert injected == {
+        "covering": 2938,
+        "covering cannot grow": 756,
+        "signed": 2938,
+        "signed cannot grow": 756,
+        "symbol": 3694,
+    }
 
 
 class TestBowenFranks:

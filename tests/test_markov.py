@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from kneadck import markov, symbolic
-from kneadck.family import _rows_of_i_minus_theta, _run_form
+from kneadck.ktheory import _rows_of_i_minus_theta
 from kneadck.markov import (
     ConstructionError,
     OrbitModel,
+    _run_form,
     build_matrices,
     build_orbit,
     transition_intervals,

@@ -2,7 +2,7 @@ import ast
 import pathlib
 
 import kneadck
-import kneadck.family
+import kneadck.markov
 
 # The public names of the package.  A name leaves this list only with its
 # removal from the API, so a deleted function cannot quietly come back.
@@ -151,19 +151,19 @@ def top_level_function(source: str, name: str) -> ast.FunctionDef:
 
 def test_only_the_family_imports_numpy():
     # Every call that spells out no dense matrix starts without numpy: the
-    # package imports it once, in the function of the family that does.
+    # package imports it once, in the function that spells the family.
     package = pathlib.Path(kneadck.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         found += numpy_imports(path.read_text(), path.name)
     [(name, line)] = [f.split(":") for f in found]
-    spell = top_level_function((package / "family.py").read_text(), "_spell")
-    assert name == "family.py"
+    spell = top_level_function((package / "markov.py").read_text(), "_spell")
+    assert name == "markov.py"
     assert spell.lineno < int(line) <= spell.end_lineno
 
 
 # The checks verify scores on the matrix family, listed once: in
-# family.CHECKS.  closed_form_k0 and k1_rank are left out; they
+# ktheory.CHECKS.  closed_form_k0 and k1_rank are left out; they
 # are the keys of ktheory._closed_form_failures, which k_groups shares.
 FAMILY_CHECKS = {
     "identity_A_eta",
@@ -196,12 +196,12 @@ def test_scan_finds_every_check_name():
 
 
 def test_family_checks_are_named_in_the_family_only():
-    # verify and every other module read the names off the family's table.
+    # verify and every other module read the names off the table of checks.
     package = pathlib.Path(kneadck.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         found += check_names(path.read_text(), path.name)
-    assert {f.split(":")[0] for f in found} == {"family.py"}
+    assert {f.split(":")[0] for f in found} == {"ktheory.py"}
     assert {f.split(": ")[1] for f in found} == FAMILY_CHECKS
 
 
@@ -226,5 +226,90 @@ def test_scan_finds_every_raise_of_a_function():
 
 def test_family_stack_fails_through_one_raise():
     # Every failure of the matrix family is a row of the run form's table.
-    source = pathlib.Path(kneadck.family.__file__).read_text()
+    source = pathlib.Path(kneadck.markov.__file__).read_text()
     assert len(raises_in(source, "_run_form")) == 1
+
+
+def sibling_imports(source: str) -> list[str]:
+    """The sibling module of every ``from .x import`` and every name of
+    every ``from . import x`` in ``source``, wherever it stands."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.append(node.module.split(".")[0])
+            else:
+                found += [alias.name for alias in node.names]
+    return found
+
+
+def function_imports(source: str, name: str) -> list[str]:
+    """Every import in the body of a function of ``source``, as
+    ``name:function: module`` with the dotted path of the function."""
+    found = []
+
+    def visit(node, path, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                is_function = not isinstance(child, ast.ClassDef)
+                visit(child, path + [child.name], in_function or is_function)
+            elif in_function and isinstance(child, ast.Import):
+                found.extend(f"{name}:{'.'.join(path)}: {a.name}" for a in child.names)
+            elif in_function and isinstance(child, ast.ImportFrom):
+                module = "." * child.level + (child.module or "")
+                found.append(f"{name}:{'.'.join(path)}: {module}")
+            else:
+                visit(child, path, in_function)
+
+    visit(ast.parse(source, name), [], False)
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of ``graph``, ``{module: modules it imports}``, as a path
+    that ends where it starts; ``[]`` when the graph is acyclic."""
+    done = set()
+
+    def search(node, path):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return []
+        for after in sorted(graph.get(node, ())):
+            if cycle := search(after, path + [node]):
+                return cycle
+        done.add(node)
+        return []
+
+    for node in sorted(graph):
+        if cycle := search(node, []):
+            return cycle
+    return []
+
+
+def test_scan_finds_every_import_structure():
+    source = "from .a import x\nfrom . import b, c\nfrom .. import d\nimport e\nfrom f import g\n"
+    source += "def h():\n    from .i.j import k\n    import numpy as np\n"
+    source += "class K:\n    import os\n    def m(self):\n        def inner():\n"
+    source += "            import logging\n"
+    assert sibling_imports(source) == ["a", "b", "c", "i"]
+    assert function_imports(source, "probe") == [
+        "probe:h: .i.j", "probe:h: numpy", "probe:K.m.inner: logging",
+    ]
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b", "c"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
+    assert import_cycle({"a": {"a"}}) == ["a", "a"]
+
+
+def test_package_imports_run_one_way():
+    # Every sibling import stands at the top of its module, and none closes
+    # a cycle; only the numpy of the dense spelling and the logging of
+    # verify load when a function first runs.
+    package = pathlib.Path(kneadck.__file__).parent
+    graph, deferred = {}, []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        graph[path.stem] = set(sibling_imports(source))
+        deferred += function_imports(source, path.name)
+    assert import_cycle(graph) == []
+    assert deferred == ["ktheory.py:verify: logging", "markov.py:_spell: numpy"]
