@@ -40,9 +40,8 @@ def _real(x, precision: int) -> str:
     return format(float(x), f".{precision}g")
 
 
-def _matrix_payload(M) -> dict:
-    r, c = M.shape
-    return {"rows": r, "cols": c, "entries": M.tolist()}
+def _matrix_payload(M: list[list[int]]) -> dict:
+    return {"rows": len(M), "cols": len(M[0]), "entries": M}
 
 
 def _group_payload(g: AbelianGroup) -> dict:
@@ -88,8 +87,8 @@ def _machine_json(o, indent: str = "\n") -> str:
     return f"[{inner}{opening}{deeper}{body}{inner}{closing}{indent}]"
 
 
-def _grid_lines(M) -> list[str]:
-    cells = [[str(e) for e in row] for row in M.tolist()]
+def _grid_lines(M: list[list[int]]) -> list[str]:
+    cells = [[str(e) for e in row] for row in M]
     width = max(len(s) for row in cells for s in row)
     return ["  " + " ".join(s.rjust(width) for s in row) for row in cells]
 

@@ -13,20 +13,18 @@ Everything here is exact integer arithmetic; no floats and no fractions.
 Every factor of the construction is a permutation, a signed diagonal, a
 bidiagonal or a matrix of running sums, so :func:`_run_form` builds the
 family as signed runs and single entries and decides each identity of
-the construction in O(n) per word, in pure Python.  :func:`_spell`, the
-one function of the package that imports numpy, writes the 13 fields of
-:func:`build_matrices` out as dense ``int64`` arrays.
+the construction in O(n) per word, in pure Python.  :func:`_spell`
+writes the 13 fields of :func:`build_matrices` out as lists of rows of
+Python ints, each row from its nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import accumulate
+from typing import NamedTuple
 
 from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ConstructionError(RuntimeError):
@@ -92,24 +90,25 @@ class TheoremMatrices:
     """The matrix family of one kneading word, in the display order of
     ``kneadck matrices``.
 
-    Shapes: ``theta``, ``omega``, ``pi``, ``gamma``, ``Y``, ``thetaprime``
-    are n x n; ``phi`` and ``eta`` are (n-1) x n; ``A``, ``alpha``,
-    ``beta``, ``X``, ``Aprime`` are (n-1) x (n-1).
+    Each field is a list of rows of Python ints in {-1, 0, 1}.  Shapes
+    (rows x columns): ``theta``, ``omega``, ``pi``, ``gamma``, ``Y``,
+    ``thetaprime`` are n x n; ``phi`` and ``eta`` are (n-1) x n; ``A``,
+    ``alpha``, ``beta``, ``X``, ``Aprime`` are (n-1) x (n-1).
     """
 
-    A: np.ndarray
-    theta: np.ndarray
-    omega: np.ndarray
-    phi: np.ndarray
-    pi: np.ndarray
-    eta: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    Y: np.ndarray
-    X: np.ndarray
-    Aprime: np.ndarray
-    thetaprime: np.ndarray
+    A: list[list[int]]
+    theta: list[list[int]]
+    omega: list[list[int]]
+    phi: list[list[int]]
+    pi: list[list[int]]
+    eta: list[list[int]]
+    alpha: list[list[int]]
+    beta: list[list[int]]
+    gamma: list[list[int]]
+    Y: list[list[int]]
+    X: list[list[int]]
+    Aprime: list[list[int]]
+    thetaprime: list[list[int]]
 
 
 def build_matrices(m: OrbitModel) -> TheoremMatrices:
@@ -204,58 +203,60 @@ def _run_form(m: OrbitModel) -> RunForm:
 
 
 def _spell(f: RunForm) -> TheoremMatrices:
-    """The 13 fields of the family in run form ``f`` as dense ``int64``
-    arrays, by the formulas of :func:`build_matrices`.
+    """The 13 fields of the family in run form ``f`` as lists of rows of
+    Python ints, by the formulas of :func:`build_matrices`.
 
-    No product is formed.  ``A`` is spelled from its signed runs, and
-    ``Aprime = X A^T Xinv`` by two index maps: column j of ``A eta`` is
-    A's column ``pos[j] - 1`` less its column ``pos[j]``, read as zero off
-    A, and ``X A^T`` is the transpose of its top block; column j of
-    ``M Xinv`` is ``S[:, pos[j]] - S[:, nL]``, with ``S[:, k]`` the sum of
-    M's columns 0 to k - 1.  The largest value any step computes is a
-    running sum of at most n entries of size at most 2, so nothing can
-    overflow int64.
+    No product is formed: each row is written from its nonzeros.  ``A`` is
+    spelled from its signed runs, and ``Aprime = X A^T Xinv`` by two index
+    maps: row j of ``M = X A^T`` is ``-s`` at t where ``rank[lo] = j`` and
+    ``s`` where ``rank[hi] = j``, for the run ``(s, lo, hi)`` of row t; row
+    j of ``M Xinv`` is ``S[pos[i]] - S[nL]`` at column i, with ``S[k]`` the
+    sum of the first k entries of row j of M.
     """
-    import numpy as np  # the one import of numpy in the package
+    rank, pos, nL, n = f.rank, f.pos[:-1], f.nL, len(f.rank)
 
-    n = len(f.eps)
-    ranks = np.arange(n)
-    pos = np.array(f.pos[:-1])
-    eps = np.array(f.eps, dtype=np.int64)
+    def rows(width, entries):
+        spelled = []
+        for pairs in entries:
+            row = [0] * width
+            for j, e in pairs:
+                row[j] = e
+            spelled.append(row)
+        return spelled
 
-    omega = np.zeros((n, n), dtype=np.int64)
-    omega[ranks, (ranks + 1) % n] = 1
-    pi = np.zeros((n, n), dtype=np.int64)
-    pi[ranks, f.rank] = 1
-    # phi differences the rows of I, eta = phi pi those of pi; Y is I with
-    # minus ones left of its last diagonal entry.
-    Y = np.eye(n, dtype=np.int64)
-    phi = Y[1:] - Y[:-1]
-    Y[n - 1, : n - 1] = -1
-    eta = pi[1:] - pi[:-1]
+    def run(s, lo, hi):
+        return [0] * lo + [s] * (hi - lo) + [0] * (n - 1 - hi)
+
+    omega = rows(n, [[((i + 1) % n, 1)] for i in range(n)])
+    pi = rows(n, [[(j, 1)] for j in rank])
+    # phi and eta = phi pi difference the rows of I and of pi; Y is I with -1s left of (n, n).
+    phi = rows(n, [[(k, -1), (k + 1, 1)] for k in range(n - 1)])
+    eta = rows(n, [[(rank[k], -1), (rank[k + 1], 1)] for k in range(n - 1)])
+    Y = rows(n, [[(i, 1)] for i in range(n - 1)]) + [[-1] * (n - 1) + [1]]
     # Diagonal carries the symbol values, last column their negatives; the
-    # two clauses agree at (n, n) because the final value is 0.  M @ omega
+    # two clauses agree at (n, n) because the final value is 0.  M omega
     # moves column j - 1 of M to column j.
-    gamma = np.diag(eps)
-    gamma[: n - 1, n - 1] = -eps[: n - 1]
-    theta = gamma[:, (ranks - 1) % n]
-    beta = np.diag(np.where(ranks[:-1] < f.nL, 1, -1))
-    X = eta[:, : n - 1].T.copy()
-
-    A = np.zeros((n - 1, n - 1), dtype=np.int64)
+    gamma = rows(n, [[(n - 1, -e), (i, e)] for i, e in enumerate(f.eps)])
+    theta = rows(n, [[(0, -e), ((i + 1) % n, e)] for i, e in enumerate(f.eps)])
+    sign = [1] * nL + [-1] * (n - 1 - nL)
+    beta = rows(n - 1, [[(t, g)] for t, g in enumerate(sign)])
+    # Row i of X is column i of eta, which holds 1 in row pos[i] - 1 and -1 in row pos[i].
+    X = rows(n - 1, [[(k, e) for k, e in ((p - 1, 1), (p, -1)) if 0 <= k < n - 1] for p in pos])
+    A = [run(*r) for r in f.A]
+    alpha = [run(g * s, lo, hi) for g, (s, lo, hi) in zip(sign, f.A)]
+    Aprime = [[0] * (n - 1) for _ in range(n - 1)]  # X A^T, then times Xinv
     for t, (s, lo, hi) in enumerate(f.A):
-        A[t, lo:hi] = s
-    alpha = beta.diagonal()[:, None] * A
-    P = np.zeros((n - 1, n + 1), dtype=np.int64)
-    P[:, 1:-1] = A
-    S = np.zeros((n - 1, n), dtype=np.int64)
-    np.cumsum((P[:, :-1] - P[:, 1:])[:, pos].T, axis=1, out=S[:, 1:])
-    Aprime = S[:, pos] - S[:, [f.nL]]
-    # Yinv theta^T Y: theta^T less its last column, then the column sums
-    # as the last row.
-    thetaprime = theta.T.copy()
-    thetaprime[:, : n - 1] -= thetaprime[:, n - 1 :]
-    thetaprime[n - 1] = thetaprime.sum(axis=0)
+        for k, e in ((lo, -s), (hi, s)):
+            if rank[k] < n - 1:
+                Aprime[rank[k]][t] = e
+    for j, row in enumerate(Aprime):
+        S = list(accumulate(row, initial=-sum(row[:nL])))
+        Aprime[j] = [*map(S.__getitem__, pos)]
+    # Yinv theta^T Y is theta^T less its last column, with the column sums
+    # as its last row; the final value is 0, so both are zero.  Row 0 holds
+    # minus the symbol values, and row j in 1..n-2 holds eps[j - 1] at j - 1.
+    units = rows(n, [[(j, e)] for j, e in enumerate(f.eps[:-2])])
+    thetaprime = [[-e for e in f.eps], *units, [0] * n]
     family = A, theta, omega, phi, pi, eta, alpha, beta, gamma, Y, X, Aprime, thetaprime
     return TheoremMatrices(*family)
 

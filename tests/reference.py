@@ -18,7 +18,9 @@ string key of the whole critical orbit at every step, where the package
 reads the orbit's invariant coordinate against the word's and stops at the
 first coordinate that disagrees.  :func:`family_by_products` builds the
 matrix family by batched dense products of its factors, where the package
-gathers rows and columns by index maps.
+writes each row from its nonzeros.  :func:`dense` turns the package's family,
+lists of rows of Python ints, into ``int64`` arrays for the tests that form
+products or take slices of its fields.
 """
 
 from __future__ import annotations
@@ -161,6 +163,11 @@ def covering_matrix(m) -> np.ndarray:
     for k, (lo, hi) in enumerate(transition_intervals(m)):
         A[k, lo:hi] = 1
     return A
+
+
+def dense(t: TheoremMatrices) -> TheoremMatrices:
+    """The 13 fields of a family as dense ``int64`` arrays, in field order."""
+    return TheoremMatrices(*(np.array(M, dtype=np.int64) for M in vars(t).values()))
 
 
 def family_by_products(models) -> TheoremMatrices:

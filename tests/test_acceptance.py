@@ -24,6 +24,7 @@ from kneadck.symbolic import Symbol, enumerate_admissible, parse_word
 from reference import (
     Order,
     covering_matrix,
+    dense,
     determinant,
     mt_compare,
     rows_of,
@@ -123,7 +124,7 @@ def test_criterion_3_construction_identities():
     for word in sweep(2, 10):
         n = word.n
         a = closed_form_a(word)
-        t = build_matrices(build_orbit(word))
+        t = dense(build_matrices(build_orbit(word)))
         assert np.array_equal(t.A @ t.eta, t.eta @ t.theta), str(word)
         assert np.array_equal(t.beta @ t.eta, t.eta @ t.gamma), str(word)
         assert np.array_equal(t.alpha @ t.eta, t.eta @ t.omega), str(word)

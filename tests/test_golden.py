@@ -89,6 +89,19 @@ MATRICES_RANDOM = {
     "RLLLLLRLRRLLRLRLRLRRRRLLRLRRLLLC": "ec785c20a7ac5dccb52fb525cfc2ed3a90fcf6ad02a139c7105bcc1d215db01d",
 }
 
+# matrices W --format text on the words of MATRICES_RANDOM, hashed while
+# the matrix family was still spelled as int64 arrays.
+MATRICES_RANDOM_TEXT = {
+    "RLLRLRRRRLLRLRRC": "87ac8f2731d7ef682fd232e8006e037470f33def636a1ea44660a00816aa59dc",
+    "RLLLLLLRRRRRLRLC": "b55a4a154a75b2267d6b3685ef1a84f60cc54ff542895d9eb36db31e2f5e20a7",
+    "RLLLLLRLLLLRLRLC": "64dbda70e9ebf71c8b7e3c076217b5ae57dd55695c39950193d4cfa0ae802025",
+    "RLLLRRRRRRLRLRLC": "a99d37ab94a762742f98f9a4b2c25173b5dc0270822ca5d68cc8f7a35c8a4f56",
+    "RLLLLLRRRLLRLLLRRRRLLRRLLRLLRLLC": "c860d4ba2e1a35c5dcdf50dea259521080a0c90415255938629eebddabdd4aac",
+    "RLLLLLLRRLRRRRLRLRLRLRRLLLLLRRRC": "606dea38d801a741f66bf685ac5229bc67fc5c4c053b3c8596c55b3f53b3de08",
+    "RLLLRLRRLRRLLLRLLRRLRRLLRLLRLRRC": "31927522ee47fd583f33bf5292992f0e78279c358ed2ecfef6f480508fb35245",
+    "RLLLLLRLRRLLRLRLRLRRRRLLRLRRLLLC": "a3560db918ec734e67df81fd04318a620ec722f3a03974693685391e9f27227c",
+}
+
 # find-mu W --format machine, the "results" object of every admissible word
 # with n <= 12 except the ones below, concatenated in enumeration order.
 # Hashed while the parameter was found by a sign-change grid, which refused
@@ -275,6 +288,11 @@ def test_matrices_every_word_of_period(n):
 @pytest.mark.parametrize("word", sorted(MATRICES_RANDOM))
 def test_matrices_random_word(word):
     assert sha256(output(["matrices", word, "--format", "machine"])) == MATRICES_RANDOM[word]
+
+
+@pytest.mark.parametrize("word", sorted(MATRICES_RANDOM_TEXT))
+def test_matrices_random_word_text(word):
+    assert sha256(output(["matrices", word, "--format", "text"])) == MATRICES_RANDOM_TEXT[word]
 
 
 def test_find_mu_12():

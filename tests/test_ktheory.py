@@ -30,6 +30,7 @@ from kneadck.symbolic import (
 from reference import (
     coordinate_by_int,
     covering_matrix,
+    dense,
     is_irreducible_dense,
     rows_of,
     smith_normal_form,
@@ -323,8 +324,8 @@ class TestKGroups:
 
         monkeypatch.setattr(ktheory, "build_orbit", flipping)
         lengthen_run(monkeypatch, bad_A)
-        t_tp = build_matrices(flipping(bad_tp))
-        t_A = build_matrices(build_orbit(bad_A))
+        t_tp = dense(build_matrices(flipping(bad_tp)))
+        t_A = dense(build_matrices(build_orbit(bad_A)))
         report = ktheory.verify(12)
         assert [(v["word"], v["check"]) for v in report.violations] == [
             (str(bad_tp), "identity_A_eta"),
@@ -457,8 +458,7 @@ class TestKGroups:
 
     def test_cli_import_leaves_logging_unloaded(self):
         # Only verify logs, so it imports logging itself, when it runs; and
-        # only the dense spelling of the matrix family uses numpy, so the
-        # commands that print no matrix, verify among them, never load it.
+        # the package never imports numpy, so no command loads it.
         code = (
             "import contextlib, io, sys\n"
             "import kneadck, kneadck.cli\n"
@@ -479,7 +479,7 @@ class TestKGroups:
             text=True,
             timeout=60,
         )
-        expected = "[]\n['logging']\n['logging', 'numpy']\n"
+        expected = "[]\n['logging']\n['logging']\n"
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
     def test_verify_scores_only_checks_a_word_can_fail(self):
@@ -565,9 +565,8 @@ class TestKGroups:
 
         word = parse_word("RLLRRC")
         model = build_orbit(word)
-        for name in ("array", "asarray", "empty", "eye", "full", "identity", "ones", "zeros",
-                     "nonzero", "flatnonzero", "argwhere"):
-            monkeypatch.setattr(np, name, dense)
+        for module in (markov, ktheory):
+            monkeypatch.setattr(module, "_spell", dense)
         # Armed: the dense matrix family can no longer be built.
         with pytest.raises(AssertionError, match="dense matrix"):
             build_matrices(model)
@@ -781,11 +780,11 @@ class TestBlockForm:
 
     @staticmethod
     def assert_dense_verdict(model, failed):
-        t = build_matrices(model)
+        t = dense(build_matrices(model))
         n = model.n
-        dense = np.array_equal(t.Aprime, t.thetaprime[: n - 1, : n - 1])
-        dense &= not t.thetaprime[n - 1].any()
-        assert ("block_form" not in failed_checks(model)) == dense == (not failed), model.word
+        holds = np.array_equal(t.Aprime, t.thetaprime[: n - 1, : n - 1])
+        holds &= not t.thetaprime[n - 1].any()
+        assert ("block_form" not in failed_checks(model)) == holds == (not failed), model.word
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_forced_words(self, n):

@@ -34,6 +34,7 @@ from reference import (
     charpoly,
     coordinate_by_int,
     covering_matrix,
+    dense,
     determinant,
     family_by_products,
     mt_compare,
@@ -276,7 +277,7 @@ def assert_identities(word):
     """The identities of the matrix family of one word."""
     n = word.n
     m = build_orbit(word)
-    t = build_matrices(m)
+    t = dense(build_matrices(m))
 
     # Intertwinings between the two chain-level descriptions.
     assert np.array_equal(t.A @ t.eta, t.eta @ t.theta)
@@ -336,7 +337,7 @@ class TestMatrixRelations:
         assert len(words) == 379
         for w in words:
             m = build_orbit(w)
-            A = build_matrices(m).A
+            A = dense(build_matrices(m)).A
             for row, (lo, hi) in zip(A, transition_intervals(m)):
                 assert np.flatnonzero(row).tolist() == list(range(lo, hi)), str(w)
                 assert set(row[lo:hi].tolist()) == {1}, str(w)
@@ -425,7 +426,7 @@ class TestIntegerRoute:
     )
     def test_inverses(self, word):
         n = word.n
-        t = build_matrices(build_orbit(word))
+        t = dense(build_matrices(build_orbit(word)))
         assert set(smith_of(t.X)) == {1}
         assert set(smith_of(t.Y)) == {1}
         # eta has an integer right inverse exactly when its Smith diagonal
@@ -439,7 +440,7 @@ class TestIntegerRoute:
         # solves its normal equations (eta eta^T) alpha^T = (eta omega eta^T)^T
         # over the rationals, independently of the integer route.
         sympy = pytest.importorskip("sympy")
-        t = build_matrices(build_orbit(word))
+        t = dense(build_matrices(build_orbit(word)))
         eta = sympy.Matrix(t.eta.tolist())
         omega = sympy.Matrix(t.omega.tolist())
         expected = (eta * eta.T).LUsolve((eta * omega * eta.T).T).T
@@ -465,7 +466,7 @@ class TestFamilyStack:
     def assert_slices_match(words):
         for w in words:
             m = build_orbit(w)
-            f, t = _run_form(m), build_matrices(m)
+            f, t = _run_form(m), dense(build_matrices(m))
             n, tag = w.n, str(w)
             assert f.rank == [r - 1 for r in m.rho] and f.nL == m.nL, tag
             assert [f.rank[j] for j in f.pos] == list(range(n)), tag
@@ -513,7 +514,7 @@ class TestIndexMaps:
         models = [build_orbit(w) for w in words]
         products = family_by_products(models)
         for b, m in enumerate(models):
-            maps = build_matrices(m)
+            maps = dense(build_matrices(m))
             for name, M in vars(products).items():
                 S = getattr(maps, name)
                 assert S.dtype == M.dtype == np.int64, name
@@ -536,20 +537,32 @@ class TestIndexMaps:
 
 
 class TestInt64Family:
-    """The family is int64 with entries in {-1, 0, 1}, decided per word by
-    the range row of the run form's table."""
+    """The family is rows of Python ints in {-1, 0, 1}, so it fits the int64
+    arrays of ``reference.dense``; the range is decided per word by the
+    range row of the run form's table."""
 
     RANGE = re.escape("matrix family has an entry outside {-1, 0, 1}")
 
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_every_matrix_is_int64_in_unit_range(self, n):
-        # Every word {L, R}^(n-1) C, inadmissible (forced) ones included.
+    def test_every_matrix_is_rows_of_unit_ints(self, n):
+        # Every word {L, R}^(n-1) C, inadmissible (forced) ones included,
+        # against the shapes of the TheoremMatrices docstring.  Lists, unlike
+        # arrays, can be ragged, so every row is measured.
+        square, wide, small = (n, n), (n - 1, n), (n - 1, n - 1)
+        shapes = dict.fromkeys(["theta", "omega", "pi", "gamma", "Y", "thetaprime"], square)
+        shapes |= dict.fromkeys(["phi", "eta"], wide)
+        shapes |= dict.fromkeys(["A", "alpha", "beta", "X", "Aprime"], small)
         for w in every_word(n):
-            m = build_orbit(w)
-            family = dataclasses.asdict(build_matrices(m))
-            for name, M in family.items():
-                assert M.dtype == np.int64, (str(w), name)
-                assert set(np.unique(M).tolist()) <= {-1, 0, 1}, (str(w), name)
+            t = build_matrices(build_orbit(w))
+            for name in (f.name for f in dataclasses.fields(t)):
+                M, (r, c) = getattr(t, name), shapes[name]
+                assert type(M) is list and len(M) == r, (str(w), name)
+                assert all(type(row) is list and len(row) == c for row in M), (str(w), name)
+                entries = {(type(e), e) for row in M for e in row}
+                assert entries <= {(int, -1), (int, 0), (int, 1)}, (str(w), name)
+            # No two rows are one list, so writing into a field changes no other.
+            every_row = [row for M in vars(t).values() for row in M]
+            assert len(set(map(id, every_row))) == len(every_row), str(w)
 
     @staticmethod
     def with_symbol(monkeypatch, m, k, value):

@@ -1,8 +1,13 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import kneadck
 import kneadck.markov
+
+from test_golden import VERIFY_10
 
 # The public names of the package.  A name leaves this list only with its
 # removal from the API, so a deleted function cannot quietly come back.
@@ -144,22 +149,53 @@ def test_scan_finds_every_numpy_import_that_runs():
     assert numpy_imports(source, "probe") == [f"probe:{k}" for k in (1, 2, 3, 11, 13)]
 
 
-def top_level_function(source: str, name: str) -> ast.FunctionDef:
-    tops = ast.parse(source).body
-    return next(top for top in tops if isinstance(top, ast.FunctionDef) and top.name == name)
-
-
 def test_only_the_family_imports_numpy():
-    # Every call that spells out no dense matrix starts without numpy: the
-    # package imports it once, in the function that spells the family.
+    # The matrix family is spelled in Python ints: no module of the
+    # package imports numpy, in a function or at its top.
     package = pathlib.Path(kneadck.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         found += numpy_imports(path.read_text(), path.name)
-    [(name, line)] = [f.split(":") for f in found]
-    spell = top_level_function((package / "markov.py").read_text(), "_spell")
-    assert name == "markov.py"
-    assert spell.lineno < int(line) <= spell.end_lineno
+    assert found == []
+
+
+def test_every_command_runs_with_numpy_blocked():
+    # A None entry in sys.modules makes every import of numpy raise, so the
+    # package runs each subcommand without it, and verify 10 prints its
+    # pinned text.
+    code = (
+        "import contextlib, hashlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('numpy was not blocked')\n"
+        "import kneadck, kneadck.cli\n"
+        "def run(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert kneadck.cli.main(list(argv)) == 0, argv\n"
+        "    return out.getvalue()\n"
+        "for fmt in ('text', 'machine'):\n"
+        "    run('matrices', 'RLLRLRRRRLLRLRRC', '--format', fmt)\n"
+        "run('kgroups', 'RLLRC')\n"
+        "run('verify', '8')\n"
+        "run('enumerate', '8')\n"
+        "run('find-mu', 'RLLRC')\n"
+        "run('admissible', 'RLC')\n"
+        "run('itinerary', '--mu', '3.5')\n"
+        "print(hashlib.sha256(run('verify', '10').encode()).hexdigest())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(kneadck.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, VERIFY_10["text"][10] + "\n", "")
 
 
 # The checks verify scores on the matrix family, listed once: in
@@ -303,8 +339,7 @@ def test_scan_finds_every_import_structure():
 
 def test_package_imports_run_one_way():
     # Every sibling import stands at the top of its module, and none closes
-    # a cycle; only the numpy of the dense spelling and the logging of
-    # verify load when a function first runs.
+    # a cycle; only the logging of verify loads when a function first runs.
     package = pathlib.Path(kneadck.__file__).parent
     graph, deferred = {}, []
     for path in sorted(package.glob("*.py")):
@@ -312,4 +347,4 @@ def test_package_imports_run_one_way():
         graph[path.stem] = set(sibling_imports(source))
         deferred += function_imports(source, path.name)
     assert import_cycle(graph) == []
-    assert deferred == ["ktheory.py:verify: logging", "markov.py:_spell: numpy"]
+    assert deferred == ["ktheory.py:verify: logging"]
