@@ -27,7 +27,7 @@ from itertools import chain
 
 from .dynamics import C_TOL, QuadMap, SolverError, find_superstable_mu, numeric_itinerary
 from .intlinalg import AbelianGroup
-from .ktheory import TheoremViolationError, _a_from_theta, k_groups, verify
+from .ktheory import TheoremViolationError, k_groups, verify
 from .markov import ConstructionError, TheoremMatrices, build_matrices, build_orbit
 from .symbolic import DomainError, ParseError, _word_text
 from .symbolic import is_admissible, parse_word, search_admissible
@@ -184,12 +184,13 @@ def _cmd_enumerate(args):
     results = {"n": args.n, "count": len(found)}
     text = []
     if not args.count_only:
-        results["words"] = listing = [
-            {"word": word, "a": _a_from_theta(theta)} for word, theta in found
-        ]
-        # Every word has length n, so the word column needs no padding.
-        if args.format == "text":
-            text.extend(f"{e['word']}  a={e['a']}" for e in listing)
+        # Each format reads the pairs in its own shape; only machine output
+        # builds the word dicts.
+        if args.format == "machine":
+            results["words"] = [{"word": word, "a": a} for word, a in found]
+        else:
+            # Every word has length n, so the word column needs no padding.
+            text.extend(f"{word}  a={a}" for word, a in found)
     text.append(f"count: {len(found)}")
     return inputs, results, text, 0
 

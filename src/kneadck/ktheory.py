@@ -56,19 +56,11 @@ class KGroupReport:
 
 
 def closed_form_a(w: KneadingWord) -> int:
-    """Exact a of a word: :func:`_a_from_theta` of the invariant coordinates
-    of its symbols before the final C."""
+    """Exact ``a = |1 + theta_1 + ... + theta_{n-1}|`` of a word, from the
+    invariant coordinates of its symbols before the final C."""
     if w.n < 2:
         raise DomainError("closed form requires period >= 2")
-    return _a_from_theta(invariant_coordinate(w.symbols[:-1]))
-
-
-def _a_from_theta(theta) -> int:
-    """a = |1 + theta_1 + ... + theta_{n-1}| from the invariant coordinates
-    of a word's symbols before its C, as :func:`closed_form_a` computes them
-    and :func:`~kneadck.symbolic.search_admissible` gives them beside each
-    word's text."""
-    return abs(1 + sum(theta))
+    return abs(1 + sum(invariant_coordinate(w.symbols[:-1])))
 
 
 def _differenced_rows(runs) -> list[dict[int, int]]:
@@ -288,8 +280,8 @@ def verify(n_max: int) -> VerifyReport:
     :func:`_word_checks` on the run form of its family, which returns
     only the checks the word fails or skips, with their failure texts; a
     check passes for every other word.  :data:`CHECKS` is the one list of
-    the checks and orders ``checks`` and each word's violations.  Each word's text and invariant
-    coordinates are read once, from
+    the checks and orders ``checks`` and each word's violations.  Each
+    word's text and ``a`` are read once, from
     :func:`~kneadck.symbolic.search_admissible`.  One INFO record per
     period goes to this module's logger.
     """
@@ -309,10 +301,9 @@ def verify(n_max: int) -> VerifyReport:
 
     symbol = _TOKENS.__getitem__
     for n in range(2, n_max + 1):
-        for text, theta in search_admissible(n):
+        for text, a in search_admissible(n):
             model = build_orbit(KneadingWord(tuple(map(symbol, text))))
             runs = transition_intervals(model)
-            a = _a_from_theta(theta)
             for name, detail in _word_checks(model, runs, a).items():
                 missed[name] = missed.get(name, 0) + 1
                 if detail is None:

@@ -20,9 +20,10 @@ So one string key per sequence, :func:`order_key`, replaces pairwise
 comparisons: the shifts of a word are sorted by keys ending at their ``C``,
 and admissibility is a few string comparisons.  Enumeration is one depth
 first search, :func:`search_admissible`, which prunes a prefix once one of
-its shifts exceeds it and returns each admissible word's text with the
-invariant coordinates it computed on the way, so a listing of words and
-their ``a`` needs no word object and no second pass to spell the words.
+its shifts exceeds it and returns each admissible word's text with its
+``a = |1 + theta_1 + ... + theta_{n-1}|``, summed along the way from the
+invariant coordinates it computes, so a listing of words and their ``a``
+needs no word object and no second pass over the words.
 Symbols are ints (an ``IntEnum``), so the per-symbol loops multiply them as
 they are and scan them with ``in``.
 """
@@ -172,52 +173,56 @@ def is_admissible(w: KneadingWord) -> bool:
     return all(k <= word for k in keys)
 
 
-def search_admissible(n: int) -> list[tuple[str, tuple[int, ...]]]:
+def search_admissible(n: int) -> list[tuple[str, int]]:
     """The admissible words of length ``n`` in lexicographic text order, each
-    as its text and the invariant coordinates of the symbols before its C.
+    as its text and its ``a = |1 + theta_1 + ... + theta_{n-1}|``.
 
     An admissible word begins with R: the first critical image is the orbit
     maximum, and a word beginning with L is exceeded by its shift that
     starts with R (or with C, which also beats L).  The free positions
     between that R and the final C are filled depth first, L before R, so
     the words come out in text order.  Along the way the search keeps the
-    text and the invariant coordinates of the prefix and the shifts whose
-    coordinates so far equal the word's.  A prefix is dropped as soon as
-    one of those tied shifts exceeds it, and a shift leaves the tie once it
-    falls below.  The final C gives each tied shift i the coordinate 0
-    against the word's ``theta_{n-1-i}``, so it exceeds the word exactly
-    when that coordinate is +1.  A prefix one symbol short of the C decides
-    its two words in place, L before R, instead of pushing them as frames.
+    text, the invariant coordinates and their running sum plus one for the
+    prefix, and the shifts whose coordinates so far equal the word's.  A
+    prefix is dropped as soon as one of those tied shifts exceeds it, and a
+    shift leaves the tie once it falls below.  The final C gives each tied
+    shift i the coordinate 0 against the word's ``theta_{n-1-i}``, so it
+    exceeds the word exactly when that coordinate is +1.  A prefix one
+    symbol short of the C decides its two words in place, L before R,
+    instead of pushing them as frames, and reads the word's last
+    coordinate as the one it adds, without building the word's coordinates.
     The search returns a list, not a generator, so a caller's timing of it
     is the search's own.
     """
     if n < 2:
         raise DomainError("enumeration is defined for period >= 2")
     if n == 2:
-        return [("RC", (-1,))]
+        return [("RC", 0)]
     last = n - 1
     found = []
-    # Frames: (text of the prefix, its invariant coordinates, tied shifts).
-    # R is pushed before L so that L is popped, and extended, first.  The
-    # symbol values are plain ints: R is -1 and L is +1.
-    stack = [("R", (-1,), ())]
+    # Frames: (text of the prefix, its invariant coordinates, 1 plus their
+    # sum, tied shifts).  R is pushed before L so that L is popped, and
+    # extended, first.  The symbol values are plain ints: R is -1 and L is +1.
+    stack = [("R", (-1,), 0, ())]
     while stack:
-        prefix, theta, tied = stack.pop()
+        prefix, theta, total, tied = stack.pop()
         m = len(prefix)
         if m == last - 1:
             # Each of the two words is decided here: a tied shift i now
-            # meets the C against the word's coordinate last - i.
+            # meets the C against the word's coordinate last - i, which is
+            # t for shift 1 and theta[last - i] for the others.
             for s, ending in ((1, "LC"), (-1, "RC")):
                 t = theta[-1] * s
-                coords = theta + (t,)
                 for i in tied:
                     c = theta[i - 1] * t
-                    if c < theta[m - i] or c == theta[m - i] and coords[last - i] > 0:
+                    if c < theta[m - i]:
+                        break
+                    if c == theta[m - i] and (theta[last - i] if i > 1 else t) > 0:
                         break
                 else:
                     # Shift m, tied on its R, then meets the C against theta_1.
-                    if s > 0 or coords[1] < 0:
-                        found.append((prefix + ending, coords))
+                    if s > 0 or (theta[1] if m > 1 else t) < 0:
+                        found.append((prefix + ending, abs(total + t)))
             continue
         for s, letter in ((-1, "R"), (1, "L")):
             t = theta[-1] * s
@@ -234,7 +239,7 @@ def search_admissible(n: int) -> list[tuple[str, tuple[int, ...]]]:
                 # Shift m starts with s against the word's R: tied iff s is R.
                 if s < 0:
                     still.append(m)
-                stack.append((prefix + letter, theta + (t,), still))
+                stack.append((prefix + letter, theta + (t,), total + t, still))
     return found
 
 

@@ -65,6 +65,13 @@ ENUMERATE_18 = {
     ("--count-only",): "6a34486e16b1d0182e4794822552e9155bc46f8441ef394aae0115e98f38ba55",
 }
 
+# enumerate 20 (26,214 words) per format, hashed while the search still
+# returned each word's invariant coordinates rather than its a.
+ENUMERATE_20 = {
+    "text": "8e845a1cec4aacb87ecbef821f8487e0cefae9b9787384f2d4341c9c6fe7fd00",
+    "machine": "78dee4cc03d74f66984c75ce9e17be0d8d869c57c3fe0ca40ef917385b9bf7e4",
+}
+
 # matrices W --format machine over every admissible word of the period,
 # concatenated in enumeration order.
 MATRICES_BY_PERIOD = {
@@ -274,6 +281,11 @@ def test_enumerate_14(fmt):
 @pytest.mark.parametrize("flags", list(ENUMERATE_18), ids=" ".join)
 def test_enumerate_18(flags):
     assert sha256(output(["enumerate", "18", *flags])) == ENUMERATE_18[flags]
+
+
+@pytest.mark.parametrize("fmt", sorted(ENUMERATE_20))
+def test_enumerate_20(fmt):
+    assert sha256(output(["enumerate", "20", "--format", fmt])) == ENUMERATE_20[fmt]
 
 
 @pytest.mark.parametrize("n", sorted(MATRICES_BY_PERIOD))

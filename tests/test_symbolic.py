@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import kneadck.symbolic
 from kneadck.dynamics import QuadMap, numeric_itinerary
+from kneadck.ktheory import closed_form_a
 from kneadck.symbolic import (
     DomainError,
     KneadingWord,
@@ -379,16 +380,16 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             search_admissible(n)
 
-    @pytest.mark.parametrize("n", range(2, 15))
-    def test_search_gives_coordinates_before_the_c(self, n):
+    @pytest.mark.parametrize("n", [*range(2, 15), 20])
+    def test_search_gives_each_words_text_and_a(self, n):
         found = search_admissible(n)
+        assert all(type(e) is tuple and len(e) == 2 for e in found)
+        assert all(type(text) is str and type(a) is int for text, a in found)
         texts = [text for text, _ in found]
-        assert all(type(text) is str and len(text) == n for text in texts)
         assert all(a < b for a, b in zip(texts, texts[1:]))
         assert texts == [str(w) for w in enumerate_admissible(n)]
-        assert all(
-            theta == invariant_coordinate(parse_word(text).symbols[:-1]) for text, theta in found
-        )
+        # closed_form_a sums invariant_coordinate, a route the search never takes.
+        assert all(a == closed_form_a(parse_word(text)) for text, a in found)
 
     def test_search_is_a_public_list(self):
         # The bench tracer wraps public functions and closes a span when a
