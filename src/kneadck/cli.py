@@ -261,29 +261,16 @@ def _cmd_itinerary(args):
     return inputs, results, None, 0
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # The same flags are accepted before and after the subcommand; the
-    # subcommand copies default to SUPPRESS so an absent flag never
-    # clobbers a value parsed at the top level.
-    parser.add_argument(
-        "--format",
-        choices=("text", "machine"),
-        default=argparse.SUPPRESS if suppress else "text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--precision",
-        type=_precision,
-        metavar="N",
-        default=argparse.SUPPRESS if suppress else 10,
-        help="significant digits for real numbers (default: 10)",
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="proceed on inadmissible words where meaningful",
-    )
+# Global flags, accepted before and after the subcommand.  Every parser owns
+# its copies (not shared through ``parents``), which default to SUPPRESS but on
+# the root, so a flag absent after the subcommand never clobbers one before it.
+_FLAGS = (
+    ("--format", dict(choices=("text", "machine"), help="output format (default: text)")),
+    ("--precision", dict(
+        type=_precision, metavar="N", help="significant digits for real numbers (default: 10)"
+    )),
+    ("--force", dict(action="store_true", help="proceed on inadmissible words where meaningful")),
+)
 
 
 @functools.cache
@@ -302,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
             "follow a '--' separator, e.g. 'kneadck kgroups -- -1,+1,0'."
         ),
     )
-    _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     # Each handler returns (inputs, results, text, exit code); text None
@@ -345,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=C_TOL)
     sp.set_defaults(handler=_cmd_itinerary)
 
-    for sp in sub.choices.values():
-        _add_global_flags(sp, suppress=True)
+    for p in (parser, *sub.choices.values()):
+        for flag, spec in _FLAGS:
+            p.add_argument(flag, default=argparse.SUPPRESS, **spec)
+    parser.set_defaults(format="text", precision=10, force=False)
     return parser
 
 

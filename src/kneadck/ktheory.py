@@ -23,6 +23,7 @@ rows, through this module's one binding of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -208,14 +209,14 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
     )
     if all(verdicts):
         return {}
+    spelled = functools.cache(lambda: _spell(f))  # the dense family, at most once
     details = {
         "closed_form_k0": lambda: closed["closed_form_k0"],
         "k1_rank": lambda: closed["k1_rank"],
         "identity_A_eta": lambda: f"lhs {lhs} vs rhs {rhs}",
-        "block_form": lambda: f"thetaprime {(t := _spell(f)).thetaprime} "
-        f"vs top-left block {t.Aprime}",
-        "construction_equivalence": lambda: f"covering runs {runs} vs signed route "
-        f"{_spell(f).A}",
+        "block_form": lambda: f"thetaprime {spelled().thetaprime} "
+        f"vs top-left block {spelled().Aprime}",
+        "construction_equivalence": lambda: f"covering runs {runs} vs signed route {spelled().A}",
         "snf_multiset": lambda: f"SNF diagonal {sorted(dtheta)} vs expected {expected}",
         "cokernel_bridge": lambda: "from A: {}, from theta: {}".format(*bridge),
         "zero_rows_cols": lambda: f"A has zero rows {[k for k, w in enumerate(width) if w <= 0]} "

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import kneadck.ktheory
 import kneadck.markov
 import kneadck.symbolic
-from kneadck.cli import _group_payload, _machine_json, main
+from kneadck.cli import _group_payload, _machine_json, build_parser, main
 from kneadck.intlinalg import AbelianGroup
 from kneadck.ktheory import closed_form_a
 from kneadck.markov import TheoremMatrices, build_orbit
@@ -135,6 +135,40 @@ class TestExitCodes:
         code, _, err = run(capsys, ["enumerate", "1"])
         assert code == 3
         assert "error:" in err
+
+
+# A minimal valid argv of each command, after its name.
+COMMANDS = {
+    "kgroups": ["RLC"],
+    "matrices": ["RLC"],
+    "enumerate": ["4"],
+    "verify": [],
+    "find-mu": ["RLC"],
+    "admissible": ["RLC"],
+    "itinerary": ["--mu", "3.5"],
+}
+
+# Each global flag as given, with the value it parses to; none is a default.
+GLOBAL_FLAGS = {
+    "format": (["--format", "machine"], "machine"),
+    "precision": (["--precision", "3"], 3),
+    "force": (["--force"], True),
+}
+
+
+class TestGlobalFlags:
+    @pytest.mark.parametrize("dest", list(GLOBAL_FLAGS))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_takes_every_global_flag(self, command, dest):
+        parse = build_parser().parse_args
+        argv = [command, *COMMANDS[command]]
+        flag, value = GLOBAL_FLAGS[dest]
+        others = [token for d, (f, _) in GLOBAL_FLAGS.items() if d != dest for token in f]
+        assert getattr(parse(argv), dest) != value
+        assert getattr(parse([*argv, *flag]), dest) == value
+        # Given before the name, the flag survives a parse of the command's
+        # own copies of the flags in which it alone is absent.
+        assert getattr(parse([*flag, *argv, *others]), dest) == value
 
 
 class TestOneOrbitSort:
@@ -522,6 +556,11 @@ class TestItineraryCommand:
         )
         assert code == 0
         assert doc["results"]["itinerary"].startswith("RCRC")
+
+    def test_start_outside_the_interval(self, capsys):
+        assert run(capsys, ["itinerary", "--mu", "3.5", "--x0", "2"]) == (
+            3, "", "error: starting point must lie in [0, 1]\n"
+        )
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_bad_tolerance(self, capsys, tol):

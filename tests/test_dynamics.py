@@ -114,6 +114,16 @@ class TestItinerary:
         with pytest.raises(DomainError):
             numeric_itinerary(QuadMap(3.2), 0.5, 4, tol=tol)
 
+    @pytest.mark.parametrize("x0", [-1e-9, 1.0 + 1e-9, 2.0, float("nan")])
+    def test_rejects_start_outside_the_interval(self, x0):
+        with pytest.raises(DomainError, match=r"^starting point must lie in \[0, 1\]$"):
+            numeric_itinerary(QuadMap(3.5), x0, 4)
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_rejects_depth_below_one(self, depth):
+        with pytest.raises(DomainError, match="^depth must be positive$"):
+            numeric_itinerary(QuadMap(3.5), 0.5, depth)
+
     def test_shift_law(self):
         # Away from the turning point the itinerary of f(x) is the shifted
         # itinerary of x.

@@ -180,7 +180,7 @@ class TestSmithNormalForm:
         big = 10**40
         assert smith_of([[big, 1], [1, big]]) == (1, big * big - 1)
 
-    def test_promotes_when_int64_could_overflow(self):
+    def test_exact_where_int64_would_overflow(self):
         # The first update writes 1 - a**2, just inside 2**62; the second
         # writes 1 - 2 * a**2, beyond it, and the result must stay exact.
         a = 2**31 - 1

@@ -736,6 +736,24 @@ class TestEveryCheckFails:
             "identity_A_eta", "block_form", "construction_equivalence",
         ]
 
+    def test_a_word_failing_both_dense_texts_is_spelled_once(self, monkeypatch):
+        # block_form and construction_equivalence both print fields of the
+        # dense family; the texts of one word share one spelling of it.
+        word = enumerate_admissible(12)[40]
+        lengthen_run(monkeypatch, word)
+        calls = []
+        spell = markov._spell
+
+        def counted(f):
+            calls.append(f)
+            return spell(f)
+
+        for module in (markov, ktheory):
+            monkeypatch.setattr(module, "_spell", counted)
+        failed = failed_checks(build_orbit(word))
+        assert {"block_form", "construction_equivalence"} <= set(failed)
+        assert len(calls) == 1
+
     def test_snf_multiset(self, monkeypatch):
         # A wrong Smith diagonal of I - theta, the only elimination on n
         # columns.

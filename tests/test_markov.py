@@ -264,7 +264,18 @@ class TestOrbitModel:
             build_orbit(parse_word("RLLRRC"))
         assert str(info.value) == "RLLRRC: orbit points 1 and 5 do not compare strictly"
 
-    def test_inadmissible_warns_but_constructs(self):
+    def test_turning_point_off_its_rank_is_refused(self, monkeypatch):
+        # RLLRRC sorts as 2 < 3 < 6 < 4 < 5 < 1 with nL = 2.  A distinct key
+        # below the C's "1" for point 4 moves it to rank 2, so the turning
+        # point 6 lands at rank 4 instead of nL + 1 = 3.
+        keys = list(shift_keys(parse_word("RLLRRC")))
+        keys[3] = "01"
+        monkeypatch.setattr(markov, "shift_keys", lambda w: iter(keys))
+        with pytest.raises(ConstructionError) as info:
+            build_orbit(parse_word("RLLRRC"))
+        assert str(info.value) == "RLLRRC: turning point is not at spatial rank nL+1"
+
+    def test_inadmissible_constructs_without_a_warning(self):
         # Flagged by ``admissible`` alone: building the orbit warns nothing.
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -149,7 +149,7 @@ def test_scan_finds_every_numpy_import_that_runs():
     assert numpy_imports(source, "probe") == [f"probe:{k}" for k in (1, 2, 3, 11, 13)]
 
 
-def test_only_the_family_imports_numpy():
+def test_no_module_imports_numpy():
     # The matrix family is spelled in Python ints: no module of the
     # package imports numpy, in a function or at its top.
     package = pathlib.Path(kneadck.__file__).parent
@@ -231,7 +231,7 @@ def test_scan_finds_every_check_name():
     ]
 
 
-def test_family_checks_are_named_in_the_family_only():
+def test_check_names_are_written_in_ktheory_only():
     # verify and every other module read the names off the table of checks.
     package = pathlib.Path(kneadck.__file__).parent
     found = []
@@ -260,7 +260,7 @@ def test_scan_finds_every_raise_of_a_function():
     assert raises_in(source, "h") == []
 
 
-def test_family_stack_fails_through_one_raise():
+def test_run_form_fails_through_one_raise():
     # Every failure of the matrix family is a row of the run form's table.
     source = pathlib.Path(kneadck.markov.__file__).read_text()
     assert len(raises_in(source, "_run_form")) == 1

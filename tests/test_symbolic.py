@@ -143,10 +143,15 @@ class TestParsing:
         # Period 1 is parseable; rejection happens at the domain layer.
         assert parse_word("C").n == 1
 
+    def test_empty_symbol_tuple_rejected(self):
+        with pytest.raises(ParseError, match="^empty word$"):
+            KneadingWord(())
+
     def test_symbol_values(self):
         assert int(Symbol.R) == -1
         assert int(Symbol.L) == 1
         assert int(Symbol.C) == 0
+        assert [str(s) for s in (Symbol.R, Symbol.C, Symbol.L)] == ["R", "C", "L"]
 
 
 class TestInvariantCoordinate:
