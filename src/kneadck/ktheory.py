@@ -16,14 +16,14 @@ the same runs, so it forms no dense matrix.  :func:`verify` scores both
 beside the checks on the matrix family for every admissible word up to a
 period, one word at a time: :func:`_word_checks` decides the nine
 :data:`CHECKS` on the run form of :func:`~kneadck.markov._run_form`,
-comparing the runs with the signed runs of the other route to A.  Every
+comparing the runs with the signed runs of the other route to A, and
+records each check the word fails, with its text, under its name.  Every
 elimination is one call of :func:`~kneadck.intlinalg.smith_diagonal` on
 rows, through this module's one binding of it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -140,10 +140,11 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
     ``m`` does not pass, given its runs of
     :func:`~kneadck.markov.transition_intervals` and its closed form ``a``.
 
-    Returns ``{check: text}`` in the order of :data:`CHECKS`, with the
-    failure text of each failed check, spelled out only then, and ``None``
-    for a check that does not apply: ``not_permutation`` at n = 2, where
-    the single interval forces A = [[1]].  Row t of ``A eta`` is
+    Returns one record ``{check: text}`` in the order of :data:`CHECKS`:
+    that of :func:`_closed_form_failures`, where each later check that
+    fails adds its text, spelled out only then, and ``None`` marks a check
+    that does not apply: ``not_permutation`` at n = 2, where the single
+    interval forces A = [[1]].  Row t of ``A eta`` is
     ``s (e_rank[hi] - e_rank[lo])`` for the run ``(s, lo, hi)`` of A, and
     ``identity_A_eta`` compares it with ``theta[rank[t+1]] - theta[rank[t]]``,
     row t of ``eta theta``.  ``block_form`` asks that ``Aprime = X A^T Xinv``
@@ -187,47 +188,36 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
 
     K0 = _k0(runs)
     dtheta = smith_diagonal(_rows_of_i_minus_theta(eps), n)
-    bridge = K0, AbelianGroup.from_diagonal(dtheta)
-    closed = _closed_form_failures(a, K0)
-    expected = sorted([a] + [1] * last)
-
-    verdicts = (  # in the order of CHECKS
-        "closed_form_k0" not in closed,
-        "k1_rank" not in closed,
-        identity,
-        block,
-        # No signed run is empty, since u takes n distinct values.
-        f.A == [(1, lo, hi) for lo, hi in runs],
-        sorted(dtheta) == expected,
-        bridge[0] == bridge[1],
-        # A zero row of A is an empty run, a zero column one no run covers.
-        min(width) > 0 and min(cover) > 0,
-        # For n >= 3 the two intervals adjacent to the turning point map
-        # onto spans sharing the top interval, so A cannot be a
-        # permutation matrix: one entry in each row and in each column.
-        not (set(width) == set(cover) == {1}) if n > 2 else None,
-    )
-    if all(verdicts):
-        return {}
-    spelled = functools.cache(lambda: _spell(f))  # the dense family, at most once
-    details = {
-        "closed_form_k0": lambda: closed["closed_form_k0"],
-        "k1_rank": lambda: closed["k1_rank"],
-        "identity_A_eta": lambda: f"lhs {lhs} vs rhs {rhs}",
-        "block_form": lambda: f"thetaprime {spelled().thetaprime} "
-        f"vs top-left block {spelled().Aprime}",
-        "construction_equivalence": lambda: f"covering runs {runs} vs signed route {spelled().A}",
-        "snf_multiset": lambda: f"SNF diagonal {sorted(dtheta)} vs expected {expected}",
-        "cokernel_bridge": lambda: "from A: {}, from theta: {}".format(*bridge),
-        "zero_rows_cols": lambda: f"A has zero rows {[k for k, w in enumerate(width) if w <= 0]} "
-        f"and zero columns {[j for j, c in enumerate(cover) if not c]}: runs {runs}",
-        "not_permutation": lambda: f"A is a permutation matrix: runs {runs}",
-    }
-    return {
-        name: ok if ok is None else details[name]()
-        for name, ok in zip(CHECKS, verdicts)
-        if not ok
-    }
+    failed = _closed_form_failures(a, K0)
+    if not identity:
+        failed["identity_A_eta"] = f"lhs {lhs} vs rhs {rhs}"
+    spelled = None  # the dense family, spelled at most once, for a failure text
+    if not block:
+        spelled = _spell(f)
+        failed["block_form"] = f"thetaprime {spelled.thetaprime} vs top-left block {spelled.Aprime}"
+    # No signed run is empty, since u takes n distinct values.
+    if f.A != [(1, lo, hi) for lo, hi in runs]:
+        spelled = spelled or _spell(f)
+        failed["construction_equivalence"] = f"covering runs {runs} vs signed route {spelled.A}"
+    diagonal, expected = sorted(dtheta), sorted([a] + [1] * last)
+    if diagonal != expected:
+        failed["snf_multiset"] = f"SNF diagonal {diagonal} vs expected {expected}"
+    K0_theta = AbelianGroup.from_diagonal(dtheta)
+    if K0 != K0_theta:
+        failed["cokernel_bridge"] = f"from A: {K0}, from theta: {K0_theta}"
+    # A zero row of A is an empty run, a zero column one no run covers.
+    if not (min(width) > 0 and min(cover) > 0):
+        failed["zero_rows_cols"] = (
+            f"A has zero rows {[k for k, w in enumerate(width) if w <= 0]} "
+            f"and zero columns {[j for j, c in enumerate(cover) if not c]}: runs {runs}"
+        )
+    # For n >= 3 the two intervals adjacent to the turning point map onto
+    # spans sharing the top interval: a column of A holds two ones.
+    if n == 2:
+        failed["not_permutation"] = None
+    elif set(width) == set(cover) == {1}:
+        failed["not_permutation"] = f"A is a permutation matrix: runs {runs}"
+    return {name: failed[name] for name in CHECKS if name in failed}
 
 
 def k_groups(m: OrbitModel) -> KGroupReport:

@@ -188,7 +188,7 @@ class TestSmithNormalForm:
         assert smith_of(M) == (1, 1, 2 * a * a - 1)
         check_smith_invariants(M)
 
-    def test_int64_and_object_paths_agree(self):
+    def test_scaling_by_2_62_scales_the_diagonal(self):
         # Scaling by 2**62 scales the diagonal; the scaled entries and
         # their products lie far beyond 64-bit arithmetic.
         rng = random.Random(29)

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import json
 import logging
@@ -341,7 +342,7 @@ class TestKGroups:
         assert A_eta.startswith(f"lhs {(t_A.A @ t_A.eta).tolist()} vs rhs ")
         assert report.checks["block_form"] == report.checks["identity_A_eta"] == 377
 
-    def test_verify_reports_crafted_runs_inside_a_stack(self, monkeypatch):
+    def test_verify_reports_crafted_runs_of_one_word(self, monkeypatch):
         # RLLLLRRLRLLC is word 49 of period 12.  Emptying its last run (0, 2)
         # leaves row 10 and column 0 of the covering A zero and keeps the
         # Smith form of I - A (a = 2), so only the two checks on the
@@ -388,7 +389,7 @@ class TestKGroups:
             "not_permutation": 378,
         }
 
-    def test_verify_reports_a_wrong_theta_diagonal_inside_a_stack(self, monkeypatch):
+    def test_verify_reports_a_wrong_theta_diagonal_of_one_word(self, monkeypatch):
         # RLLLLRRLRLLC (a = 2) is word 49 of period 12.  Only the Smith form
         # of its I - theta goes wrong, so only the two checks that read that
         # diagonal fail, and only for it.
@@ -710,9 +711,18 @@ class TestEveryCheckFails:
         ]
 
     def test_k1_rank(self):
-        assert failed_checks(build_orbit(parse_word("LRRC"))) == [
+        model = build_orbit(parse_word("LRRC"))
+        assert failed_checks(model) == [
             "closed_form_k0", "k1_rank", "construction_equivalence", "cokernel_bridge",
         ]
+        runs = markov.transition_intervals(model)
+        assert ktheory._word_checks(model, runs, closed_form_a(model.word)) == {
+            "closed_form_k0": "closed form a=2 predicts K0=Z_2, SNF route gives Z",
+            "k1_rank": "a=2 predicts kernel rank 0, SNF route gives 1",
+            "construction_equivalence": "covering runs [(0, 2), (0, 3), (1, 3)] vs signed route "
+            "[[-1, -1, 0], [-1, -1, -1], [0, 1, 1]]",
+            "cokernel_bridge": "from A: Z, from theta: Z_2",
+        }
 
     def test_construction_equivalence(self):
         assert failed_checks(build_orbit(parse_word("LRC"))) == ["construction_equivalence"]
@@ -777,13 +787,24 @@ class TestEveryCheckFails:
     def test_not_permutation(self):
         # Runs of one column each, on the diagonal: A = I.
         model = build_orbit(parse_word("RLLRRC"))
-        assert failed_checks(model, [(k, k + 1) for k in range(5)]) == [
+        runs = [(k, k + 1) for k in range(5)]
+        assert failed_checks(model, runs) == [
             "closed_form_k0",
             "k1_rank",
             "construction_equivalence",
             "cokernel_bridge",
             "not_permutation",
         ]
+        assert ktheory._word_checks(model, runs, closed_form_a(model.word)) == {
+            "closed_form_k0": "closed form a=2 predicts K0=Z_2, SNF route gives Z^5",
+            "k1_rank": "a=2 predicts kernel rank 0, SNF route gives 5",
+            "construction_equivalence": f"covering runs {runs} vs signed route "
+            "[[0, 1, 1, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1], [0, 0, 1, 1, 0], "
+            "[1, 1, 0, 0, 0]]",
+            "cokernel_bridge": "from A: Z^5, from theta: Z_2",
+            "not_permutation": "A is a permutation matrix: runs "
+            "[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]",
+        }
 
     def test_not_permutation_is_skipped_at_period_two(self):
         m = build_orbit(parse_word("RC"))
@@ -820,9 +841,9 @@ def single_faults(monkeypatch):
     word with 3 <= n <= 12 and each k < n - 1: run k of the covering route
     one column longer, run k of the signed route one column longer (through
     the ``_run_form`` seam), and symbol k flipped in the orbit model.
-    ``failed`` lists the checks of verify that fail, with ``a`` read off the
-    word as verify reads it, or is None where the longer run would leave
-    the n - 1 columns of A."""
+    ``failed`` is the ``{check: text}`` record of the checks of verify that
+    fail, with ``a`` read off the word as verify reads it, or is None where
+    the longer run would leave the n - 1 columns of A."""
     for n in range(3, 13):
         for word in enumerate_admissible(n):
             model = build_orbit(word)
@@ -834,16 +855,16 @@ def single_faults(monkeypatch):
                 failed = None
                 if hi < n - 1:
                     longer = runs[:k] + [(lo, hi + 1)] + runs[k + 1 :]
-                    failed = list(ktheory._word_checks(model, longer, a))
+                    failed = ktheory._word_checks(model, longer, a)
                 yield word, k, "covering", failed
                 failed = None
                 if signed[k][2] < n - 1:
                     with monkeypatch.context() as patch:
                         lengthen_run(patch, word, k)
-                        failed = list(ktheory._word_checks(model, runs, a))
+                        failed = ktheory._word_checks(model, runs, a)
                 yield word, k, "signed", failed
                 flipped = with_symbol(model, k, -word.symbols[k])
-                yield word, k, "symbol", list(ktheory._word_checks(flipped, runs, a))
+                yield word, k, "symbol", ktheory._word_checks(flipped, runs, a)
 
 
 #: A failing check on the left comes with a failing check on the right.
@@ -854,12 +875,19 @@ IMPLIED = {
 }
 
 
+#: sha256 over ``repr(list(failed.items()))`` of each fault's record, in
+#: the order of :func:`single_faults`: every failure text, pinned.
+SINGLE_FAULT_RECORDS = "ba1c96a6aadf286c487e299dd4ebb8615eeb560c2ef6f9b8951a72517655787b"
+
+
 def test_every_single_fault_fails_a_check_and_keeps_the_implications(monkeypatch):
     injected = collections.Counter()
+    records = hashlib.sha256()
     for word, k, route, failed in single_faults(monkeypatch):
         injected[route if failed is not None else f"{route} cannot grow"] += 1
         if failed is None:
             continue
+        records.update(repr(list(failed.items())).encode())
         assert failed, (str(word), k, route)
         for check, implied in IMPLIED.items():
             assert check not in failed or implied & set(failed), (str(word), k, route, failed)
@@ -872,6 +900,7 @@ def test_every_single_fault_fails_a_check_and_keeps_the_implications(monkeypatch
         "signed cannot grow": 756,
         "symbol": 3694,
     }
+    assert records.hexdigest() == SINGLE_FAULT_RECORDS
 
 
 class TestBowenFranks:
