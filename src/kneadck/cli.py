@@ -273,6 +273,33 @@ _FLAGS = (
 )
 
 
+# The subcommands, in help order: name, help, handler and own arguments.  Each
+# handler returns (inputs, results, text, exit code); text None means one
+# ``key: value`` line per entry of results.
+_WORD = (("word", {}),)
+_COMMANDS = (
+    ("kgroups", "K-groups and Bowen-Franks group of a word", _cmd_kgroups, _WORD),
+    ("matrices", "print the matrix family of a word", _cmd_matrices, (*_WORD, ("--which", dict(
+        metavar="NAMES",
+        help=f"comma-separated subset of: {', '.join(_MATRIX_NAMES)} (default: all)",
+    )))),
+    ("enumerate", "list admissible words of a given length", _cmd_enumerate, (
+        ("n", dict(type=int)), ("--count-only", dict(action="store_true")),
+    )),
+    ("verify", "exhaustive consistency sweep up to n_max", _cmd_verify, (
+        ("n_max", dict(type=int, nargs="?", default=6)),
+    )),
+    ("find-mu", "superstable parameter realizing a word", _cmd_find_mu, _WORD),
+    ("admissible", "test a word for admissibility", _cmd_admissible, _WORD),
+    ("itinerary", "numeric itinerary of a point", _cmd_itinerary, (
+        ("--mu", dict(type=float, required=True)),
+        ("--x0", dict(type=float, help="default: the image of c")),
+        ("--depth", dict(type=_positive_int, default=20)),
+        ("--tol", dict(type=float, default=C_TOL)),
+    )),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it
@@ -291,45 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    # Each handler returns (inputs, results, text, exit code); text None
-    # means one ``key: value`` line per entry of results.
-    sp = sub.add_parser("kgroups", help="K-groups and Bowen-Franks group of a word")
-    sp.add_argument("word")
-    sp.set_defaults(handler=_cmd_kgroups)
-
-    sp = sub.add_parser("matrices", help="print the matrix family of a word")
-    sp.add_argument("word")
-    sp.add_argument(
-        "--which",
-        metavar="NAMES",
-        default=None,
-        help=f"comma-separated subset of: {', '.join(_MATRIX_NAMES)} (default: all)",
-    )
-    sp.set_defaults(handler=_cmd_matrices)
-
-    sp = sub.add_parser("enumerate", help="list admissible words of a given length")
-    sp.add_argument("n", type=int)
-    sp.add_argument("--count-only", action="store_true")
-    sp.set_defaults(handler=_cmd_enumerate)
-
-    sp = sub.add_parser("verify", help="exhaustive consistency sweep up to n_max")
-    sp.add_argument("n_max", type=int, nargs="?", default=6)
-    sp.set_defaults(handler=_cmd_verify)
-
-    sp = sub.add_parser("find-mu", help="superstable parameter realizing a word")
-    sp.add_argument("word")
-    sp.set_defaults(handler=_cmd_find_mu)
-
-    sp = sub.add_parser("admissible", help="test a word for admissibility")
-    sp.add_argument("word")
-    sp.set_defaults(handler=_cmd_admissible)
-
-    sp = sub.add_parser("itinerary", help="numeric itinerary of a point")
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--x0", type=float, default=None, help="default: the image of c")
-    sp.add_argument("--depth", type=_positive_int, default=20)
-    sp.add_argument("--tol", type=float, default=C_TOL)
-    sp.set_defaults(handler=_cmd_itinerary)
+    for name, summary, handler, arguments in _COMMANDS:
+        sp = sub.add_parser(name, help=summary)
+        for argument, spec in arguments:
+            sp.add_argument(argument, **spec)
+        sp.set_defaults(handler=handler)
 
     for p in (parser, *sub.choices.values()):
         for flag, spec in _FLAGS:

@@ -156,19 +156,17 @@ class AbelianGroup:
 
     @classmethod
     def cyclic(cls, a: int) -> "AbelianGroup":
-        """Z_a with the conventions Z_0 = Z and Z_1 = 0."""
+        """Z_a for ``a >= 0``: the cokernel of the 1 x 1 matrix ``[a]``."""
         if a < 0:
             raise ValueError("cyclic order must be nonnegative")
-        if a == 0:
-            return cls(1, ())
-        if a == 1:
-            return cls(0, ())
-        return cls(0, (a,))
+        return cls.from_diagonal((a,))
 
     @classmethod
     def from_diagonal(cls, diag) -> "AbelianGroup":
-        """The cokernel of a square matrix, read off its Smith diagonal."""
-        return cls(diag.count(0), tuple(d for d in diag if d >= 2))
+        """The cokernel of a square matrix, read off its Smith diagonal: a
+        Z for each 0, nothing for each +-1 and Z_|d| for any other d.  So
+        Z_0 = Z and Z_1 = 0."""
+        return cls(diag.count(0), tuple(t for t in map(abs, diag) if t >= 2))
 
     def __str__(self) -> str:
         parts = []

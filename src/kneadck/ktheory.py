@@ -3,9 +3,10 @@
 Two independent routes are compared: the closed form
 ``a = |1 + theta_1 + ... + theta_{n-1}|``, the kneading determinant at
 t = 1 summed over the invariant coordinates ``theta_k = e_1 ... e_k``,
-predicting K0 = Z_a (with Z_0 = Z, Z_1 = 0) and K1 = Z exactly when a = 0;
-and the Smith-normal-form route, which reads K0 as the cokernel and K1 as
-the kernel of I - A^T over the integers.  Both checks are stated once, in
+predicting K0 = Z_a, as :meth:`~kneadck.intlinalg.AbelianGroup.cyclic`
+reads it, and K1 = Z exactly when a = 0; and the Smith-normal-form
+route, which reads K0 as the cokernel and K1 as the kernel of I - A^T
+over the integers.  Both checks are stated once, in
 :func:`_closed_form_failures`, on the cokernel read off the Smith
 diagonal of the rows that :func:`_differenced_rows` builds from the runs
 of ones that make up the rows of A: (I - A) D with D unimodular.
@@ -29,7 +30,7 @@ from itertools import accumulate
 
 from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
 from .markov import OrbitModel, _run_form, _spell, build_orbit, transition_intervals
-from .symbolic import _TOKENS, DomainError, KneadingWord, invariant_coordinate, search_admissible
+from .symbolic import DomainError, KneadingWord, invariant_coordinate, parse_word, search_admissible
 
 
 #: The nine checks of :func:`verify`, in scoring order.
@@ -290,10 +291,9 @@ def verify(n_max: int) -> VerifyReport:
     # from n = 8 on, have strongly connected matrices.
     a_zero = {"reducible": [], "irreducible": []}
 
-    symbol = _TOKENS.__getitem__
     for n in range(2, n_max + 1):
         for text, a in search_admissible(n):
-            model = build_orbit(KneadingWord(tuple(map(symbol, text))))
+            model = build_orbit(parse_word(text))
             runs = transition_intervals(model)
             for name, detail in _word_checks(model, runs, a).items():
                 missed[name] = missed.get(name, 0) + 1

@@ -54,8 +54,10 @@ class Symbol(enum.IntEnum):
         return self.name
 
 
-#: Every accepted token, keyed as stripped: the letters and the signed numbers.
-_TOKENS = {**Symbol.__members__, "-1": Symbol.R, "+1": Symbol.L, "1": Symbol.L, "0": Symbol.C}
+#: The symbol of each letter, and of each token of comma-separated text,
+#: keyed as stripped: the letters and the signed numbers.
+_LETTERS = dict(Symbol.__members__)
+_TOKENS = {**_LETTERS, "-1": Symbol.R, "+1": Symbol.L, "1": Symbol.L, "0": Symbol.C}
 
 _LETTER = {Symbol.R: "R", Symbol.C: "C", Symbol.L: "L"}
 
@@ -92,18 +94,20 @@ def _word_text(symbols) -> str:
 
 
 def parse_word(text: str) -> KneadingWord:
-    """Parse ``"RLLRRC"`` or comma-separated ``"-1,+1,+1,-1,-1,0"``.
-
-    Both notations are accepted everywhere a word is read.
-    """
+    """Parse letters ``"RLLRRC"`` or comma-separated ``"-1,+1,+1,-1,-1,0"``,
+    as everywhere a word is read: letters are R, L and C only, and each
+    token, stripped, is a letter or a signed number.  Text that starts
+    with a sign or a digit is read as tokens."""
     text = text.strip()
     if not text:
         raise ParseError("empty word")
-    tokens = text.split(",") if "," in text or text[0] in "+-0123456789" else text
-    symbols = tuple(map(_TOKENS.get, map(str.strip, tokens)))
+    if "," in text or text[0] in "+-0123456789":
+        tokens, table = [token.strip() for token in text.split(",")], _TOKENS
+    else:
+        tokens, table = text, _LETTERS
+    symbols = tuple(map(table.get, tokens))
     if None in symbols:
-        token = tokens[symbols.index(None)]
-        raise ParseError(f"unknown symbol {token.strip()!r}")
+        raise ParseError(f"unknown symbol {tokens[symbols.index(None)].strip()!r}")
     return KneadingWord(symbols)
 
 
@@ -246,6 +250,5 @@ def search_admissible(n: int) -> list[tuple[str, int]]:
 def enumerate_admissible(n: int) -> list[KneadingWord]:
     """All admissible words of length ``n``, in lexicographic text order: one
     :class:`KneadingWord` per word that :func:`search_admissible` finds,
-    read from its text through the parse table."""
-    symbol = _TOKENS.__getitem__
-    return [KneadingWord(tuple(map(symbol, text))) for text, _ in search_admissible(n)]
+    read from its text by :func:`parse_word`."""
+    return [parse_word(text) for text, _ in search_admissible(n)]

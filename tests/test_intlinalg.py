@@ -467,6 +467,9 @@ class TestAbelianGroup:
         assert AbelianGroup.from_diagonal((1, 1)) == AbelianGroup(0, ())
         assert AbelianGroup.from_diagonal((2, 6, 0, 0)) == AbelianGroup(2, (2, 6))
         assert AbelianGroup.from_diagonal(()) == AbelianGroup(0, ())
+        # A cokernel depends on |d| only: [-4] has cokernel Z_4.
+        assert AbelianGroup.from_diagonal((-4,)) == AbelianGroup(0, (4,))
+        assert AbelianGroup.from_diagonal((1, -6, 0)) == AbelianGroup(1, (6,))
 
 
 class TestCokernelKernel:

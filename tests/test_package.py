@@ -241,6 +241,39 @@ def test_check_names_are_written_in_ktheory_only():
     assert {f.split(": ")[1] for f in found} == FAMILY_CHECKS
 
 
+def readers_of(source: str, name: str) -> list[str]:
+    """The top-level function or class, or ``<module>``, of every read of
+    ``name`` in ``source``: each load of the bare name, each attribute of
+    that name and each import of it, in source order."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name
+            ):
+                found.append(where)
+    return found
+
+
+def test_scan_finds_every_read_of_a_name():
+    source = "from .symbolic import _TOKENS\n_TOKENS = {}\n"
+    source += "def f():\n    return symbolic._TOKENS.get\n"
+    source += "class K:\n    def g(self):\n        return _TOKENS\n"
+    assert readers_of(source, "_TOKENS") == ["<module>", "f", "K"]
+    assert readers_of("_TOKENS = {}\n", "_TOKENS") == []
+
+
+def test_the_parse_table_is_read_in_parse_word_only():
+    # Every word text, the search's included, is read by parse_word.
+    package = pathlib.Path(kneadck.__file__).parent
+    found = {path.name: readers_of(path.read_text(), "_TOKENS") for path in package.glob("*.py")}
+    assert {module for module, where in found.items() if where} == {"symbolic.py"}
+    assert set(found["symbolic.py"]) == {"parse_word"}
+
+
 def raises_in(source: str, function: str) -> list[int]:
     """The line of every ``raise`` in the top-level ``function`` of
     ``source``, nested blocks included; none if there is no such function."""

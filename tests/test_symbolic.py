@@ -39,6 +39,8 @@ MALFORMED = {
     "RLCRC": "C may appear only in the final position",
     "CC": "C may appear only in the final position",
     "RLX": "unknown symbol 'X'",
+    "R1C": "unknown symbol '1'",
+    "RL0": "unknown symbol '0'",
     "-2,0": "unknown symbol '-2'",
     "0,1": "kneading word must end in C",
     "-1,,0": "unknown symbol ''",
