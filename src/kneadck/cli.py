@@ -247,17 +247,9 @@ def _cmd_itinerary(args):
     x0 = qmap.step(qmap.c) if args.x0 is None else args.x0
     symbols = numeric_itinerary(qmap, x0, args.depth, tol=args.tol)
     p = args.precision
-    inputs = {
-        "mu": _real(args.mu, p),
-        "x0": _real(x0, p),
-        "depth": args.depth,
-        "tol": _real(args.tol, p),
-    }
-    results = {
-        "mu": _real(args.mu, p),
-        "x0": _real(x0, p),
-        "itinerary": _word_text(symbols),
-    }
+    point = {"mu": _real(args.mu, p), "x0": _real(x0, p)}
+    inputs = {**point, "depth": args.depth, "tol": _real(args.tol, p)}
+    results = {**point, "itinerary": _word_text(symbols)}
     return inputs, results, None, 0
 
 

@@ -1,16 +1,15 @@
 """Exact integer matrix arithmetic, in Python ints and without numpy.
 
 Provides the Smith diagonal (the invariant factors alone, with no
-unimodular change of basis) and strong connectivity of a digraph given by
-its successor lists.  One elimination answers every integer question of
-the package: a cokernel is read off the diagonal, a kernel rank is its
-number of zeros, and a square matrix is unimodular exactly when its
-diagonal is all ones.  It is one sparse loop on rows stored as
-``{col: value}`` dicts, exact at any size.  For the package's sparse
-matrices nearly every pivot is a unit, and a unit pivot takes a sweep of
-its own, with no division; only the rest take Euclid's floor-division
-steps.  :mod:`kneadck.ktheory` builds its rows, and the successor lists,
-from the runs of ``A`` and the rows of ``theta``.
+unimodular change of basis) and the abelian group read off it.  One
+elimination answers every integer question of the package: a cokernel
+is read off the diagonal, a kernel rank is its number of zeros, and a
+square matrix is unimodular exactly when its diagonal is all ones.  It
+is one sparse loop on rows stored as ``{col: value}`` dicts, exact at
+any size.  For the package's sparse matrices nearly every pivot is a
+unit, and a unit pivot takes a sweep of its own, with no division; only
+the rest take Euclid's floor-division steps.  :mod:`kneadck.ktheory`
+builds its rows from the runs of ``A`` and the rows of ``theta``.
 """
 
 from __future__ import annotations
@@ -177,29 +176,3 @@ class AbelianGroup:
         parts.extend(f"Z_{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-
-def _strongly_connected(succ) -> bool:
-    """Strong connectivity of the digraph with edges i -> j in ``succ[i]``:
-    every vertex reaches every vertex by a path of length >= 1, so ``[[0]]``
-    (one loop) is strongly connected and ``[[]]`` is not.  That holds
-    exactly when vertex 0 reaches every vertex, itself included, by such a
-    path both forward and backward: two graph searches, O(n + edges)."""
-    pred = [[] for _ in succ]
-    for i, out in enumerate(succ):
-        for j in out:
-            pred[j].append(i)
-    return not succ or (_reaches_all(succ) and _reaches_all(pred))
-
-
-def _reaches_all(adj: list[list[int]]) -> bool:
-    """True iff vertex 0 reaches every vertex by a path of length >= 1."""
-    seen = [False] * len(adj)
-    stack = list(adj[0])
-    count = 0
-    while stack:
-        v = stack.pop()
-        if not seen[v]:
-            seen[v] = True
-            count += 1
-            stack.extend(adj[v])
-    return count == len(adj)

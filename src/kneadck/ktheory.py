@@ -13,7 +13,10 @@ of ones that make up the rows of A: (I - A) D with D unimodular.
 :func:`k_groups`, given the ordered orbit of
 :func:`~kneadck.markov.build_orbit`, raises :class:`TheoremViolationError`
 with the first one an admissible word fails, and reads irreducibility off
-the same runs, so it forms no dense matrix.  :func:`verify` scores both
+the same runs, so it forms no dense matrix: :func:`_irreducible` searches
+the graph of A from vertex 0, forward and backward; one loop is strongly
+connected, an empty run is not, and no runs at all are.
+:func:`verify` scores both
 beside the checks on the matrix family for every admissible word up to a
 period, one word at a time: :func:`_word_checks` decides the nine
 :data:`CHECKS` on the run form of :func:`~kneadck.markov._run_form`,
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
+from .intlinalg import AbelianGroup, smith_diagonal
 from .markov import OrbitModel, _run_form, _spell, build_orbit, transition_intervals
 from .symbolic import DomainError, KneadingWord, invariant_coordinate, parse_word, search_admissible
 
@@ -102,8 +105,28 @@ def _k0(runs) -> AbelianGroup:
 
 
 def _irreducible(runs) -> bool:
-    """Whether the matrix A with the given runs is strongly connected."""
-    return _strongly_connected([range(*run) for run in runs])
+    """Whether the matrix A with the given runs is strongly connected: every
+    vertex reaches every vertex by a path of length >= 1, so ``[(0, 1)]``
+    (one loop) is, ``[(0, 0)]`` is not, and ``[]`` is.  Vertex 0 must reach
+    every vertex, itself included, both forward along the runs and backward
+    along ``into``, the rows whose runs cover each column: two searches in
+    one loop, O(n + edges)."""
+    succ = [range(*run) for run in runs]
+    into = [[] for _ in runs]
+    for i, out in enumerate(succ):
+        for j in out:
+            into[j].append(i)
+    for adj in (succ, into) if runs else ():
+        seen = [False] * len(adj)
+        stack = [*adj[0]]
+        while stack:
+            v = stack.pop()
+            if not seen[v]:
+                seen[v] = True
+                stack += adj[v]
+        if not all(seen):
+            return False
+    return True
 
 
 def _closed_form_failures(a: int, K0: AbelianGroup) -> dict[str, str]:

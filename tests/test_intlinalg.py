@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kneadck import intlinalg
-from kneadck.intlinalg import AbelianGroup, _strongly_connected, smith_diagonal
+from kneadck.intlinalg import AbelianGroup, smith_diagonal
+from kneadck.ktheory import _irreducible
 from kneadck.markov import build_matrices, build_orbit
 from kneadck.symbolic import KneadingWord, Symbol, enumerate_admissible
 
@@ -504,10 +505,25 @@ class TestCokernelKernel:
             assert changed == AbelianGroup.from_diagonal(smith_of(M))
 
 
+def runs_of(A) -> list[tuple[int, int]]:
+    """The runs ``(lo, hi)`` of a dense 0-1 matrix each of whose rows is one
+    run of ones, ``A[k, lo:hi]``; a zero row is the empty run ``(0, 0)``."""
+    runs = []
+    for row in rows_of(A):
+        lo, hi = min(row, default=0), max(row, default=-1) + 1
+        assert row == dict.fromkeys(range(lo, hi), 1), f"row {row} is not one run of ones"
+        runs.append((lo, hi))
+    return runs
+
+
 def is_irreducible(A) -> bool:
-    """``_strongly_connected`` on a dense matrix: a row of ``rows_of(A)``
-    iterates over its columns, the successors of its vertex."""
-    return _strongly_connected(rows_of(A))
+    """``_irreducible`` on the runs of a dense 0-1 matrix."""
+    return _irreducible(runs_of(A))
+
+
+def runs_matrix(runs) -> list[list[int]]:
+    """The dense 0-1 matrix whose row k is one on the k-th run ``(lo, hi)``."""
+    return [[int(lo <= j < hi) for j in range(len(runs))] for lo, hi in runs]
 
 
 class TestIrreducibility:
@@ -527,7 +543,7 @@ class TestIrreducibility:
         assert is_irreducible([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
     def test_empty_matrix(self):
-        assert _strongly_connected([])
+        assert _irreducible([])
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_agrees_with_dense_closure_on_every_word(self, n):
@@ -538,14 +554,17 @@ class TestIrreducibility:
 
     @given(
         st.integers(1, 7).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+            lambda c: st.lists(
+                st.tuples(st.integers(0, c), st.integers(0, c)).map(lambda t: tuple(sorted(t))),
+                min_size=c,
+                max_size=c,
             )
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_property_agrees_with_dense_closure(self, rows):
-        assert is_irreducible(rows) == is_irreducible_dense(rows)
+    def test_property_agrees_with_dense_closure(self, runs):
+        # Runs of any width, empty ones (lo == hi) included.
+        assert _irreducible(runs) == is_irreducible_dense(runs_matrix(runs))
 
 
 def test_imports_no_numpy():

@@ -16,7 +16,7 @@ import pytest
 
 import kneadck
 from kneadck import intlinalg, ktheory, markov, symbolic
-from kneadck.intlinalg import AbelianGroup, _strongly_connected
+from kneadck.intlinalg import AbelianGroup
 from kneadck.ktheory import TheoremViolationError, closed_form_a, k_groups
 from kneadck.markov import build_matrices, build_orbit
 from kneadck.symbolic import (
@@ -644,6 +644,16 @@ class TestKGroups:
             A = covering_matrix(build_orbit(word))
             assert k_groups(build_orbit(word)).irreducible == is_irreducible_dense(A), word
 
+    def test_irreducibility_of_long_words(self):
+        # kgroups searches A on every call, so check the search above n = 14
+        # too: two random words and a seeded product of 8 x 64 = 512 letters,
+        # whose A is reducible, so that both answers are checked.
+        product = star(random.Random(1).choice(list(enumerate_admissible(8))), random_word(64))
+        for word in (random_word(256), random_word(512), product):
+            model = build_orbit(word)
+            assert k_groups(model).irreducible == is_irreducible_dense(covering_matrix(model)), word
+        assert not k_groups(build_orbit(product)).irreducible
+
 
 def with_symbol(m, k, value):
     """The orbit model ``m`` with the value of its k-th symbol replaced by
@@ -946,8 +956,7 @@ class TestRenormalization:
 
     @pytest.mark.parametrize("text", sorted(star_words(12)))
     def test_products_reducible(self, text):
-        # A row of rows_of(A) iterates over its columns: its successors.
-        assert not _strongly_connected(rows_of(covering_matrix(build_orbit(parse_word(text)))))
+        assert not ktheory._irreducible(markov.transition_intervals(build_orbit(parse_word(text))))
 
     def test_zero_a_reducible_words_are_exactly_products(self):
         stars = star_words(12)

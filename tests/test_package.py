@@ -274,6 +274,44 @@ def test_the_parse_table_is_read_in_parse_word_only():
     assert set(found["symbolic.py"]) == {"parse_word"}
 
 
+def private_imports(source: str, name: str) -> list[str]:
+    """Every private name that ``source`` imports from a sibling module,
+    wherever the import stands, as ``name: module._name``."""
+    return [
+        f"{name}: {node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source, name))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_scan_finds_every_private_import():
+    source = "from .markov import _spell, build_orbit\nfrom . import _x\nfrom os import _exit\n"
+    source += "from .symbolic import (\n    DomainError,\n    _word_text as w,\n)\n"
+    source += "def f():\n    from .intlinalg import _g\n"
+    assert private_imports(source, "probe") == [
+        "probe: markov._spell", "probe: symbolic._word_text", "probe: intlinalg._g",
+    ]
+
+
+# The private names one module of the package reads from another.
+SEAMS = {
+    "ktheory: markov._run_form",
+    "ktheory: markov._spell",
+    "cli: symbolic._word_text",
+}
+
+
+def test_private_names_cross_modules_at_the_seams_only():
+    # The integer layer lends no private name: ktheory owns its graph search.
+    package = pathlib.Path(kneadck.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += private_imports(path.read_text(), path.stem)
+    assert sorted(found) == sorted(SEAMS)
+
+
 def raises_in(source: str, function: str) -> list[int]:
     """The line of every ``raise`` in the top-level ``function`` of
     ``source``, nested blocks included; none if there is no such function."""
