@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .intlinalg import AbelianGroup, smith_diagonal
-from .markov import OrbitModel, _run_form, _spell, build_orbit, transition_intervals
+from .markov import OrbitModel, _run_form, build_matrices, build_orbit, transition_intervals
 from .symbolic import DomainError, KneadingWord, invariant_coordinate, parse_word, search_admissible
 
 
@@ -149,13 +149,13 @@ def _rows_of_i_minus_theta(eps) -> list[dict[int, int]]:
     """The rows of ``I - theta``, as :func:`~kneadck.intlinalg.smith_diagonal`
     takes them: the 1 of ``I`` first, then minus the entries of ``theta``,
     summed where they meet.  Pivoting on the diagonal first makes less
-    fill than pivoting on column 0, which every row holds."""
-    n = len(eps)
-    rows = [{i: 1, i + 1: -e, 0: e} if e else {i: 1} for i, e in enumerate(eps[:-1])]
-    rows[0] = {0: 1 + eps[0], 1: -eps[0]}
-    rows.append({n - 1: 1, 0: -eps[-1]})
-    for i in (0, n - 1):
-        rows[i] = {j: e for j, e in rows[i].items() if e}
+    fill than pivoting on column 0, which every row holds.  The inner
+    symbol values are +-1, and the table of :func:`~kneadck.markov._run_form`
+    has made ``eps[n - 1] = 0``: only row 0 can cancel, and the last row
+    is the 1 of ``I``."""
+    rows = [{i: 1, i + 1: -e, 0: e} for i, e in enumerate(eps[:-1])]
+    rows[0] = {j: e for j, e in ((0, 1 + eps[0]), (1, -eps[0])) if e}
+    rows.append({len(eps) - 1: 1})
     return rows
 
 
@@ -172,14 +172,17 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
     ``s (e_rank[hi] - e_rank[lo])`` for the run ``(s, lo, hi)`` of A, and
     ``identity_A_eta`` compares it with ``theta[rank[t+1]] - theta[rank[t]]``,
     row t of ``eta theta``.  ``block_form`` asks that ``Aprime = X A^T Xinv``
-    be the top-left block T of ``thetaprime = Yinv theta^T Y`` and that
-    the last row of ``thetaprime`` be zero.  Given ``X Xinv = I``, the first
-    is ``X A^T = T X``, the transpose of that comparison restricted to
-    the columns < n - 1; the last row holds differences of the row sums
-    of ``theta``.  Two Smith eliminations run, of the rows of ``(I - A) D``
-    built from the runs and of ``I - theta``; the bridge reuses the first,
-    which is the Smith form of ``I - A`` once ``construction_equivalence``
-    holds.  The checks on the covering matrix read the runs.
+    be the top-left block T of ``thetaprime = Yinv theta^T Y``, whose last
+    row holds differences of the row sums of ``theta``, zero once the
+    table of :func:`~kneadck.markov._run_form` has made ``eps[n - 1] = 0``.
+    Given ``X Xinv = I``, that is ``X A^T = T X``, the transpose of
+    ``identity_A_eta`` on the columns < n - 1.  Every row of ``A eta`` and
+    of ``eta theta`` sums to zero, so the two checks are one comparison
+    and fail together.  Two Smith eliminations run, of the rows of
+    ``(I - A) D`` built from the runs and of ``I - theta``; the bridge
+    reuses the first, which is the Smith form of ``I - A`` once
+    ``construction_equivalence`` holds.  The checks on the covering matrix
+    read the runs.
     """
     f = _run_form(m)
     eps, rank = f.eps, f.rank
@@ -196,10 +199,6 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
         R[col[k]] += eps[k]
         R[col[i]] -= eps[i]
         R[0] += eps[i] - eps[k]
-    identity = lhs == rhs
-    # The last row of thetaprime holds differences of the row sums of
-    # theta, which are 0 but for the last row's, eps[n - 1].
-    block = eps[-1] == 0 and (identity or all(L[:last] == R[:last] for L, R in zip(lhs, rhs)))
 
     # cover[j] counts the runs that cover column j.
     depth = [0] * n
@@ -213,15 +212,14 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
     K0 = _k0(runs)
     dtheta = smith_diagonal(_rows_of_i_minus_theta(eps), n)
     failed = _closed_form_failures(a, K0)
-    if not identity:
-        failed["identity_A_eta"] = f"lhs {lhs} vs rhs {rhs}"
     spelled = None  # the dense family, spelled at most once, for a failure text
-    if not block:
-        spelled = _spell(f)
+    if lhs != rhs:
+        spelled = build_matrices(m)
+        failed["identity_A_eta"] = f"lhs {lhs} vs rhs {rhs}"
         failed["block_form"] = f"thetaprime {spelled.thetaprime} vs top-left block {spelled.Aprime}"
     # No signed run is empty, since u takes n distinct values.
     if f.A != [(1, lo, hi) for lo, hi in runs]:
-        spelled = spelled or _spell(f)
+        spelled = spelled or build_matrices(m)
         failed["construction_equivalence"] = f"covering runs {runs} vs signed route {spelled.A}"
     diagonal, expected = sorted(dtheta), sorted([a] + [1] * last)
     if diagonal != expected:
@@ -241,7 +239,7 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
         failed["not_permutation"] = None
     elif set(width) == set(cover) == {1}:
         failed["not_permutation"] = f"A is a permutation matrix: runs {runs}"
-    return {name: failed[name] for name in CHECKS if name in failed}
+    return failed
 
 
 def k_groups(m: OrbitModel) -> KGroupReport:

@@ -44,7 +44,7 @@ VERIFY_12 = {
 }
 
 # verify 14 per format, hashed before verify read its words from the
-# search.  Periods 13 and 14 span 10 and 19 stacks of 32 words.
+# search.  Periods 13 and 14 add 315 and 585 words, each checked on its own.
 VERIFY_14 = {
     "text": "4281bdef8a919a1d18a81e6472a47a4e5be59f2a68502eddd7a057348797c25b",
     "machine": "87e215cd1404a52495451be0341c6512413ed4c83a844b7ec70cfb5ca2743ae3",

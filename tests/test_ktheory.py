@@ -303,9 +303,9 @@ class TestKGroups:
             raise AssertionError("verify spelled out a dense family")
 
         monkeypatch.setattr(ktheory, "_word_checks", spy)
+        monkeypatch.setattr(markov, "_spell", dense)
         for module in (markov, ktheory):
-            monkeypatch.setattr(module, "_spell", dense)
-        monkeypatch.setattr(markov, "build_matrices", dense)
+            monkeypatch.setattr(module, "build_matrices", dense)
         report = ktheory.verify(12)
         assert report.ok and report.words_checked == 379
         expected = [w for n in range(2, 13) for w in enumerate_admissible(n)]
@@ -566,8 +566,7 @@ class TestKGroups:
 
         word = parse_word("RLLRRC")
         model = build_orbit(word)
-        for module in (markov, ktheory):
-            monkeypatch.setattr(module, "_spell", dense)
+        monkeypatch.setattr(markov, "_spell", dense)
         # Armed: the dense matrix family can no longer be built.
         with pytest.raises(AssertionError, match="dense matrix"):
             build_matrices(model)
@@ -768,8 +767,7 @@ class TestEveryCheckFails:
             calls.append(f)
             return spell(f)
 
-        for module in (markov, ktheory):
-            monkeypatch.setattr(module, "_spell", counted)
+        monkeypatch.setattr(markov, "_spell", counted)
         failed = failed_checks(build_orbit(word))
         assert {"block_form", "construction_equivalence"} <= set(failed)
         assert len(calls) == 1
@@ -823,9 +821,9 @@ class TestEveryCheckFails:
 
 
 class TestBlockForm:
-    """``block_form``, decided as ``X A^T = T X``, gives the verdict of its
-    dense definition: ``Aprime`` is the top-left block of ``thetaprime``,
-    whose last row is zero."""
+    """``block_form``, decided by the comparison of ``identity_A_eta``,
+    gives the verdict of its dense definition: ``Aprime`` is the top-left
+    block of ``thetaprime``, whose last row is zero."""
 
     @staticmethod
     def assert_dense_verdict(model, failed):
@@ -882,6 +880,7 @@ IMPLIED = {
     "k1_rank": {"closed_form_k0"},
     "cokernel_bridge": {"snf_multiset", "closed_form_k0"},
     "block_form": {"identity_A_eta"},
+    "identity_A_eta": {"block_form"},
 }
 
 
@@ -899,6 +898,7 @@ def test_every_single_fault_fails_a_check_and_keeps_the_implications(monkeypatch
             continue
         records.update(repr(list(failed.items())).encode())
         assert failed, (str(word), k, route)
+        assert list(failed) == [c for c in ktheory.CHECKS if c in failed], (str(word), k, route)
         for check, implied in IMPLIED.items():
             assert check not in failed or implied & set(failed), (str(word), k, route, failed)
     # 378 words, 3,694 runs; 756 runs end at the last column in either

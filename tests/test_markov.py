@@ -521,7 +521,7 @@ class TestIndexMaps:
     shape, one word at a time."""
 
     @staticmethod
-    def assert_stacks_match(words):
+    def assert_matches_products(words):
         models = [build_orbit(w) for w in words]
         products = family_by_products(models)
         for b, m in enumerate(models):
@@ -536,15 +536,15 @@ class TestIndexMaps:
     def test_admissible_words_in_stacks_of_32(self, n):
         words = enumerate_admissible(n)
         for start in range(0, len(words), 32):
-            self.assert_stacks_match(words[start : start + 32])
+            self.assert_matches_products(words[start : start + 32])
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_forced_words(self, n):
-        self.assert_stacks_match(every_word(n))
+        self.assert_matches_products(every_word(n))
 
     @pytest.mark.parametrize("n,count,seed", [(64, 4, 11), (128, 3, 12), (256, 2, 13)])
     def test_random_words(self, n, count, seed):
-        self.assert_stacks_match(random_words(n, count, seed))
+        self.assert_matches_products(random_words(n, count, seed))
 
 
 class TestInt64Family:

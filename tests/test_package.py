@@ -298,7 +298,6 @@ def test_scan_finds_every_private_import():
 # The private names one module of the package reads from another.
 SEAMS = {
     "ktheory: markov._run_form",
-    "ktheory: markov._spell",
     "cli: symbolic._word_text",
 }
 
