@@ -286,8 +286,8 @@ def verify(n_max: int) -> VerifyReport:
     """Check every admissible word of period 2 to ``n_max``.
 
     Only checks a word can fail are scored.  The identities that the
-    family builder defines or raises :class:`ConstructionError` on are
-    not counted again; ``block_form`` with ``construction_equivalence``
+    family builder defines, or that follow from the rule each model
+    checks, are not counted; ``block_form`` with ``construction_equivalence``
     carries the kneading determinant ``det(I - tA) = sum theta_k t^k``.
     Each word's checks, its two Smith eliminations included, come from
     :func:`_word_checks` on the run form of its family, which returns

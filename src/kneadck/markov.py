@@ -12,10 +12,10 @@ that relate the two chain-level descriptions.
 Everything here is exact integer arithmetic; no floats and no fractions.
 Every factor of the construction is a permutation, a signed diagonal, a
 bidiagonal or a matrix of running sums, so :func:`_run_form` builds the
-family as signed runs and single entries and decides each identity of
-the construction in O(n) per word, in pure Python.  :func:`_spell`
-writes the 13 fields of :func:`build_matrices` out as lists of rows of
-Python ints, each row from its nonzeros.
+family as signed runs and single entries in O(n) per word, in pure
+Python; its identities follow from the rule that :class:`OrbitModel`
+checks.  :func:`_spell` writes the 13 fields of :func:`build_matrices`
+out as lists of rows of Python ints, each row from its nonzeros.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
 
 
 class ConstructionError(RuntimeError):
-    """An internal invariant of the matrix construction failed; the message
-    reads ``"<word>: <check>"``."""
+    """An orbit model is malformed, or an internal invariant of the matrix
+    construction failed; the message reads ``"<word>: <check>"``."""
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,20 @@ class OrbitModel:
     itinerary is the kneading sequence shifted ``i - 1`` times.  ``rho``
     lists the orbit indices in spatial order (``rho[0]`` is the leftmost
     point).  ``nL`` counts the partition intervals strictly left of the
-    turning point; the other ``n - 1 - nL`` lie right of it.
+    turning point, orbit point n; the other ``n - 1 - nL`` lie right of
+    it.  :class:`ConstructionError` refuses a ``rho`` that is not a
+    permutation of 1..n, and then an ``nL`` with ``rho[nL]`` other than n.
     """
 
     word: KneadingWord
     rho: tuple[int, ...]
     nL: int
+
+    def __post_init__(self) -> None:
+        if sorted(self.rho) != list(range(1, self.n + 1)):
+            raise ConstructionError(f"{self.word}: rho is not a permutation of 1..n")
+        if not 0 <= self.nL < self.n or self.rho[self.nL] != self.n:
+            raise ConstructionError(f"{self.word}: turning point is not at spatial rank nL+1")
 
     @property
     def n(self) -> int:
@@ -69,20 +77,14 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
     n = w.n
     if n < 2:
         raise DomainError("orbit construction requires period >= 2")
-    keys = tuple(shift_keys(w))
-    order = sorted(range(n), key=keys.__getitem__)
-    rho = tuple(i + 1 for i in order)
+    keys = ("", *shift_keys(w))  # keys[i] is the key of orbit point i
+    rho = tuple(sorted(range(1, n + 1), key=keys.__getitem__))
     for k in range(n - 1):
-        if keys[order[k]] >= keys[order[k + 1]]:
+        if keys[rho[k]] >= keys[rho[k + 1]]:
             raise ConstructionError(
                 f"{w}: orbit points {rho[k]} and {rho[k + 1]} do not compare strictly"
             )
-
-    nL = w.symbols.count(Symbol.L)
-    # The turning point is the n-th orbit point and splits the partition.
-    if rho[nL] != n:
-        raise ConstructionError(f"{w}: turning point is not at spatial rank nL+1")
-    return OrbitModel(word=w, rho=rho, nL=nL)
+    return OrbitModel(word=w, rho=rho, nL=w.symbols.count(Symbol.L))
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,10 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     Together they give an integer right inverse ``R = Yinv^T inc Xinv^T``
     of ``eta`` and with it ``alpha = eta omega R``; then
     ``theta = gamma omega``, ``A = beta alpha``, ``Aprime = X A^T Xinv``
-    and ``thetaprime = Yinv theta^T Y``.  The family is built in run form
-    by :func:`_run_form`, which raises :class:`ConstructionError` on the
-    first row of the construction table that fails, and spelled out by
-    :func:`_spell` with no product formed.
+    and ``thetaprime = Yinv theta^T Y``; their identities follow from the
+    rule :class:`OrbitModel` checks.  The family is built in run form by
+    :func:`_run_form`, which refuses a symbol value no kneading word holds,
+    and spelled out by :func:`_spell` with no product formed.
     """
     return _spell(_run_form(m))
 
@@ -163,18 +165,21 @@ def _run_form(m: OrbitModel) -> RunForm:
     :func:`transition_intervals`, so the two routes to ``A`` stay
     independent.
 
-    One table then decides the word, in this order: the final symbol value
-    is 0; every entry is in {-1, 0, 1}, which the symbol values decide, as
-    every other entry is the sign of a run or of a permutation;
-    ``eta^T = Y inc X``, that is, every row of ``eta`` sums to zero;
-    ``X Xinv = I``, which also proves ``X`` unimodular, and whose row j is
-    ``e_j`` less ones wherever ``pos[j] = nL``; and
-    ``alpha eta = eta omega``, which pins ``alpha`` down uniquely because
-    ``eta`` has full row rank, and whose row t telescopes to
-    ``e_rank[u[t+1]] - e_rank[u[t]]``, so it holds exactly when
-    ``rank[u[t]] = s[t]`` for every t.  Failure of any row is a bug, not
-    bad input: the first failing row raises :class:`ConstructionError` as
-    ``"<word>: <row>"``.
+    The identities of the construction follow from the rule that
+    :class:`OrbitModel` checks: ``rank`` is a permutation and
+    ``pos[n - 1] = nL``.  So no rank is negative, every row of ``eta``
+    sums to zero, and ``eta^T = Y inc X``; no ``pos[j]`` but the last is
+    ``nL``, so ``X Xinv = I`` and ``X`` is unimodular; and row t of
+    ``alpha eta`` telescopes to ``e_rank[u[t+1]] - e_rank[u[t]]``, with
+    ``rank[u[t]] = rank[pos[s[t]]] = s[t]``, so ``alpha eta = eta omega``.
+    Conversely, ``rank[u[t]] = s[t]`` for every t closes the values of
+    ``rank`` under ``x -> x + 1 mod n``, with -1 going to 0, so they are
+    all of 0..n-1, and the t with ``s[t] = n - 1`` gives ``rho[nL] = n``.
+    Two rows decide the symbol values, which only a word built around
+    :class:`~kneadck.symbolic.KneadingWord`'s checks can spoil: the final
+    value is 0, then every entry is in {-1, 0, 1}, as every other entry is
+    the sign of a run or of a permutation.  The first failing row raises
+    :class:`ConstructionError` as ``"<word>: <row>"``.
     """
     n, nL = m.n, m.nL
     eps = list(map(int, m.word.symbols))
@@ -182,19 +187,12 @@ def _run_form(m: OrbitModel) -> RunForm:
     pos = [0] * n
     for t, j in enumerate(rank):
         pos[j] = t
-    R_rank = pos[:-1] + [nL]
-    succ = [r % n for r in m.rho]
-    u = [R_rank[s] for s in succ]
+    u = [pos[r % n] for r in m.rho]
     sign = [1] * nL + [-1] * (n - 1 - nL)
     A = [(g, u0, u1) if u0 < u1 else (-g, u1, u0) for g, u0, u1 in zip(sign, u, u[1:])]
     table = (
         ("final symbol value must be 0", eps[-1] != 0),
         ("matrix family has an entry outside {-1, 0, 1}", min(eps) < -1 or max(eps) > 1),
-        # A row of eta sums to zero when both or neither of its ranks is a
-        # column; a rank of n or more has already failed as an index of pos.
-        ("eta-transpose does not factor as Y inc X", min(rank) < 0 <= max(rank)),
-        ("top block of eta-transpose fails X Xinv = I", nL in pos[:-1]),
-        ("alpha fails alpha eta = eta omega", [rank[x] for x in u] != succ),
     )
     for row, failed in table:
         if failed:

@@ -39,6 +39,14 @@ REFUSALS = {
     "mu = 3.9956029965960136 leaves residual 6.76e-10\n",
     "RLLLLLLLLRLRLRLLLRC": "error: double precision cannot resolve RLLLLLLLLRLRLRLLLRC: "
     "mu = 3.999975322746347 leaves residual 1.11e-10\n",
+    # The one refusal each that bench/run.py's find_mu workload draws on
+    # seed 3, seed 6 or 8, and seed 7; its other seeds up to 10 draw none.
+    "RLLLLLLLLLRLRLLC": "error: double precision cannot resolve RLLLLLLLLLRLRLLC: "
+    "mu = 3.999994482565487 leaves residual 1.33e-09\n",
+    "RLLLLLLLLLLRLLRC": "error: double precision cannot resolve RLLLLLLLLLLRLLRC: "
+    "mu = 3.999998067413789 leaves residual 1.02e-09\n",
+    "RLLLLLLLLLLLRLLC": "error: double precision cannot resolve RLLLLLLLLLLLRLLC: "
+    "mu = 3.9999994829608942 leaves residual 4.15e-09\n",
 }
 
 
@@ -208,7 +216,16 @@ class TestCoverage:
         assert captured.out == ""
         assert captured.err == REFUSALS[word]
 
-    @pytest.mark.parametrize("word", ["RLLLLRRRRRLRLLRLRRLC", "RLLLLLLLLRLRLRLLLRC"])
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "RLLLLRRRRRLRLLRLRRLC",
+            "RLLLLLLLLRLRLRLLLRC",
+            "RLLLLLLLLLRLRLLC",
+            "RLLLLLLLLLLRLLRC",
+            "RLLLLLLLLLLLRLLC",
+        ],
+    )
     def test_long_refusals_exit_4(self, word, capsys):
         assert main(["find-mu", word]) == 4
         captured = capsys.readouterr()

@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 import re
+import types
 import warnings
 
 import numpy as np
@@ -275,6 +276,30 @@ class TestOrbitModel:
             build_orbit(parse_word("RLLRRC"))
         assert str(info.value) == "RLLRRC: turning point is not at spatial rank nL+1"
 
+    PERMUTATION = "rho is not a permutation of 1..n"
+    TURNING_POINT = "turning point is not at spatial rank nL+1"
+
+    @pytest.mark.parametrize(
+        "rho,nL,check",
+        [
+            ((2, 6, 3, 4, 5, 1), 2, TURNING_POINT),
+            ((1, 1, 1, 1, 1, 1), 2, PERMUTATION),
+            ((2, 3, 6, 4, 5, 0), 2, PERMUTATION),
+            ((2, 3, 6, 4, 5, 1), 7, TURNING_POINT),
+            # rho[-4] is 6, so only the range of nL refuses this one.
+            ((2, 3, 6, 4, 5, 1), -4, TURNING_POINT),
+            ((2, 3, 6, 4, 5), 2, PERMUTATION),
+        ],
+        ids=["off-rank", "constant", "holds-0", "nL-7", "nL-minus-4", "short"],
+    )
+    def test_malformed_model_is_refused_at_construction(self, rho, nL, check):
+        # RLLRRC sorts as 2 < 3 < 6 < 4 < 5 < 1 with nL = 2.  Each model is
+        # refused where it is made, so no consumer of a model sees one.
+        word = parse_word("RLLRRC")
+        with pytest.raises(ConstructionError) as info:
+            OrbitModel(word=word, rho=rho, nL=nL)
+        assert str(info.value) == f"RLLRRC: {check}"
+
     def test_inadmissible_constructs_without_a_warning(self):
         # Flagged by ``admissible`` alone: building the orbit warns nothing.
         with warnings.catch_warnings():
@@ -321,8 +346,8 @@ class TestMatrixRelations:
     def test_identities(self, word):
         assert_identities(word)
 
-    # build_matrices raises on the identities it checks for any word, so
-    # none may fail on a forced, inadmissible one either.
+    # The identities follow from the rule each orbit model checks, whatever
+    # the word, so none may fail on a forced, inadmissible one either.
     @pytest.mark.parametrize("n", range(2, 10))
     def test_identities_on_forced_words(self, n):
         for word in every_word(n):
@@ -460,12 +485,36 @@ class TestIntegerRoute:
     def test_turning_point_off_its_rank_is_refused(self):
         # RLLRRC puts the turning point (orbit point 6) at rank nL + 1 = 3;
         # moving it to rank 2 leaves a consistent-looking model whose
-        # closed-form inverse of X cannot hold.
+        # closed-form inverse of X cannot hold: by products, its alpha fails
+        # alpha eta = eta omega.  OrbitModel refuses it where it is made.
         m = build_orbit(parse_word("RLLRRC"))
         assert m.rho == (2, 3, 6, 4, 5, 1)
-        bad = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
-        with pytest.raises(ConstructionError):
-            build_matrices(bad)
+        fields = dict(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
+        p = family_by_products([types.SimpleNamespace(n=6, **fields)])
+        assert not np.array_equal(p.alpha[0] @ p.eta[0], p.eta[0] @ p.omega[0])
+        with pytest.raises(ConstructionError, match=r"^RLLRRC: turning point is not at"):
+            OrbitModel(**fields)
+
+    def test_every_permutation_model_gives_a_sound_family(self):
+        # The identities follow from the rule OrbitModel checks, whatever
+        # the word: every rho with the turning point at index nL, for one
+        # admissible word per period, gives a family whose products hold
+        # them and which build_matrices spells field by field.
+        models = 0
+        for n in range(2, 8):
+            word = enumerate_admissible(n)[0]
+            rhos = list(itertools.permutations(range(1, n + 1)))
+            batch = [OrbitModel(word=word, rho=rho, nL=rho.index(n)) for rho in rhos]
+            p = family_by_products(batch)
+            inc = np.eye(n, n - 1, dtype=np.int64)
+            assert np.array_equal(p.eta.transpose(0, 2, 1), p.Y @ inc @ p.X)
+            assert np.array_equal(p.alpha @ p.eta, p.eta @ p.omega)
+            for b, m in enumerate(batch):
+                assert abs(determinant(p.X[b])) == 1, m.rho
+                for name, S in vars(dense(build_matrices(m))).items():
+                    assert np.array_equal(S, getattr(p, name)[b]), (name, m.rho)
+            models += len(batch)
+        assert models == 5912
 
 
 class TestFamilyStack:
@@ -499,20 +548,22 @@ class TestFamilyStack:
 
     def test_refusal_names_the_first_failing_word(self):
         # The off-rank RLLRRC model of test_turning_point_off_its_rank_is_refused,
-        # third among sound period-6 models: each word is decided on its
-        # own, and the refusal names the one that fails.
+        # third among sound period-6 models: each model is decided on its
+        # own, where it is made, and the refusal names the one that fails.
         m = build_orbit(parse_word("RLLRRC"))
-        bad = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
         good = [build_orbit(w) for w in enumerate_admissible(6) if str(w) != "RLLRRC"]
         assert len(good) >= 3
-        message = "^RLLRRC: top block of eta-transpose fails X Xinv = I$"
+        fields = [(g.word, g.rho, g.nL) for g in good]
+        fields.insert(2, (m.word, (2, 6, 3, 4, 5, 1), m.nL))
         built = []
-        with pytest.raises(ConstructionError, match=message):
-            for model in [good[0], good[1], bad, *good[2:]]:
-                built.append(_run_form(model))
+        with pytest.raises(ConstructionError) as info:
+            for word, rho, nL in fields:
+                built.append(_run_form(OrbitModel(word=word, rho=rho, nL=nL)))
+        assert str(info.value) == "RLLRRC: turning point is not at spatial rank nL+1"
         assert len(built) == 2
-        with pytest.raises(ConstructionError, match=message):
-            build_matrices(bad)
+        # The sound models after it still build.
+        built += map(_run_form, good[2:])
+        assert len(built) == len(good)
 
 
 class TestIndexMaps:
@@ -597,17 +648,14 @@ class TestInt64Family:
                 build_matrices(model)
 
     def test_rows_are_decided_in_table_order(self, monkeypatch):
-        # The off-rank RLLRRC model of test_turning_point_off_its_rank_is_refused
-        # fails X Xinv = I and nothing before it.
+        # On the sound RLLRRC model, an entry beyond the bound fails the
+        # range row alone.
         m = build_orbit(parse_word("RLLRRC"))
-        off_rank = OrbitModel(word=m.word, rho=(2, 6, 3, 4, 5, 1), nL=m.nL)
-        with pytest.raises(ConstructionError, match="^RLLRRC: top block of eta-transpose"):
-            _run_form(off_rank)
-        # A word that fails both is named with the range row.
-        both = self.with_symbol(monkeypatch, off_rank, 1, 2)
+        _run_form(m)
+        wide = self.with_symbol(monkeypatch, m, 1, 2)
         with pytest.raises(ConstructionError, match=f"^RXLRRC: {self.RANGE}$"):
-            _run_form(both)
+            _run_form(wide)
         # A final symbol other than C comes before the range.
-        final = self.with_symbol(monkeypatch, both, 5, Symbol.R)
-        with pytest.raises(ConstructionError, match="^RXLRRR: final symbol value must be 0$"):
-            _run_form(final)
+        final = "^RXLRRR: final symbol value must be 0$"
+        with pytest.raises(ConstructionError, match=final):
+            _run_form(self.with_symbol(monkeypatch, wide, 5, Symbol.R))

@@ -336,6 +336,13 @@ def test_run_form_fails_through_one_raise():
     assert len(raises_in(source, "_run_form")) == 1
 
 
+def test_build_orbit_leaves_the_turning_point_to_the_model():
+    # build_orbit refuses a short period and keys that do not order
+    # strictly; where the turning point sits is OrbitModel's rule alone.
+    source = pathlib.Path(kneadck.markov.__file__).read_text()
+    assert len(raises_in(source, "build_orbit")) == 2
+
+
 def sibling_imports(source: str) -> list[str]:
     """The sibling module of every ``from .x import`` and every name of
     every ``from . import x`` in ``source``, wherever it stands."""
