@@ -149,10 +149,10 @@ def _rows_of_i_minus_theta(eps) -> list[dict[int, int]]:
     """The rows of ``I - theta``, as :func:`~kneadck.intlinalg.smith_diagonal`
     takes them: the 1 of ``I`` first, then minus the entries of ``theta``,
     summed where they meet.  Pivoting on the diagonal first makes less
-    fill than pivoting on column 0, which every row holds.  The inner
-    symbol values are +-1, and the table of :func:`~kneadck.markov._run_form`
-    has made ``eps[n - 1] = 0``: only row 0 can cancel, and the last row
-    is the 1 of ``I``."""
+    fill than pivoting on column 0, which every row holds.  A
+    :class:`~kneadck.symbolic.KneadingWord` holds +-1 before its final
+    ``eps[n - 1] = 0``: only row 0 can cancel, and the last row is the 1
+    of ``I``."""
     rows = [{i: 1, i + 1: -e, 0: e} for i, e in enumerate(eps[:-1])]
     rows[0] = {j: e for j, e in ((0, 1 + eps[0]), (1, -eps[0])) if e}
     rows.append({len(eps) - 1: 1})
@@ -173,8 +173,8 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
     ``identity_A_eta`` compares it with ``theta[rank[t+1]] - theta[rank[t]]``,
     row t of ``eta theta``.  ``block_form`` asks that ``Aprime = X A^T Xinv``
     be the top-left block T of ``thetaprime = Yinv theta^T Y``, whose last
-    row holds differences of the row sums of ``theta``, zero once the
-    table of :func:`~kneadck.markov._run_form` has made ``eps[n - 1] = 0``.
+    row holds differences of the row sums of ``theta``, zero since a
+    :class:`~kneadck.symbolic.KneadingWord` ends in ``eps[n - 1] = 0``.
     Given ``X Xinv = I``, that is ``X A^T = T X``, the transpose of
     ``identity_A_eta`` on the columns < n - 1.  Every row of ``A eta`` and
     of ``eta theta`` sums to zero, so the two checks are one comparison
@@ -189,7 +189,7 @@ def _word_checks(m: OrbitModel, runs, a: int) -> dict[str, str | None]:
     n = len(eps)
     last = n - 1
     # Row i of theta is eps[i] at column (i + 1) % n less eps[i] at column
-    # 0, the last row included, since the table has made eps[n - 1] = 0.
+    # 0, the last row included, since the word ends in eps[n - 1] = 0.
     col = [*range(1, n), 0]
     lhs = [[0] * n for _ in range(last)]  # A eta
     rhs = [[0] * n for _ in range(last)]  # eta theta

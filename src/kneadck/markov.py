@@ -13,9 +13,10 @@ Everything here is exact integer arithmetic; no floats and no fractions.
 Every factor of the construction is a permutation, a signed diagonal, a
 bidiagonal or a matrix of running sums, so :func:`_run_form` builds the
 family as signed runs and single entries in O(n) per word, in pure
-Python; its identities follow from the rule that :class:`OrbitModel`
-checks.  :func:`_spell` writes the 13 fields of :func:`build_matrices`
-out as lists of rows of Python ints, each row from its nonzeros.
+Python; its identities follow from the rules that :class:`OrbitModel` and
+:class:`~kneadck.symbolic.KneadingWord` check, so it refuses nothing.
+:func:`_spell` writes the 13 fields of :func:`build_matrices` out as lists
+of rows of Python ints, each row from its nonzeros.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .symbolic import DomainError, KneadingWord, Symbol, shift_keys
 
 
 class ConstructionError(RuntimeError):
-    """An orbit model is malformed, or an internal invariant of the matrix
-    construction failed; the message reads ``"<word>: <check>"``."""
+    """An orbit model is malformed: :class:`OrbitModel` raises it, and
+    nothing else does; the message reads ``"<word>: <check>"``."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
     """Sort the orbit points of a kneading word into spatial order.
 
     The points are sorted by their signed-order keys, which end at the ``C``
-    (see :func:`~kneadck.symbolic.shift_keys`).  The word is admissible
+    (see :func:`~kneadck.symbolic.shift_keys`), so no two tie: shift i's key
+    has n - i characters and its only ``"1"`` last.  The word is admissible
     exactly when it is the largest of them.  Inadmissible words are accepted
     and flagged by ``admissible``, with no warning: the constructions below
     stay defined, but the K-group theorems only cover admissible input.
@@ -79,11 +81,6 @@ def build_orbit(w: KneadingWord) -> OrbitModel:
         raise DomainError("orbit construction requires period >= 2")
     keys = ("", *shift_keys(w))  # keys[i] is the key of orbit point i
     rho = tuple(sorted(range(1, n + 1), key=keys.__getitem__))
-    for k in range(n - 1):
-        if keys[rho[k]] >= keys[rho[k + 1]]:
-            raise ConstructionError(
-                f"{w}: orbit points {rho[k]} and {rho[k + 1]} do not compare strictly"
-            )
     return OrbitModel(word=w, rho=rho, nL=w.symbols.count(Symbol.L))
 
 
@@ -126,8 +123,7 @@ def build_matrices(m: OrbitModel) -> TheoremMatrices:
     ``theta = gamma omega``, ``A = beta alpha``, ``Aprime = X A^T Xinv``
     and ``thetaprime = Yinv theta^T Y``; their identities follow from the
     rule :class:`OrbitModel` checks.  The family is built in run form by
-    :func:`_run_form`, which refuses a symbol value no kneading word holds,
-    and spelled out by :func:`_spell` with no product formed.
+    :func:`_run_form` and spelled out by :func:`_spell` with no product formed.
     """
     return _spell(_run_form(m))
 
@@ -175,11 +171,9 @@ def _run_form(m: OrbitModel) -> RunForm:
     Conversely, ``rank[u[t]] = s[t]`` for every t closes the values of
     ``rank`` under ``x -> x + 1 mod n``, with -1 going to 0, so they are
     all of 0..n-1, and the t with ``s[t] = n - 1`` gives ``rho[nL] = n``.
-    Two rows decide the symbol values, which only a word built around
-    :class:`~kneadck.symbolic.KneadingWord`'s checks can spoil: the final
-    value is 0, then every entry is in {-1, 0, 1}, as every other entry is
-    the sign of a run or of a permutation.  The first failing row raises
-    :class:`ConstructionError` as ``"<word>: <row>"``.
+    The symbol values are those :class:`~kneadck.symbolic.KneadingWord`
+    allows, the final one 0 and the others -1 or +1; every other entry is
+    the sign of a run or of a permutation, so every entry is in {-1, 0, 1}.
     """
     n, nL = m.n, m.nL
     eps = list(map(int, m.word.symbols))
@@ -190,13 +184,6 @@ def _run_form(m: OrbitModel) -> RunForm:
     u = [pos[r % n] for r in m.rho]
     sign = [1] * nL + [-1] * (n - 1 - nL)
     A = [(g, u0, u1) if u0 < u1 else (-g, u1, u0) for g, u0, u1 in zip(sign, u, u[1:])]
-    table = (
-        ("final symbol value must be 0", eps[-1] != 0),
-        ("matrix family has an entry outside {-1, 0, 1}", min(eps) < -1 or max(eps) > 1),
-    )
-    for row, failed in table:
-        if failed:
-            raise ConstructionError(f"{m.word}: {row}")
     return RunForm(rank, pos, nL, eps, A)
 
 

@@ -67,7 +67,9 @@ class KneadingWord:
     """A finite word over {R, L, C} ending in its only ``C``.
 
     Stands for the periodic kneading sequence ``(word)^inf`` of a map whose
-    turning point is periodic with period ``n = len(word)``.
+    turning point is periodic with period ``n = len(word)``.  Every entry
+    before ``Symbol.C`` must equal R or L (plain ints -1 and +1 do), and no
+    later construction checks a symbol again.
     """
 
     symbols: tuple[Symbol, ...]
@@ -77,8 +79,11 @@ class KneadingWord:
             raise ParseError("empty word")
         if self.symbols[-1] is not Symbol.C:
             raise ParseError("kneading word must end in C")
-        if Symbol.C in self.symbols[:-1]:
-            raise ParseError("C may appear only in the final position")
+        if not {Symbol.R, Symbol.L}.issuperset(self.symbols[:-1]):
+            s = next(s for s in self.symbols if s not in (Symbol.R, Symbol.L))
+            if s == Symbol.C:
+                raise ParseError("C may appear only in the final position")
+            raise ParseError(f"only R and L may precede the final C, not {s!r}")
 
     @property
     def n(self) -> int:

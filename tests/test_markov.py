@@ -2,14 +2,13 @@ import dataclasses
 import functools
 import itertools
 import random
-import re
 import types
 import warnings
 
 import numpy as np
 import pytest
 
-from kneadck import markov, symbolic
+from kneadck import markov
 from kneadck.ktheory import _rows_of_i_minus_theta
 from kneadck.markov import (
     ConstructionError,
@@ -43,7 +42,7 @@ from reference import (
     rows_of,
     smith_of,
 )
-from test_ktheory import random_word, with_symbol
+from test_ktheory import random_word
 
 
 def pipeline(text):
@@ -246,24 +245,6 @@ class TestOrbitModel:
     def test_rejects_fixed_point(self):
         with pytest.raises(DomainError):
             build_orbit(parse_word("C"))
-
-    def test_tied_keys_are_refused_at_the_first_tie(self, monkeypatch):
-        # RLLRRC sorts as 2 < 3 < 6 < 4 < 5 < 1.  Giving point 3 the key of
-        # point 2 and point 1 the key of point 5 ties two pairs; the stable
-        # sort puts the lower orbit index first, and the refusal names the
-        # tie that comes first in spatial order.
-        real = list(shift_keys(parse_word("RLLRRC")))
-        keys = real.copy()
-        keys[2], keys[0] = real[1], real[4]
-        monkeypatch.setattr(markov, "shift_keys", lambda w: iter(keys))
-        with pytest.raises(ConstructionError) as info:
-            build_orbit(parse_word("RLLRRC"))
-        assert str(info.value) == "RLLRRC: orbit points 2 and 3 do not compare strictly"
-        # With the first tie undone, the refusal names the second one.
-        keys[2] = real[2]
-        with pytest.raises(ConstructionError) as info:
-            build_orbit(parse_word("RLLRRC"))
-        assert str(info.value) == "RLLRRC: orbit points 1 and 5 do not compare strictly"
 
     def test_turning_point_off_its_rank_is_refused(self, monkeypatch):
         # RLLRRC sorts as 2 < 3 < 6 < 4 < 5 < 1 with nL = 2.  A distinct key
@@ -598,12 +579,10 @@ class TestIndexMaps:
         self.assert_matches_products(random_words(n, count, seed))
 
 
-class TestInt64Family:
+class TestUnitIntFamily:
     """The family is rows of Python ints in {-1, 0, 1}, so it fits the int64
-    arrays of ``reference.dense``; the range is decided per word by the
-    range row of the run form's table."""
-
-    RANGE = re.escape("matrix family has an entry outside {-1, 0, 1}")
+    arrays of ``reference.dense``; no word has an entry outside that range,
+    since ``KneadingWord`` holds R or L before its final C."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_every_matrix_is_rows_of_unit_ints(self, n):
@@ -625,37 +604,3 @@ class TestInt64Family:
             # No two rows are one list, so writing into a field changes no other.
             every_row = [row for M in vars(t).values() for row in M]
             assert len(set(map(id, every_row))) == len(every_row), str(w)
-
-    @staticmethod
-    def with_symbol(monkeypatch, m, k, value):
-        """``test_ktheory.with_symbol``, with a value no symbol has spelled X."""
-        if value not in (-1, 0, 1):
-            monkeypatch.setitem(symbolic._LETTER, value, "X")
-        return with_symbol(m, k, value)
-
-    def test_guard_refuses_an_entry_beyond_the_bound(self, monkeypatch):
-        # The bad value sits in the middle word of three, which the refusal
-        # names with the range row; the other two are sound.
-        models = [build_orbit(w) for w in enumerate_admissible(6)[:3]]
-        for m in models:
-            _run_form(m)
-        for bad in (2, -2, 2**40, -(2**40)):
-            model = self.with_symbol(monkeypatch, models[1], 2, bad)
-            assert str(model.word)[2] == "X"
-            with pytest.raises(ConstructionError, match=f"^{model.word}: {self.RANGE}$"):
-                _run_form(model)
-            with pytest.raises(ConstructionError, match=f"^{model.word}: {self.RANGE}$"):
-                build_matrices(model)
-
-    def test_rows_are_decided_in_table_order(self, monkeypatch):
-        # On the sound RLLRRC model, an entry beyond the bound fails the
-        # range row alone.
-        m = build_orbit(parse_word("RLLRRC"))
-        _run_form(m)
-        wide = self.with_symbol(monkeypatch, m, 1, 2)
-        with pytest.raises(ConstructionError, match=f"^RXLRRC: {self.RANGE}$"):
-            _run_form(wide)
-        # A final symbol other than C comes before the range.
-        final = "^RXLRRR: final symbol value must be 0$"
-        with pytest.raises(ConstructionError, match=final):
-            _run_form(self.with_symbol(monkeypatch, wide, 5, Symbol.R))

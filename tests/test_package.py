@@ -330,17 +330,43 @@ def test_scan_finds_every_raise_of_a_function():
     assert raises_in(source, "h") == []
 
 
-def test_run_form_fails_through_one_raise():
-    # Every failure of the matrix family is a row of the run form's table.
+def test_run_form_raises_nothing():
+    # The word's rule and the model's rule leave the run form nothing to refuse.
     source = pathlib.Path(kneadck.markov.__file__).read_text()
-    assert len(raises_in(source, "_run_form")) == 1
+    assert raises_in(source, "_run_form") == []
 
 
 def test_build_orbit_leaves_the_turning_point_to_the_model():
-    # build_orbit refuses a short period and keys that do not order
-    # strictly; where the turning point sits is OrbitModel's rule alone.
+    # build_orbit refuses a short period only: its keys never tie, and
+    # where the turning point sits is OrbitModel's rule alone.
     source = pathlib.Path(kneadck.markov.__file__).read_text()
-    assert len(raises_in(source, "build_orbit")) == 2
+    assert len(raises_in(source, "build_orbit")) == 1
+
+
+def raisers_of(source: str, error: str) -> list[str]:
+    """The top-level definition around every ``raise error`` or
+    ``raise error(...)`` of ``source``, one name per raise."""
+    return [
+        top.name
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+        and isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name)
+        and exc.id == error
+    ]
+
+
+def test_scan_finds_every_raiser_of_an_error():
+    source = "class M:\n    def f(self):\n        raise E('x')\n"
+    source += "def g(x):\n    if x:\n        raise E\n    raise KeyError(x)\n"
+    assert raisers_of(source, "E") == ["M", "g"]
+    assert raisers_of(source, "KeyError") == ["g"]
+
+
+def test_only_the_orbit_model_raises_construction_error():
+    # A malformed model is the only construction failure left.
+    source = pathlib.Path(kneadck.markov.__file__).read_text()
+    assert raisers_of(source, "ConstructionError") == ["OrbitModel", "OrbitModel"]
 
 
 def sibling_imports(source: str) -> list[str]:

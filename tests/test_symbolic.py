@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import kneadck.symbolic
 from kneadck.dynamics import QuadMap, numeric_itinerary
 from kneadck.ktheory import closed_form_a
+from kneadck.markov import build_orbit
 from kneadck.symbolic import (
     DomainError,
     KneadingWord,
@@ -144,6 +145,60 @@ class TestParsing:
     def test_single_c_parses(self):
         # Period 1 is parseable; rejection happens at the domain layer.
         assert parse_word("C").n == 1
+
+    # Each entry before the C that is not R or L, with its exact message.
+    NOT_R_OR_L = {
+        2: "only R and L may precede the final C, not 2",
+        -2: "only R and L may precede the final C, not -2",
+        2**40: "only R and L may precede the final C, not 1099511627776",
+        "R": "only R and L may precede the final C, not 'R'",
+        None: "only R and L may precede the final C, not None",
+        0.5: "only R and L may precede the final C, not 0.5",
+    }
+
+    @pytest.mark.parametrize("bad", list(NOT_R_OR_L), ids=repr)
+    def test_entry_before_the_c_must_be_r_or_l(self, bad):
+        with pytest.raises(ParseError) as exc:
+            KneadingWord((Symbol.R, bad, Symbol.L, Symbol.C))
+        assert str(exc.value) == self.NOT_R_OR_L[bad]
+
+    def test_plain_unit_ints_are_r_and_l(self):
+        assert KneadingWord((-1, 1, Symbol.C)) == parse_word("RLC")
+        assert str(KneadingWord((-1, 1, Symbol.C))) == "RLC"
+
+    @pytest.mark.parametrize("consumer", [str, build_orbit, is_admissible, closed_form_a])
+    def test_a_word_outside_the_rule_reaches_no_consumer(self, consumer):
+        # Without the rule these words were made, and then str, build_orbit
+        # and is_admissible raised a bare KeyError or TypeError, while
+        # closed_form_a answered 3 for (2, C).
+        for symbols in ((2, Symbol.C), ("R", Symbol.C), (Symbol.R, None, Symbol.C)):
+            with pytest.raises(ParseError, match="^only R and L may precede the final C"):
+                consumer(KneadingWord(symbols))
+
+    def test_entry_beyond_the_bound_is_refused(self):
+        # The bad value sits in the middle word of three, which the word's
+        # rule refuses; the other two are sound.
+        words = enumerate_admissible(6)[:3]
+        for w in words:
+            assert KneadingWord(w.symbols) == w
+        for bad in (2, -2, 2**40, -(2**40)):
+            symbols = list(words[1].symbols)
+            symbols[2] = bad
+            with pytest.raises(ParseError) as exc:
+                KneadingWord(tuple(symbols))
+            assert str(exc.value) == f"only R and L may precede the final C, not {bad}"
+
+    def test_refusals_are_decided_in_order(self):
+        # On RLLRRC, an entry beyond the bound is named; a final symbol
+        # other than C comes first, and the first culprit is the one named.
+        with pytest.raises(ParseError, match="^only R and L may precede the final C, not 2$"):
+            KneadingWord((Symbol.R, 2, Symbol.L, Symbol.R, Symbol.R, Symbol.C))
+        with pytest.raises(ParseError, match="^kneading word must end in C$"):
+            KneadingWord((Symbol.R, 2, Symbol.L, Symbol.R, Symbol.R, Symbol.R))
+        with pytest.raises(ParseError, match="^only R and L may precede the final C, not 2$"):
+            KneadingWord((Symbol.R, 2, Symbol.C, Symbol.R, Symbol.R, Symbol.C))
+        with pytest.raises(ParseError, match="^C may appear only in the final position$"):
+            KneadingWord((Symbol.R, Symbol.C, 2, Symbol.R, Symbol.R, Symbol.C))
 
     def test_empty_symbol_tuple_rejected(self):
         with pytest.raises(ParseError, match="^empty word$"):
@@ -301,10 +356,19 @@ class TestOrderKeys:
                 assert keys[i].index("1") == n - 1 - i
             assert sum(map(len, keys)) == n * (n + 1) // 2
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", [*range(2, 9), 64, 128, 256, 512, 1024, 2048, 4096])
     def test_shift_keys_are_distinct(self, n):
-        for w in every_word(n):
-            assert len(set(shift_keys(w))) == n
+        # Every word up to n = 8, then three seeded words {L, R}^(n-1) C.
+        # A key's only "1" is its last character, its C, so two keys differ
+        # by the end of the shorter one, and build_orbit's order is strict.
+        rng = random.Random(n)
+        bits = [[rng.choice((Symbol.L, Symbol.R)) for _ in range(n - 1)] for _ in range(3)]
+        for w in every_word(n) if n < 9 else [KneadingWord((*b, Symbol.C)) for b in bits]:
+            keys = list(shift_keys(w))
+            assert len(set(keys)) == n
+            assert all(k.find("1") == len(k) - 1 for k in keys), str(w)
+            ordered = [keys[i - 1] for i in build_orbit(w).rho]
+            assert all(a < b for a, b in zip(ordered, ordered[1:])), str(w)
 
 
 class TestAdmissibility:
